@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: assess, sweep, kde, converge, sample, synth, report. Common
-flags (--config, --seed, --out, --convention, --alpha-grid, --bandwidth)
-may come from a key = value config file; explicit flags win.
+Subcommands: assess, sweep, kde, converge, sample, synth, report. Every
+subcommand takes --config, a key = value file; `SHARED_SETTINGS` lists the
+shared settings (seed, out, convention, alpha_grid, bandwidth) each one
+reads, as flags or config keys. Explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import csv
 import logging
 import sys
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
-from .convergence import RunRecord
-from .kde import density_intersection, find_crossings, fit_kde
+from .convergence import DEFAULT_ALPHA_GRID, RunRecord
+from .kde import balance_point, find_crossings, fit_kde
 from .raster import load_grid, to_binary, write_grid
 from .report import (
     JobInput,
@@ -49,54 +51,86 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"error: {exc}\n")
 
 
+#: The shared settings each subcommand reads. Each one may come from its
+#: flag or from the --config file, and the flag wins; a subcommand gets no
+#: flag and accepts no config key for a setting it does not read. `report`
+#: hands its flags to `load_job`, which also reads the job keys (inputs,
+#: threshold, final_cycle) from the config file.
+SHARED_SETTINGS: dict[str, tuple[str, ...]] = {
+    "assess": ("out", "convention"),
+    "sweep": ("out", "convention"),
+    "kde": ("out", "bandwidth"),
+    "converge": ("out", "convention", "alpha_grid", "bandwidth"),
+    "sample": ("out", "seed"),
+    "synth": ("out", "seed"),
+    "report": ("out", "convention", "alpha_grid", "bandwidth", "seed"),
+}
+
+#: argparse options of each shared setting's flag.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "out": {"type": Path, "help": "output directory"},
+    "convention": {"choices": ["paper", "standard"], "help": "formula convention (default paper)"},
+    "alpha_grid": {"help": "comma-separated offsets in [0,1] for the asymmetric family"},
+    "bandwidth": {"type": float, "help": "KDE bandwidth (default: Silverman's rule)"},
+    "seed": {"type": int, "help": "non-negative RNG seed (default 0)"},
+}
+_REPORT_SEED_HELP = "provenance only: echoed into manifest.json settings, feeds no computation (default 0)"
+
+#: Parser of each shared setting, for flag values and config-file text alike.
+_PARSE = {
+    "out": Path,
+    "seed": int,
+    "convention": lambda v: Convention.parse(str(v)),
+    "alpha_grid": lambda v: parse_alpha_grid(str(v)),
+    "bandwidth": float,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapbayes",
         description="Bayesian accuracy assessment of binary map predictions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="key = value config file; flags override it")
-    common.add_argument("--seed", type=int, help="non-negative RNG seed (default 0)")
-    common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--convention", choices=["paper", "standard"], help="formula convention (default paper)")
-    common.add_argument("--alpha-grid", help="comma-separated offsets in [0,1] for the asymmetric family")
-    common.add_argument("--bandwidth", type=float, help="KDE bandwidth (default: Silverman's rule)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("assess", parents=[common], help="confusion + ratio metrics for one raster pair")
+    def add(name: str, help: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", type=Path, help="key = value config file; flags override it")
+        for key in SHARED_SETTINGS[name]:
+            spec = _FLAGS[key]
+            if (name, key) == ("report", "seed"):
+                spec = {**spec, "help": _REPORT_SEED_HELP}
+            p.add_argument("--" + key.replace("_", "-"), **spec)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("assess", "confusion + ratio metrics for one raster pair", cmd_assess)
     _add_pair_arguments(p)
     p.add_argument("--box-id", type=int, default=0)
     p.add_argument("--group", default="A")
     p.add_argument("--cycle", type=int, default=0)
-    p.set_defaults(func=cmd_assess)
 
-    p = sub.add_parser("sweep", parents=[common], help="predictive values across a prevalence grid")
+    p = add("sweep", "predictive values across a prevalence grid", cmd_sweep)
     _add_pair_arguments(p, required=False)
     p.add_argument("--sens", type=float, help="sensitivity (alternative to rasters)")
     p.add_argument("--tn-rate", type=float, help="true-negative rate (alternative to rasters)")
     p.add_argument("--prevalences", help="comma list of prevalences (default 0..1 step 0.01)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("kde", parents=[common], help="fit densities to labelled samples and find the crossing")
+    p = add("kde", "fit densities to labelled samples and find the crossing", cmd_kde)
     p.add_argument("--samples", type=Path, required=True, help="CSV with columns label (pos|neg), value")
     p.add_argument("--grid-points", type=int, default=512)
-    p.set_defaults(func=cmd_kde)
 
-    p = sub.add_parser("converge", parents=[common], help="convergence-factor fits, dominance, selection")
+    p = add("converge", "convergence-factor fits, dominance, selection", cmd_converge)
     p.add_argument("--runs", type=Path, required=True, help="CSV with box_id, group, cycle, ppv, npv")
     p.add_argument("--final-cycle", type=int, help="first cycle of the converged tail (default: last cycle)")
-    p.add_argument("--threshold", help="threshold policy echoed into outputs", default="value:0.5")
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("sample", parents=[common], help="tile a region, pool boxes, draw quantile samples")
+    p = add("sample", "tile a region, pool boxes, draw quantile samples", cmd_sample)
     p.add_argument("--change", type=Path, required=True, help="binary change raster")
     p.add_argument("--exclusion", type=Path, required=True, help="binary exclusionary raster")
     p.add_argument("--box-cells", type=int, default=6889, help="cells per square box (default 6889 = 83x83)")
     p.add_argument("--n-quantiles", type=int, default=DEFAULT_QUANTILES)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("synth", parents=[common], help="write synthetic rasters and a planted run table")
+    p = add("synth", "write synthetic rasters and a planted run table", cmd_synth)
     p.add_argument("--rows", type=int, default=60)
     p.add_argument("--cols", type=int, default=60)
     p.add_argument("--change-fraction", type=float, default=0.15)
@@ -105,11 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planted-offset", type=float, default=0.0)
     p.add_argument("--boxes", type=int, default=30)
     p.add_argument("--cycles", type=int, default=12, help="number of cycles in the run table")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("report", parents=[common], help="run a full assessment job from a config file")
-    p.set_defaults(func=cmd_report)
-
+    add("report", "run a full assessment job from a config file", cmd_report)
     return parser
 
 
@@ -121,27 +152,22 @@ def _add_pair_arguments(p: argparse.ArgumentParser, required: bool = True) -> No
     p.add_argument("--threshold", default="value:0.5", help="value:<t>, quantity:<n>, or quantity:obs")
 
 
-def _merged(args, key: str, default=None):
-    """Flag value, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if args.config is not None:
-        cfg = parse_config(args.config)
-        if key in cfg:
-            return cfg[key]
-    return default
+def _settings(args) -> dict[str, Any]:
+    """The subcommand's shared settings, parsed; a flag wins over --config.
 
+    The config file is read once. A setting that is unset or empty is left
+    out of the result.
 
-def _settings(args):
-    convention = Convention.parse(str(_merged(args, "convention", "paper")))
-    seed = int(_merged(args, "seed", 0))
-    grid_text = _merged(args, "alpha_grid", "")
-    alpha_grid = parse_alpha_grid(str(grid_text)) if grid_text else None
-    bandwidth = _merged(args, "bandwidth")
-    bandwidth = float(bandwidth) if bandwidth is not None else None
-    out = _merged(args, "out")
-    return convention, seed, alpha_grid, bandwidth, Path(out) if out else None
+    Raises:
+        ValueError: The config file sets a key the subcommand does not read.
+    """
+    keys = SHARED_SETTINGS[args.command]
+    raw: dict[str, Any] = parse_config(args.config) if args.config is not None else {}
+    unread = sorted(set(raw) - set(keys))
+    if unread:
+        raise ValueError(f"{args.config}: config keys not read by {args.command}: {unread}")
+    raw.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    return {k: _PARSE[k](v) for k, v in raw.items() if v != ""}
 
 
 def _pair_input(args) -> JobInput:
@@ -164,7 +190,8 @@ def _pair_input(args) -> JobInput:
 
 
 def cmd_assess(args) -> int:
-    convention, _, _, _, out = _settings(args)
+    settings = _settings(args)
+    convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
     inp = _pair_input(args)
     a = assess_pair(inp, ThresholdPolicy.parse(args.threshold), convention)
     rows = [
@@ -197,7 +224,8 @@ def cmd_assess(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    convention, _, _, _, out = _settings(args)
+    settings = _settings(args)
+    convention = settings.get("convention", Convention.PAPER)
     if args.sens is not None and args.tn_rate is not None:
         rates = AgreementRates(
             sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0
@@ -218,12 +246,13 @@ def cmd_sweep(args) -> int:
     lines = [("prevalence", "ppv", "npv", "convention")]
     for pv in prevalence_sweep(rates, grid, convention):
         lines.append((format_float(pv.prevalence), format_float(pv.ppv), format_float(pv.npv), convention.value))
-    _emit_csv(out, "sweep.csv", lines)
+    _emit_csv(settings.get("out"), "sweep.csv", lines)
     return 0
 
 
 def cmd_kde(args) -> int:
-    _, _, _, bandwidth, out = _settings(args)
+    settings = _settings(args)
+    bandwidth = settings.get("bandwidth")
     pos, neg = [], []
     with args.samples.open(newline="", encoding="utf-8") as fh:
         for rec in csv.DictReader(fh):
@@ -240,17 +269,18 @@ def cmd_kde(args) -> int:
     dp, dn = f_pos.evaluate(xs), f_neg.evaluate(xs)
     lines = [("x", "f_pos", "f_neg")]
     lines += [(format_float(x), format_float(a), format_float(b)) for x, a, b in zip(xs, dp, dn)]
-    _emit_csv(out, "kde.csv", lines)
+    _emit_csv(settings.get("out"), "kde.csv", lines)
     crossings = find_crossings(f_pos, f_neg)
-    best = density_intersection(f_pos, f_neg)
-    print(f"crossing {format_float(best)}")
+    print(f"crossing {format_float(balance_point(crossings).x)}")
     for c in crossings:
         print(f"crossing_at {format_float(c.x)} density {format_float(c.density)}")
     return 0
 
 
 def cmd_converge(args) -> int:
-    convention, _, alpha_grid, bandwidth, out = _settings(args)
+    settings = _settings(args)
+    convention = settings.get("convention", Convention.PAPER)
+    out = settings.get("out")
     if out is None:
         raise ValueError("converge needs --out")
     runs = _read_runs(args.runs)
@@ -259,8 +289,8 @@ def cmd_converge(args) -> int:
     _, scope_summaries = analyze_scopes(
         runs,
         out,
-        alpha_grid=alpha_grid or _default_grid(),
-        bandwidth=bandwidth,
+        alpha_grid=settings.get("alpha_grid") or DEFAULT_ALPHA_GRID,
+        bandwidth=settings.get("bandwidth"),
         final_cycle=args.final_cycle,
     )
     write_json(out / "summary.json", {"convention": convention.value, "scopes": scope_summaries})
@@ -271,7 +301,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _, seed, _, _, out = _settings(args)
+    settings = _settings(args)
+    seed = settings.get("seed", 0)
     change = load_grid(args.change)
     exclusion = load_grid(args.exclusion)
     change_b = to_binary(change, one_value=1.0, zero_value=0.0)
@@ -301,18 +332,19 @@ def cmd_sample(args) -> int:
                 chosen,
             )
         )
-    _emit_csv(out, "sample.csv", lines)
+    _emit_csv(settings.get("out"), "sample.csv", lines)
     return 0
 
 
 def cmd_synth(args) -> int:
-    _, seed, _, _, out = _settings(args)
+    settings = _settings(args)
+    out = settings.get("out")
     if out is None:
         raise ValueError("synth needs --out")
     cfg = SynthConfig(
         rows=args.rows,
         cols=args.cols,
-        seed=seed,
+        seed=settings.get("seed", 0),
         change_fraction=args.change_fraction,
         exclusion_fraction=args.exclusion_fraction,
         score_noise=args.score_noise,
@@ -331,14 +363,8 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     if args.config is None:
         raise ValueError("report needs --config")
-    overrides = {
-        "seed": str(args.seed) if args.seed is not None else None,
-        "out": str(args.out) if args.out is not None else None,
-        "convention": args.convention,
-        "alpha_grid": args.alpha_grid,
-        "bandwidth": str(args.bandwidth) if args.bandwidth is not None else None,
-    }
-    job = load_job(args.config, overrides)
+    flags = {k: getattr(args, k) for k in SHARED_SETTINGS["report"]}
+    job = load_job(args.config, {k: str(v) for k, v in flags.items() if v is not None})
     manifest = run_job(job)
     print(job.out_dir)
     n_fail = len(manifest["failures"])
@@ -350,12 +376,6 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def _default_grid() -> tuple[float, ...]:
-    from .convergence import DEFAULT_ALPHA_GRID
-
-    return DEFAULT_ALPHA_GRID
 
 
 def _read_runs(path: Path) -> list[RunRecord]:

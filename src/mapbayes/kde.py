@@ -2,10 +2,10 @@
 
 The estimator is the classic fixed-bandwidth sum f(x) = (1/(N h)) sum_i
 K((x - X_i)/h) with the variance-normalized Epanechnikov kernel
-K(z) = (3 / (4 sqrt(5))) (1 - z^2/5) on [-sqrt(5), sqrt(5)]. The crossing
-search locates where two fitted densities meet - used to read off the
-prevalence at which positive and negative predictive-value densities
-balance.
+K(z) = (3 / (4 sqrt(5))) (1 - z^2/5) on [-sqrt(5), sqrt(5)], summed directly
+in blocks of at most `_BLOCK` kernel terms. The crossing search locates where
+two fitted densities meet - used to read off the prevalence at which positive
+and negative predictive-value densities balance.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
-
 SQRT5 = math.sqrt(5.0)
 _EPA_C = 3.0 / (4.0 * SQRT5)
 
 _SCAN_POINTS = 512
 _BISECT_TOL = 1e-6
+
+# Cap on the size of the temporary (points x samples) block in `evaluate`.
+_BLOCK = 4_000_000
 
 
 def epanechnikov(z):
@@ -94,7 +95,12 @@ class KdeModel:
         """Density at `x` (scalar or array)."""
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         pts = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        dens = _kernels.epanechnikov_density(pts, self.samples, self.bandwidth)
+        dens = np.empty(pts.shape)
+        step = max(1, _BLOCK // self.n)
+        for i in range(0, pts.size, step):
+            z = (pts[i : i + step, None] - self.samples[None, :]) / self.bandwidth
+            dens[i : i + step] = epanechnikov(z).sum(axis=1)
+        dens /= self.n * self.bandwidth
         if scalar:
             return float(dens[0])
         return dens
@@ -175,15 +181,18 @@ def density_intersection(
 ) -> float:
     """The crossing point of two densities - the balance threshold.
 
-    With several crossings, returns the one where the joint density is
-    largest (ties broken toward the smaller x); `find_crossings` lists all.
+    With several crossings, returns `balance_point` of them; `find_crossings`
+    lists all.
     """
-    crossings = find_crossings(f_pos, f_neg, search)
-    best = crossings[0]
-    for c in crossings[1:]:
-        if c.density > best.density:
-            best = c
-    return best.x
+    return balance_point(find_crossings(f_pos, f_neg, search)).x
+
+
+def balance_point(crossings: Sequence[Crossing]) -> Crossing:
+    """The crossing with the largest joint density, ties toward the smaller x.
+
+    `crossings` must be sorted by x, as `find_crossings` returns them.
+    """
+    return max(crossings, key=lambda c: c.density)
 
 
 def _bisect(fn, lo: float, hi: float) -> float:

@@ -36,7 +36,7 @@ from .convergence import (
     pp_curve,
     split_robustness,
 )
-from .kde import density_intersection, find_crossings, fit_kde
+from .kde import balance_point, find_crossings, fit_kde
 from .raster import load_grid, threshold_scores, to_binary, to_scores
 from .sampling import POOL_THRESHOLDS
 
@@ -200,7 +200,9 @@ def load_job(config_path: str | Path, overrides: Mapping[str, str] | None = None
     """Build a job from a config file; override values win over file values.
 
     Recognized keys: inputs (CSV manifest path), out, threshold, convention,
-    alpha_grid (comma list), bandwidth, seed, final_cycle.
+    alpha_grid (comma list), bandwidth, seed, final_cycle. The seed is
+    provenance only: it is echoed into the settings of manifest.json and
+    feeds no computation.
     """
     cfg = parse_config(config_path)
     if overrides:
@@ -564,8 +566,9 @@ def _kde_analysis(
         files.append(_write_rows_csv(out_dir / f"kde_{scope}.csv", rows))
         entry["kde_bandwidth_pos"] = f_pos.bandwidth
         entry["kde_bandwidth_neg"] = f_neg.bandwidth
-        entry["kde_prevalence"] = density_intersection(f_pos, f_neg)
-        entry["kde_crossings"] = [c.x for c in find_crossings(f_pos, f_neg)]
+        crossings = find_crossings(f_pos, f_neg)
+        entry["kde_prevalence"] = balance_point(crossings).x
+        entry["kde_crossings"] = [c.x for c in crossings]
     except ValueError as exc:
         entry["kde_error"] = str(exc)
     return entry

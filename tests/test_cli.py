@@ -340,3 +340,59 @@ class TestParserBasics:
             main(["--help"])
         assert exc.value.code == 0
         assert "assess" in capsys.readouterr().out
+
+
+#: Arguments that get each subcommand past argparse's required-argument
+#: check; the files are never opened when parsing fails.
+REQUIRED_ARGS = {
+    "assess": ["--obs", "obs.asc"],
+    "sweep": [],
+    "kde": ["--samples", "samples.csv"],
+    "converge": ["--runs", "runs.csv"],
+    "sample": ["--change", "change.asc", "--exclusion", "excl.asc"],
+    "synth": [],
+}
+
+
+class TestSharedSettings:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("assess", "sweep")
+            for flag, value in (("--seed", "1"), ("--alpha-grid", "0.5"), ("--bandwidth", "0.1"))
+        ]
+        + [("kde", "--seed", "1"), ("kde", "--alpha-grid", "0.5"), ("kde", "--convention", "paper")]
+        + [("converge", "--seed", "1"), ("converge", "--threshold", "value:0.5")]
+        + [
+            (command, flag, value)
+            for command in ("sample", "synth")
+            for flag, value in (("--alpha-grid", "0.5"), ("--bandwidth", "0.1"), ("--convention", "paper"))
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, command, flag, value, capsys):
+        expect_failure([command, *REQUIRED_ARGS[command], flag, value])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("assess", "seed"), ("sweep", "bandwidth"), ("kde", "convention"), ("converge", "threshold"),
+         ("sample", "alpha_grid"), ("synth", "bandwidth")],
+    )
+    def test_unread_config_key_is_an_error(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        expect_failure([command, *REQUIRED_ARGS[command], "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert f"not read by {command}" in err
+        assert repr(key) in err
+
+    def test_config_supplies_seed_to_synth(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("seed = 4\n")
+        base = ["synth", "--rows", "8", "--cols", "8", "--boxes", "2", "--cycles", "2"]
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--seed", "4", "--out", str(tmp_path / "b")]) == 0
+        assert main(base + ["--seed", "5", "--out", str(tmp_path / "c")]) == 0
+        runs = [(tmp_path / d / "runs.csv").read_text() for d in "abc"]
+        assert runs[0] == runs[1] != runs[2]

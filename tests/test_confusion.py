@@ -1,7 +1,7 @@
 """Tests for confusion tallies and agreement rates.
 
 The reference counter is an independent per-cell Python loop so the
-vectorized / compiled tally is checked against first principles.
+vectorized tally is checked against first principles.
 """
 
 import numpy as np

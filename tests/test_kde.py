@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mapbayes import kde
+from mapbayes.kde import balance_point
+
 from mapbayes import (
+    Crossing,
     KdeModel,
     density_intersection,
     epanechnikov,
@@ -113,6 +117,27 @@ class TestKdeModel:
             for x in rng.uniform(-0.2, 1.2, size=20):
                 assert model.evaluate(float(x)) == pytest.approx(ref(float(x)), abs=1e-12)
 
+    def test_array_evaluation_spans_several_blocks(self):
+        rng = np.random.default_rng(16)
+        samples = rng.normal(0.5, 0.2, size=20_000)
+        xs = np.linspace(-0.2, 1.2, 512)
+        assert kde._BLOCK // samples.size < xs.size  # more than one block
+        model = fit_kde(samples)
+        ref = reference_density(samples, model.bandwidth)
+        expected = np.array([ref(float(x)) for x in xs])
+        np.testing.assert_allclose(model.evaluate(xs), expected, rtol=0, atol=1e-12)
+
+    def test_read_only_inputs_are_accepted(self):
+        # The model freezes its sample array; evaluation must cope, and with
+        # a read-only query array as well.
+        model = KdeModel(samples=np.array([0.2, 0.5, 0.8]), bandwidth=0.2)
+        assert not model.samples.flags.writeable
+        x = np.array([0.4])
+        x.setflags(write=False)
+        out = model.evaluate(x)
+        assert out.shape == (1,)
+        assert out[0] > 0.0
+
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -209,6 +234,11 @@ class TestCrossings:
         best = max(c.density for c in crossings)
         got = next(c.density for c in crossings if c.x == chosen)
         assert got == best
+        assert chosen == balance_point(crossings).x
+
+    def test_balance_point_ties_go_to_smaller_x(self):
+        crossings = [Crossing(0.2, 1.0), Crossing(0.5, 3.0), Crossing(0.7, 3.0)]
+        assert balance_point(crossings) == Crossing(0.5, 3.0)
 
     def test_identical_densities_are_degenerate(self):
         samples = np.array([0.2, 0.5, 0.8])

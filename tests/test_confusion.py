@@ -77,6 +77,28 @@ class TestBuildConfusion:
             assert (m.tp, m.fp, m.fn, m.tn) == expected
             checked += 1
 
+    def test_matches_brute_force_on_uniform_random_grids(self):
+        # Uniform draws over {-1, 0, 1}, so small grids are often fully excluded.
+        rng = np.random.default_rng(211)
+        for _ in range(100):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            sim = rng.integers(-1, 2, size=shape).astype(np.int8)
+            obs = rng.integers(-1, 2, size=shape).astype(np.int8)
+            expected = brute_force_counts(sim, obs)
+            if sum(expected) == 0:
+                with pytest.raises(ValueError, match="no jointly non-excluded"):
+                    build_confusion(BinaryGrid(sim), BinaryGrid(obs))
+                continue
+            m = build_confusion(BinaryGrid(sim), BinaryGrid(obs))
+            assert (m.tp, m.fp, m.fn, m.tn) == expected
+
+    def test_counts_cover_live_cells_exactly(self):
+        rng = np.random.default_rng(223)
+        sim = rng.integers(-1, 2, size=(25, 25)).astype(np.int8)
+        obs = rng.integers(-1, 2, size=(25, 25)).astype(np.int8)
+        m = build_confusion(BinaryGrid(sim), BinaryGrid(obs))
+        assert m.grand_total == int(np.count_nonzero((sim >= 0) & (obs >= 0)))
+
     def test_exclusion_on_either_side_removes_cell(self):
         sim = BinaryGrid(np.array([[1, -1], [1, 1]], dtype=np.int8))
         obs = BinaryGrid(np.array([[-1, 1], [1, 1]], dtype=np.int8))

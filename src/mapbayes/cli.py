@@ -15,12 +15,10 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
 from .convergence import DEFAULT_ALPHA_GRID, RunRecord
-from .kde import balance_point, find_crossings, fit_kde
+from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import load_grid, to_binary, write_grid
 from .report import (
     JobInput,
@@ -118,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kde", "fit densities to labelled samples and find the crossing", cmd_kde)
     p.add_argument("--samples", type=Path, required=True, help="CSV with columns label (pos|neg), value")
-    p.add_argument("--grid-points", type=int, default=512)
 
     p = add("converge", "convergence-factor fits, dominance, selection", cmd_converge)
     p.add_argument("--runs", type=Path, required=True, help="CSV with box_id, group, cycle, ppv, npv")
@@ -265,10 +262,9 @@ def cmd_kde(args) -> int:
                 raise ValueError(f"sample label must be pos or neg, got {rec['label']!r}")
     f_pos = fit_kde(pos, bandwidth)
     f_neg = fit_kde(neg, bandwidth)
-    xs = np.linspace(0.0, 1.0, args.grid_points)
-    dp, dn = f_pos.evaluate(xs), f_neg.evaluate(xs)
     lines = [("x", "f_pos", "f_neg")]
-    lines += [(format_float(x), format_float(a), format_float(b)) for x, a, b in zip(xs, dp, dn)]
+    rows = zip(GRID, f_pos.on_grid, f_neg.on_grid)
+    lines += [(format_float(x), format_float(a), format_float(b)) for x, a, b in rows]
     _emit_csv(settings.get("out"), "kde.csv", lines)
     crossings = find_crossings(f_pos, f_neg)
     print(f"crossing {format_float(balance_point(crossings).x)}")

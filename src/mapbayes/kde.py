@@ -3,15 +3,18 @@
 The estimator is the classic fixed-bandwidth sum f(x) = (1/(N h)) sum_i
 K((x - X_i)/h) with the variance-normalized Epanechnikov kernel
 K(z) = (3 / (4 sqrt(5))) (1 - z^2/5) on [-sqrt(5), sqrt(5)], summed directly
-in blocks of at most `_BLOCK` kernel terms. The crossing search locates where
-two fitted densities meet - used to read off the prevalence at which positive
-and negative predictive-value densities balance.
+in blocks of at most `_BLOCK` kernel terms. Each fitted density is tabulated
+once on the fixed 512-point `GRID` over [0, 1]; the crossing search scans
+that table for sign changes and refines each one by bisection. The crossings
+give the prevalence at which positive and negative predictive-value densities
+balance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +23,11 @@ from numpy.typing import NDArray
 SQRT5 = math.sqrt(5.0)
 _EPA_C = 3.0 / (4.0 * SQRT5)
 
-_SCAN_POINTS = 512
 _BISECT_TOL = 1e-6
+
+#: The fixed points over [0, 1] at which densities are tabulated and scanned.
+GRID = np.linspace(0.0, 1.0, 512)
+GRID.setflags(write=False)
 
 # Cap on the size of the temporary (points x samples) block in `evaluate`.
 _BLOCK = 4_000_000
@@ -92,20 +98,27 @@ class KdeModel:
         return float(self.samples[0]) - half, float(self.samples[-1]) + half
 
     def evaluate(self, x):
-        """Density at `x` (scalar or array)."""
-        scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-        pts = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        """Density at `x`: a float for a scalar, else an array of `x`'s shape."""
+        arr = np.asarray(x, dtype=np.float64)
+        pts = arr.ravel()
         dens = np.empty(pts.shape)
         step = max(1, _BLOCK // self.n)
         for i in range(0, pts.size, step):
             z = (pts[i : i + step, None] - self.samples[None, :]) / self.bandwidth
             dens[i : i + step] = epanechnikov(z).sum(axis=1)
         dens /= self.n * self.bandwidth
-        if scalar:
+        if arr.ndim == 0:
             return float(dens[0])
-        return dens
+        return dens.reshape(arr.shape)
 
     __call__ = evaluate
+
+    @cached_property
+    def on_grid(self) -> NDArray[np.float64]:
+        """The density at each point of `GRID`, evaluated once (read-only)."""
+        dens = self.evaluate(GRID)
+        dens.setflags(write=False)
+        return dens
 
 
 def fit_kde(samples: Sequence[float] | NDArray[np.float64], bandwidth: float | None = None) -> KdeModel:
@@ -124,48 +137,40 @@ class Crossing:
     density: float
 
 
-def find_crossings(
-    f_pos: KdeModel,
-    f_neg: KdeModel,
-    search: tuple[float, float] = (0.0, 1.0),
-) -> list[Crossing]:
-    """All crossings of two densities inside the search interval.
+def find_crossings(f_pos: KdeModel, f_neg: KdeModel) -> list[Crossing]:
+    """All crossings of two densities in [0, 1].
 
-    The difference is scanned at 512 evenly spaced points; each sign change
-    is refined by bisection to 1e-6. Crossings come back sorted by x.
-    Points where both densities vanish are skipped - equality only counts
-    where there is density to balance.
+    The difference is scanned at the points of `GRID`; each sign change is
+    refined by bisection to 1e-6. Crossings come back sorted by x. Points
+    where both densities vanish are skipped - equality only counts where
+    there is density to balance.
 
     Raises:
-        ValueError: Bad interval, densities equal at every scan point
-            (degenerate), or no crossing found.
+        ValueError: Densities equal at every grid point (degenerate), or no
+            crossing found.
     """
-    lo, hi = float(search[0]), float(search[1])
-    if not lo < hi:
-        raise ValueError(f"search interval must satisfy lo < hi, got ({lo}, {hi})")
 
     def diff(v: float) -> float:
         return f_pos.evaluate(v) - f_neg.evaluate(v)
 
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    dens_pos = f_pos.evaluate(xs)
-    g = dens_pos - f_neg.evaluate(xs)
+    dens_pos = f_pos.on_grid
+    g = dens_pos - f_neg.on_grid
 
     if not np.any(g):
         raise ValueError("densities are identical across the search interval; no isolated crossing")
 
     roots: list[float] = []
-    for i in range(_SCAN_POINTS - 1):
+    for i in range(GRID.size - 1):
         if g[i] == 0.0:
             if dens_pos[i] > 0.0:
-                roots.append(float(xs[i]))
+                roots.append(float(GRID[i]))
         elif g[i] * g[i + 1] < 0.0:
-            roots.append(_bisect(diff, float(xs[i]), float(xs[i + 1])))
+            roots.append(_bisect(diff, float(GRID[i]), float(GRID[i + 1])))
     if g[-1] == 0.0 and dens_pos[-1] > 0.0:
-        roots.append(float(xs[-1]))
+        roots.append(float(GRID[-1]))
 
     if not roots:
-        raise ValueError(f"densities do not cross in [{lo}, {hi}]")
+        raise ValueError("densities do not cross in [0.0, 1.0]")
 
     out = []
     for r in _dedupe(roots):
@@ -174,17 +179,13 @@ def find_crossings(
     return out
 
 
-def density_intersection(
-    f_pos: KdeModel,
-    f_neg: KdeModel,
-    search: tuple[float, float] = (0.0, 1.0),
-) -> float:
+def density_intersection(f_pos: KdeModel, f_neg: KdeModel) -> float:
     """The crossing point of two densities - the balance threshold.
 
     With several crossings, returns `balance_point` of them; `find_crossings`
     lists all.
     """
-    return balance_point(find_crossings(f_pos, f_neg, search)).x
+    return balance_point(find_crossings(f_pos, f_neg)).x
 
 
 def balance_point(crossings: Sequence[Crossing]) -> Crossing:

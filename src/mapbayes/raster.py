@@ -9,6 +9,7 @@ six significant digits and newline endings, and reload byte-identically.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -25,6 +26,13 @@ IntArray = NDArray[np.int8]
 EXCLUDED = -1
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+#: Header values with a constraint beyond being a number: key -> (rule, test).
+_HEADER_RULES = {
+    "ncols": ("a positive integer", lambda v: v.is_integer() and v >= 1),
+    "nrows": ("a positive integer", lambda v: v.is_integer() and v >= 1),
+    "cellsize": ("positive and finite", lambda v: 0.0 < v < math.inf),
+}
 
 
 class GridFormatError(ValueError):
@@ -69,8 +77,8 @@ class Grid:
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"grid values must be a non-empty 2-D array, got shape {arr.shape}")
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -87,7 +95,9 @@ class Grid:
         return self.values.shape
 
     def nodata_mask(self) -> NDArray[np.bool_]:
-        """Boolean array, True where the cell holds the nodata sentinel."""
+        """Boolean array, True where the cell holds the nodata sentinel (NaN matches NaN)."""
+        if math.isnan(self.nodata):
+            return np.isnan(self.values)
         return self.values == self.nodata
 
 
@@ -166,8 +176,12 @@ class ScoreGrid:
         if mask.shape != arr.shape:
             raise ValueError(f"exclusion mask shape {mask.shape} != score shape {arr.shape}")
         live = arr[~mask]
-        if live.size and (np.min(live) < 0.0 or np.max(live) > 1.0):
-            raise ValueError("scores outside [0, 1] on non-excluded cells")
+        if live.size:
+            lo = np.min(live)  # NaN if any live score is NaN
+            if math.isnan(lo):
+                raise ValueError("NaN scores on non-excluded cells")
+            if lo < 0.0 or np.max(live) > 1.0:
+                raise ValueError("scores outside [0, 1] on non-excluded cells")
         arr.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -207,8 +221,9 @@ def load_grid(path: str | Path, format: str = "ascii_grid") -> Grid:
         The parsed Grid.
 
     Raises:
-        GridFormatError: Malformed header, bad row length, or a non-numeric
-            token; the message names the 1-based line number.
+        GridFormatError: Malformed header (ncols and nrows must be positive
+            integers, cellsize positive and finite), bad row length, or a
+            non-numeric token; the message names the 1-based line number.
     """
     if format != "ascii_grid":
         raise ValueError(f"unsupported raster format: {format!r}")
@@ -227,10 +242,12 @@ def load_grid(path: str | Path, format: str = "ascii_grid") -> Grid:
             header[key] = float(parts[1])
         except ValueError:
             raise GridFormatError(f"non-numeric {key}: {parts[1]!r}", line=i + 1) from None
+        if key in _HEADER_RULES:
+            rule, ok = _HEADER_RULES[key]
+            if not ok(header[key]):
+                raise GridFormatError(f"{key} must be {rule}, got {parts[1]!r}", line=i + 1)
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if ncols < 1 or nrows < 1:
-        raise GridFormatError(f"grid dimensions must be positive, got {nrows}x{ncols}", line=1)
 
     body = lines[len(_HEADER_KEYS):]
     # Tolerate one trailing newline (canonical files end with "\n").

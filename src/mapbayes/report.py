@@ -36,13 +36,11 @@ from .convergence import (
     pp_curve,
     split_robustness,
 )
-from .kde import balance_point, find_crossings, fit_kde
+from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import load_grid, threshold_scores, to_binary, to_scores
 from .sampling import POOL_THRESHOLDS
 
 log = logging.getLogger(__name__)
-
-KDE_GRID_POINTS = 512
 
 #: Scope label covering every run regardless of group.
 SCOPE_ALL = "all"
@@ -554,14 +552,13 @@ def _kde_analysis(
     try:
         f_pos = fit_kde(pos, bandwidth)
         f_neg = fit_kde(neg, bandwidth)
-        xs = np.linspace(0.0, 1.0, KDE_GRID_POINTS)
         rows = [
             {
                 "x": format_float(x),
                 "f_pos": format_float(fp),
                 "f_neg": format_float(fn),
             }
-            for x, fp, fn in zip(xs, f_pos.evaluate(xs), f_neg.evaluate(xs))
+            for x, fp, fn in zip(GRID, f_pos.on_grid, f_neg.on_grid)
         ]
         files.append(_write_rows_csv(out_dir / f"kde_{scope}.csv", rows))
         entry["kde_bandwidth_pos"] = f_pos.bandwidth
@@ -575,16 +572,17 @@ def _kde_analysis(
 
 
 def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]:
-    """Mean DOR per group; DOR is threshold-bound, so cross-group reading
-    gets a warning rather than silence."""
-    warnings.warn(
-        "diagnostic odds ratios are comparable across groups only under a shared threshold rule",
-        stacklevel=2,
-    )
+    """Mean DOR per group; DOR is threshold-bound, so when two or more groups
+    carry a finite mean, cross-group reading gets a warning rather than silence."""
     out: dict[str, float | None] = {}
     for label in sorted({a.input.group for a in assessed}):
         vals = [a.dor for a in assessed if a.input.group == label and a.dor is not None and math.isfinite(a.dor)]
         out[label] = float(np.mean(vals)) if vals else None
+    if sum(v is not None and math.isfinite(v) for v in out.values()) >= 2:
+        warnings.warn(
+            "diagnostic odds ratios are comparable across groups only under a shared threshold rule",
+            stacklevel=2,
+        )
     return out
 
 

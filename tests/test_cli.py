@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestAssess:
         expect_failure(["assess", "--sim", sim, "--score", sim, "--obs", obs])
         assert "exactly one" in capsys.readouterr().err
 
+    def test_non_finite_header_is_a_usage_error(self, raster_pair, tmp_path, capsys):
+        sim, obs = raster_pair
+        text = Path(sim).read_text().split("\n")
+        text[0] = "ncols inf"
+        bad = tmp_path / "bad.asc"
+        bad.write_text("\n".join(text))
+        expect_failure(["assess", "--sim", str(bad), "--obs", obs])
+        assert capsys.readouterr().err == "error: line 1: ncols must be a positive integer, got 'inf'\n"
+
     def test_neither_prediction_rejected(self, raster_pair):
         _, obs = raster_pair
         expect_failure(["assess", "--obs", obs])
@@ -142,11 +152,11 @@ class TestKde:
         return str(path)
 
     def test_mirror_samples_cross_at_half(self, mirror_samples, capsys):
-        rc = main(["kde", "--samples", mirror_samples, "--grid-points", "16"])
+        rc = main(["kde", "--samples", mirror_samples])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "x,f_pos,f_neg"
-        assert len(lines) >= 16 + 3  # header + grid + crossing + >=1 crossing_at
+        assert len(lines) >= 512 + 3  # header + grid + crossing + >=1 crossing_at
         crossing = next(l for l in lines if l.startswith("crossing "))
         assert float(crossing.split()[1]) == pytest.approx(0.5, abs=1e-5)
         detail = [l for l in lines if l.startswith("crossing_at ")]
@@ -157,11 +167,11 @@ class TestKde:
 
     def test_out_writes_grid_csv(self, mirror_samples, tmp_path, capsys):
         out_dir = tmp_path / "kde_out"
-        rc = main(["kde", "--samples", mirror_samples, "--grid-points", "32", "--out", str(out_dir)])
+        rc = main(["kde", "--samples", mirror_samples, "--out", str(out_dir)])
         assert rc == 0
         rows = read_csv_text((out_dir / "kde.csv").read_text())
         assert rows[0] == ["x", "f_pos", "f_neg"]
-        assert len(rows) == 33
+        assert len(rows) == 513
         assert capsys.readouterr().out.splitlines()[0].endswith("kde.csv")
 
     def test_bad_label_rejected(self, tmp_path):
@@ -363,6 +373,7 @@ class TestSharedSettings:
             for flag, value in (("--seed", "1"), ("--alpha-grid", "0.5"), ("--bandwidth", "0.1"))
         ]
         + [("kde", "--seed", "1"), ("kde", "--alpha-grid", "0.5"), ("kde", "--convention", "paper")]
+        + [("kde", "--grid-points", "16")]
         + [("converge", "--seed", "1"), ("converge", "--threshold", "value:0.5")]
         + [
             (command, flag, value)

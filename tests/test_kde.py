@@ -138,6 +138,29 @@ class TestKdeModel:
         assert out.shape == (1,)
         assert out[0] > 0.0
 
+    def test_array_evaluation_keeps_the_input_shape(self):
+        model = fit_kde([0.2, 0.4, 0.5, 0.9])
+        for x in (np.full((2, 3), 0.4), np.linspace(0.0, 1.0, 24).reshape(2, 3, 4), np.empty((0, 2))):
+            out = model.evaluate(x)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == x.shape
+            expected = [model.evaluate(float(v)) for v in x.ravel()]
+            np.testing.assert_array_equal(out.ravel(), expected)
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        model = fit_kde([0.2, 0.4, 0.5, 0.9])
+        out = model.evaluate(np.array(0.4))
+        assert type(out) is float
+        assert out == model.evaluate(0.4) == model.evaluate(np.float64(0.4))
+
+    def test_on_grid_is_the_read_only_density_on_the_fixed_grid(self):
+        model = fit_kde([0.2, 0.4, 0.5, 0.9])
+        np.testing.assert_array_equal(kde.GRID, np.linspace(0.0, 1.0, 512))
+        assert not kde.GRID.flags.writeable
+        np.testing.assert_array_equal(model.on_grid, model.evaluate(kde.GRID))
+        assert not model.on_grid.flags.writeable
+        assert model.on_grid is model.on_grid
+
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -246,16 +269,13 @@ class TestCrossings:
             find_crossings(fit_kde(samples, 0.1), fit_kde(samples, 0.1))
 
     def test_no_crossing_in_interval_is_an_error(self):
-        f_pos = fit_kde(np.full(20, 0.5), bandwidth=0.05)
-        f_neg = fit_kde(np.linspace(0.0, 1.0, 20), bandwidth=0.3)
-        # The tall spike dominates throughout this narrow window.
-        with pytest.raises(ValueError, match="do not cross"):
-            find_crossings(f_pos, f_neg, search=(0.47, 0.53))
-
-    def test_bad_search_interval(self):
-        f = fit_kde([0.2, 0.8])
-        with pytest.raises(ValueError, match="lo < hi"):
-            find_crossings(f, f, search=(0.8, 0.2))
+        # A tall density over the whole of [0, 1] against a nearly flat,
+        # much lower one: the first stays above the second everywhere.
+        f_pos = fit_kde(np.full(20, 0.5), bandwidth=0.3)
+        f_neg = fit_kde([0.5], bandwidth=10.0)
+        assert np.all(f_pos.on_grid > f_neg.on_grid)
+        with pytest.raises(ValueError, match=r"^densities do not cross in \[0\.0, 1\.0\]$"):
+            find_crossings(f_pos, f_neg)
 
     def test_empty_stretches_are_not_crossings(self):
         # Two tight, well-separated densities: most of [0, 1] lies outside

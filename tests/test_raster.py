@@ -40,8 +40,9 @@ class TestGridContainers:
             Grid(np.zeros((0, 3)))
 
     def test_grid_rejects_bad_cell_size(self):
-        with pytest.raises(ValueError, match="cell_size"):
-            Grid(np.zeros((2, 2)), cell_size=0)
+        for bad in (0, -30.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+                Grid(np.zeros((2, 2)), cell_size=bad)
 
     def test_grid_values_are_read_only(self):
         g = Grid(np.zeros((2, 2)))
@@ -68,6 +69,14 @@ class TestGridContainers:
         ScoreGrid(np.array([[5.0, 0.5]]), excluded=np.array([[True, False]]))
         with pytest.raises(ValueError, match="outside"):
             ScoreGrid(np.array([[5.0, 0.5]]), excluded=np.array([[False, False]]))
+
+    def test_score_grid_rejects_nan_on_live_cells(self):
+        # NaN on an excluded cell is never read; on a live cell it would pass
+        # both range checks and then threshold to 0.
+        ScoreGrid(np.array([[np.nan, 0.5]]), excluded=np.array([[True, False]]))
+        for vals in ([[np.nan, 0.5]], [[0.5, np.nan]], [[np.nan, np.nan]]):
+            with pytest.raises(ValueError, match="NaN scores on non-excluded cells"):
+                ScoreGrid(np.array(vals))
 
     def test_score_grid_default_mask_is_all_live(self):
         s = ScoreGrid(np.array([[0.1, 0.9]]))
@@ -160,6 +169,41 @@ class TestLoadGrid:
         p.write_text(CANONICAL.replace("ncols 3", "ncols 0"))
         with pytest.raises(GridFormatError, match="positive"):
             load_grid(p)
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            (1, "ncols 2.5"),
+            (1, "ncols nan"),
+            (1, "ncols inf"),
+            (2, "nrows 1.5"),
+            (2, "nrows -inf"),
+            (2, "nrows 0"),
+        ],
+    )
+    def test_dimensions_must_be_positive_integers(self, tmp_path, line, text):
+        p = tmp_path / "g.asc"
+        lines = CANONICAL.split("\n")
+        lines[line - 1] = text
+        p.write_text("\n".join(lines))
+        key, value = text.split()
+        with pytest.raises(GridFormatError, match=f"^line {line}: {key} must be a positive integer, got '{value}'$"):
+            load_grid(p)
+
+    @pytest.mark.parametrize("value", ["-30", "0", "nan", "inf"])
+    def test_cellsize_must_be_positive_and_finite(self, tmp_path, value):
+        p = tmp_path / "g.asc"
+        p.write_text(CANONICAL.replace("cellsize 30", f"cellsize {value}"))
+        with pytest.raises(GridFormatError, match=f"^line 5: cellsize must be positive and finite, got '{value}'$"):
+            load_grid(p)
+
+    def test_nan_nodata_sentinel_matches_nan_cells(self, tmp_path):
+        p = tmp_path / "g.asc"
+        p.write_text(CANONICAL.replace("NODATA_value -9999", "NODATA_value nan").replace("-9999", "nan"))
+        g = load_grid(p)
+        assert np.isnan(g.nodata)
+        assert g.nodata_mask().tolist() == [[False, False, True], [False, False, False]]
+        assert to_scores(g).excluded.tolist() == [[False, False, True], [False, False, False]]
 
 
 class TestWriteGrid:

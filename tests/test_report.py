@@ -26,7 +26,7 @@ from mapbayes.report import (
     write_json,
 )
 
-from conftest import build_job_tree
+from conftest import JOB_LAYOUT, build_job_tree
 
 EXPECTED_FILES = {
     "confusion.csv",
@@ -333,6 +333,15 @@ class TestRunJob:
         with pytest.warns(UserWarning, match="comparable across groups"):
             run_job(load_job(config_path))
 
+    def test_single_group_raises_no_odds_warning(self, tmp_path):
+        config_path, out_dir = build_job_tree(tmp_path, layout=[row for row in JOB_LAYOUT if row[1] == "A"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_job(load_job(config_path))
+        dor = json.loads((out_dir / "summary.json").read_text())["dor_by_group"]
+        assert list(dor) == ["A"]
+        assert math.isfinite(dor["A"])
+
     def test_dor_by_group_present(self, job_tree):
         config_path, out_dir = job_tree
         quiet_run_job(load_job(config_path))
@@ -352,6 +361,28 @@ class TestAnalyzeScopes:
         assert "dominance.csv" in names
         assert {"all", "A", "B", "C"} <= set(summaries)
         assert summaries["all"]["selected_alpha"] == 0.25
+
+    def test_each_density_is_evaluated_on_the_grid_once(self, tmp_path, monkeypatch):
+        from mapbayes import SynthConfig, generate_run_table
+        from mapbayes.kde import KdeModel
+
+        array_calls = []
+        evaluate = KdeModel.evaluate
+
+        def counting_evaluate(model, x):
+            if np.ndim(x) > 0:
+                array_calls.append(id(model))
+            return evaluate(model, x)
+
+        monkeypatch.setattr(KdeModel, "evaluate", counting_evaluate)
+        runs = generate_run_table(SynthConfig(seed=3, planted_offset=0.5))
+        _, summaries = analyze_scopes(runs, tmp_path)
+        scopes = {"all", "A", "B", "C"}
+        assert scopes <= set(summaries)
+        assert all("kde_prevalence" in summaries[s] for s in scopes)
+        # Two densities (PPV and NPV) per scope, one array evaluation each.
+        assert len(array_calls) == 2 * len(summaries)
+        assert len(set(array_calls)) == len(array_calls)
 
     def test_degenerate_scope_records_errors(self, tmp_path):
         runs = [

@@ -313,8 +313,9 @@ def cmd_sample(args) -> int:
         else:
             log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
     lines = [("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")]
-    membership = {b.box_id: "".join(l for l in sorted(pools) if any(x.box_id == b.box_id for x in pools[l])) for b in boxes}
+    members = {label: {b.box_id for b in pool} for label, pool in sorted(pools.items())}
     for b in boxes:
+        in_pools = "".join(l for l in members if b.box_id in members[l])
         chosen = "".join(l for l in sorted(selected) if b.box_id in selected[l])
         lines.append(
             (
@@ -324,7 +325,7 @@ def cmd_sample(args) -> int:
                 format_float(b.pct_urban_change),
                 format_float(b.pct_exclusionary),
                 format_float(b.index),
-                membership[b.box_id],
+                in_pools,
                 chosen,
             )
         )

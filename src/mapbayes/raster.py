@@ -258,25 +258,46 @@ def load_grid(path: str | Path, format: str = "ascii_grid") -> Grid:
             f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
         )
 
-    values = np.empty((nrows, ncols), dtype=np.float64)
-    for r, line in enumerate(body):
-        lineno = len(_HEADER_KEYS) + r + 1
-        tokens = line.split()
-        if len(tokens) != ncols:
-            raise GridFormatError(f"expected {ncols} values, found {len(tokens)}", line=lineno)
-        try:
-            values[r] = [float(t) for t in tokens]
-        except ValueError:
-            bad = next(t for t in tokens if not _is_number(t))
-            raise GridFormatError(f"non-numeric value {bad!r}", line=lineno) from None
-
     return Grid(
-        values,
+        _parse_body(body, ncols),
         cell_size=header["cellsize"],
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],
         nodata=header["nodata_value"],
     )
+
+
+def _parse_body(body: list[str], ncols: int) -> FloatArray:
+    """Values of the body rows, one row per line.
+
+    Well-formed rows go through numpy's C reader. Anything else goes through
+    the per-line loop, which raises on the first bad line and also takes the
+    tokens that `float` accepts and numpy does not (such as "1_0").
+    """
+    # loadtxt skips blank lines (the shape check catches those) and warns
+    # when none is left, so an all-blank body goes straight to the loop.
+    if body[0].strip():
+        try:
+            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(body), ncols):
+                return values
+
+    rows = []
+    for r, line in enumerate(body):
+        lineno = len(_HEADER_KEYS) + r + 1
+        tokens = line.split()
+        # Checked before anything is allocated: the header's ncols may be huge.
+        if len(tokens) != ncols:
+            raise GridFormatError(f"expected {ncols} values, found {len(tokens)}", line=lineno)
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            bad = next(t for t in tokens if not _is_number(t))
+            raise GridFormatError(f"non-numeric value {bad!r}", line=lineno) from None
+    return np.array(rows, dtype=np.float64)
 
 
 def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
@@ -293,7 +314,7 @@ def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
         f"NODATA_value {_format_value(grid.nodata)}",
     ]
     for row in grid.values:
-        out.append(" ".join(_format_value(v) for v in row))
+        out.append(" ".join(["%.6g" % v for v in row.tolist()]))
     path.write_text("\n".join(out) + "\n", encoding="ascii")
 
 

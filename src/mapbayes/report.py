@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -37,7 +38,7 @@ from .convergence import (
     split_robustness,
 )
 from .kde import GRID, balance_point, find_crossings, fit_kde
-from .raster import load_grid, threshold_scores, to_binary, to_scores
+from .raster import BinaryGrid, Grid, load_grid, threshold_scores, to_binary, to_scores
 from .sampling import POOL_THRESHOLDS
 
 log = logging.getLogger(__name__)
@@ -264,15 +265,28 @@ class PairAssessment:
     dor: float | None
 
 
-def assess_pair(inp: JobInput, threshold: ThresholdPolicy, convention: Convention) -> PairAssessment:
+def load_observed(inp: JobInput) -> tuple[Grid | None, BinaryGrid]:
+    """Load an input's exclusion map (None without one) and classify its observed map."""
+    exclusion = load_grid(inp.exclusion) if inp.exclusion is not None else None
+    return exclusion, to_binary(load_grid(inp.obs), one_value=1.0, zero_value=0.0, exclusion=exclusion)
+
+
+def assess_pair(
+    inp: JobInput,
+    threshold: ThresholdPolicy,
+    convention: Convention,
+    *,
+    observed: tuple[Grid | None, BinaryGrid] | None = None,
+) -> PairAssessment:
     """Load, binarize as needed, and compute all per-pair metrics.
 
     PPV/NPV are evaluated at the pair's own observed prevalence. Likelihood
     ratios and the DOR are None (not emitted) when a needed rate is
-    undefined.
+    undefined. `observed` is `load_observed(inp)` when the caller already
+    has it (inputs that share an observed and exclusion map); otherwise it
+    is loaded here.
     """
-    exclusion = load_grid(inp.exclusion) if inp.exclusion is not None else None
-    obs = to_binary(load_grid(inp.obs), one_value=1.0, zero_value=0.0, exclusion=exclusion)
+    exclusion, obs = observed if observed is not None else load_observed(inp)
     if inp.kind == "binary":
         sim = to_binary(load_grid(inp.sim), one_value=1.0, zero_value=0.0, exclusion=exclusion)
     else:
@@ -382,14 +396,29 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
 
     assessed: list[PairAssessment] = []
     failures: list[dict[str, str]] = []
-    for inp in job.inputs:
+
+    def fail(inp: JobInput, exc: Exception) -> None:
+        log.warning("input %s (box %s, cycle %s) failed: %s", inp.sim, inp.box_id, inp.cycle, exc)
+        failures.append(
+            {"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle), "error": str(exc)}
+        )
+
+    # A box's observed and exclusion maps repeat over its cycles: they are
+    # parsed once per run of consecutive inputs that share them, and dropped
+    # when the run ends, so at most one run's maps are held at a time.
+    for _, shared in itertools.groupby(job.inputs, key=lambda inp: (inp.obs, inp.exclusion)):
+        run = list(shared)
         try:
-            assessed.append(assess_pair(inp, job.threshold, job.convention))
+            observed = load_observed(run[0])
         except Exception as exc:
-            log.warning("input %s (box %s, cycle %s) failed: %s", inp.sim, inp.box_id, inp.cycle, exc)
-            failures.append(
-                {"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle), "error": str(exc)}
-            )
+            for inp in run:
+                fail(inp, exc)
+            continue
+        for inp in run:
+            try:
+                assessed.append(assess_pair(inp, job.threshold, job.convention, observed=observed))
+            except Exception as exc:
+                fail(inp, exc)
 
     files: list[Path] = []
     files.append(_write_confusion_csv(out_dir / "confusion.csv", assessed))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapbayes import Grid, SynthConfig, generate_run_table, write_grid
+from mapbayes import BinaryGrid, Grid, SynthConfig, classify_pools, generate_run_table, tile_region, write_grid
 from mapbayes.cli import main
 from mapbayes.report import write_runs_csv
 
@@ -84,6 +84,14 @@ class TestAssess:
         bad.write_text("\n".join(text))
         expect_failure(["assess", "--sim", str(bad), "--obs", obs])
         assert capsys.readouterr().err == "error: line 1: ncols must be a positive integer, got 'inf'\n"
+
+    def test_overstated_ncols_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.asc"
+        bad.write_text(
+            "ncols 1000000000000\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 30\nNODATA_value -9999\n1 0 1\n"
+        )
+        expect_failure(["assess", "--sim", str(bad), "--obs", str(bad)])
+        assert capsys.readouterr().err == "error: line 7: expected 1000000000000 values, found 3\n"
 
     def test_neither_prediction_rejected(self, raster_pair):
         _, obs = raster_pair
@@ -278,6 +286,30 @@ class TestSample:
         first = self.run_sample(region, capsys)
         second = self.run_sample(region, capsys)
         assert first == second
+
+
+    def test_pools_column_matches_classify_pools(self, tmp_path, capsys):
+        # 20x20 boxes of 4x4 cells; change rises west to east and exclusion
+        # north to south, so every pool holds boxes the others lack.
+        rng = np.random.default_rng(4)
+        rows, cols = np.mgrid[0:80, 0:80] / 80.0
+        change = BinaryGrid((rng.random((80, 80)) < 0.05 + 0.5 * cols).astype(np.int8))
+        excl = BinaryGrid((rng.random((80, 80)) < 0.05 + 0.5 * rows).astype(np.int8))
+        write_grid(change, tmp_path / "change.asc")
+        write_grid(excl, tmp_path / "excl.asc")
+        rc = main([
+            "sample", "--change", str(tmp_path / "change.asc"), "--exclusion", str(tmp_path / "excl.asc"),
+            "--box-cells", "16", "--n-quantiles", "5",
+        ])
+        assert rc == 0
+        body = read_csv_text(capsys.readouterr().out)[1:]
+
+        pools = classify_pools(tile_region(change, excl, 16))
+        expected = {label: {b.box_id for b in pool} for label, pool in pools.items()}
+        assert len(body) == len(expected["A"]) == 400
+        assert 0 < len(expected["C"]) < len(expected["B"]) < 400
+        for label in "ABC":
+            assert {int(r[0]) for r in body if label in r[6]} == expected[label]
 
 
 class TestSynth:

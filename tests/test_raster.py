@@ -164,6 +164,44 @@ class TestLoadGrid:
         with pytest.raises(GridFormatError, match="'x.25'"):
             load_grid(p)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # loadtxt skips blank and whitespace-only lines; each must still
+            # be counted as a row and named.
+            ("1 0 -9999\n\n0.25 1 0\n", "line 10: expected 2 rows of values, found 3"),
+            ("1 0 -9999\n \t\n", "line 8: expected 3 values, found 0"),
+            (" \n\t\n", "line 7: expected 3 values, found 0"),
+            ("1 0 -9999\n0.25 1\n", "line 8: expected 3 values, found 2"),
+            ("1 0 -9999\n0.25 1 0 7\n", "line 8: expected 3 values, found 4"),
+            ("1 0 #\n0.25 1 0\n", "line 7: non-numeric value '#'"),
+            ("1 0 -9999\n0.25 1 1,0\n", "line 8: non-numeric value '1,0'"),
+        ],
+    )
+    def test_malformed_body_names_its_line(self, tmp_path, body, message):
+        p = tmp_path / "g.asc"
+        p.write_text(CANONICAL[: CANONICAL.index("1 0 -9999")] + body)
+        with pytest.raises(GridFormatError) as err:
+            load_grid(p)
+        assert str(err.value) == message
+
+    def test_overstated_ncols_is_a_format_error(self, tmp_path):
+        # The row is checked against ncols before any array is allocated.
+        p = tmp_path / "g.asc"
+        lines = CANONICAL.split("\n")
+        lines[:2] = ["ncols 1000000000000", "nrows 1"]
+        p.write_text("\n".join(lines[:7]) + "\n")
+        with pytest.raises(GridFormatError) as err:
+            load_grid(p)
+        assert str(err.value) == "line 7: expected 1000000000000 values, found 3"
+
+    def test_tabs_crlf_and_underscore_digits_parse(self, tmp_path):
+        p = tmp_path / "g.asc"
+        text = CANONICAL.replace("1 0 -9999", "1\t0\t-99_99").replace("\n", "\r\n")
+        p.write_bytes(text.encode("ascii"))
+        g = load_grid(p)
+        assert g.values.tolist() == [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]
+
     def test_non_positive_dimensions(self, tmp_path):
         p = tmp_path / "g.asc"
         p.write_text(CANONICAL.replace("ncols 3", "ncols 0"))

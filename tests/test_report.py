@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapbayes import Grid, RunRecord, write_grid
+from mapbayes import Grid, RunRecord, SynthConfig, generate_pair, load_grid, threshold_scores, write_grid
+from mapbayes import report
+from mapbayes.bayes import Convention
 from mapbayes.report import (
     AssessmentJob,
     JobInput,
@@ -347,6 +349,79 @@ class TestRunJob:
         quiet_run_job(load_job(config_path))
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary["dor_by_group"]) == {"A", "B"}
+
+
+def write_shared_map_inputs(root, order):
+    """Inputs whose box shares one observed and one exclusion map over its
+    cycles, as in the paper's protocol; `order` lists (box_id, cycle) in
+    manifest order. Cycle 3 is classified, the others are scores."""
+    inputs = []
+    for box_id, cycle in order:
+        obs, scores = generate_pair(SynthConfig(rows=24, cols=24, seed=box_id, score_noise=0.1 * cycle))
+        obs_path, excl_path = root / f"obs_b{box_id}.asc", root / f"excl_b{box_id}.asc"
+        write_grid(obs, obs_path)
+        mask = np.zeros(obs.shape)
+        mask[: 2 + box_id] = 1.0
+        write_grid(Grid(mask), excl_path)
+        kind = "binary" if cycle == 3 else "score"
+        sim_path = root / f"sim_b{box_id}_c{cycle}.asc"
+        write_grid(threshold_scores(scores, quantity=obs.n_ones) if kind == "binary" else scores, sim_path)
+        inputs.append(JobInput(kind, sim_path, obs_path, excl_path, box_id, "AB"[box_id], cycle))
+    return inputs
+
+
+def shared_map_job(inputs, out_dir):
+    return AssessmentJob(inputs=tuple(inputs), out_dir=out_dir, threshold=ThresholdPolicy("quantity_obs"))
+
+
+class TestSharedObservedMaps:
+    BOX_MAJOR = [(b, c) for b in (0, 1) for c in (1, 2, 3)]
+
+    def test_each_shared_map_is_parsed_once_per_run(self, tmp_path, monkeypatch):
+        inputs = write_shared_map_inputs(tmp_path, self.BOX_MAJOR)
+        parsed = []
+
+        def counting_load_grid(path):
+            parsed.append(Path(path).name)
+            return load_grid(path)
+
+        monkeypatch.setattr(report, "load_grid", counting_load_grid)
+        manifest = quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        assert manifest["failures"] == []
+        # 2 boxes x (observed + exclusion) + 6 predictions, not 6 x 3.
+        assert len(parsed) == 2 * 2 + 6
+        assert len(set(parsed)) == len(parsed)
+
+    def test_interleaved_boxes_match_assessing_each_input_alone(self, tmp_path):
+        # Box order A, B, A: box 0's maps come back after box 1's run.
+        inputs = write_shared_map_inputs(tmp_path, [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (0, 3)])
+        quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        alone = []
+        for i, inp in enumerate(inputs):
+            quiet_run_job(shared_map_job([inp], tmp_path / f"alone_{i}"))
+            header, row = (tmp_path / f"alone_{i}" / "confusion.csv").read_text().splitlines()
+            alone.append(row)
+        assert (tmp_path / "out" / "confusion.csv").read_text().splitlines() == [header] + alone
+
+    def test_broken_shared_map_fails_each_input_of_its_run(self, tmp_path):
+        inputs = write_shared_map_inputs(tmp_path, self.BOX_MAJOR)
+        broken = tmp_path / "obs_b1.asc"
+        lines = broken.read_text().split("\n")
+        lines[8] = "x" + lines[8]
+        broken.write_text("\n".join(lines))
+        errors = []
+        for inp in inputs[3:]:
+            with pytest.raises(ValueError) as err:
+                assess_pair(inp, ThresholdPolicy("quantity_obs"), Convention.PAPER)
+            errors.append(str(err.value))
+        assert errors[0].startswith("line 9: non-numeric value 'x")
+
+        manifest = quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        assert manifest["failures"] == [
+            {"sim": str(inp.sim), "box_id": "1", "cycle": str(inp.cycle), "error": error}
+            for inp, error in zip(inputs[3:], errors)
+        ]
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_assessed"] == 3
 
 
 class TestAnalyzeScopes:

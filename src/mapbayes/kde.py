@@ -2,12 +2,25 @@
 
 The estimator is the classic fixed-bandwidth sum f(x) = (1/(N h)) sum_i
 K((x - X_i)/h) with the variance-normalized Epanechnikov kernel
-K(z) = (3 / (4 sqrt(5))) (1 - z^2/5) on [-sqrt(5), sqrt(5)], summed directly
-in blocks of at most `_BLOCK` kernel terms. Each fitted density is tabulated
-once on the fixed 512-point `GRID` over [0, 1]; the crossing search scans
-that table for sign changes and refines each one by bisection. The crossings
-give the prevalence at which positive and negative predictive-value densities
-balance.
+K(z) = (3 / (4 sqrt(5))) (1 - z^2/5) on [-sqrt(5), sqrt(5)].
+
+The kernel is a polynomial on its support, so the sum over the samples within
+sqrt(5) h of a point is exact from the sums of 1, t and t^2 over them
+(Seifert et al. 1994, "Fast algorithms for nonparametric curve estimation",
+JCGS 3:192). The sorted samples are cut into bins of width h anchored at the
+smallest one, and t is a sample's offset, in units of h, from the midpoint of
+its own bin's samples: |t| <= 1/2, so no sum is large enough to cancel. The
+prefix sums of t and t^2 are built once per model. Binary searches find the
+samples within a point's kernel, by the direct sum's own test; they fall in
+at most six bins, and bin b adds k - (k v^2 - 2 v T1 + T2) / 5, where v is
+the point's offset from the bin's midpoint in units of h and k, T1, T2 are
+the count and sums over the bin's share of those samples. A density costs
+O(n) once and O(log n) per point, and agrees with the direct sum to rounding.
+
+Each fitted density is tabulated once on the fixed 512-point `GRID` over
+[0, 1]; the crossing search scans that table for sign changes and refines
+each one by bisection. The crossings give the prevalence at which positive
+and negative predictive-value densities balance.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,8 +42,24 @@ _BISECT_TOL = 1e-6
 GRID = np.linspace(0.0, 1.0, 512)
 GRID.setflags(write=False)
 
-# Cap on the size of the temporary (points x samples) block in `evaluate`.
-_BLOCK = 4_000_000
+# A point's kernel window, in bandwidths from the point, and the bounds on
+# z = (x - X_i) / h that settle its ends: the window holds the samples with
+# z <= sqrt(5) and z > _EDGE[1], the float just below -sqrt(5).
+_REACH = np.array([-SQRT5, SQRT5])
+_EDGE = np.array([SQRT5, np.nextafter(-SQRT5, -np.inf)])
+
+#: Relative gap in joint density within which two crossings count as tied.
+_TIE_RTOL = 1e-9
+
+
+class _BinSums(NamedTuple):
+    """Per-bin re-centred prefix sums over a model's sorted samples."""
+
+    rank: NDArray[np.intp]  # bin of each sample
+    start: NDArray[np.intp]  # first sample of each bin, then n
+    centre: NDArray[np.float64]  # midpoint of each bin's samples
+    t1: NDArray[np.float64]  # t1[i]: sum of t over samples[:i]
+    t2: NDArray[np.float64]  # t2[i]: sum of t^2 over samples[:i]
 
 
 def epanechnikov(z):
@@ -97,16 +126,69 @@ class KdeModel:
         half = SQRT5 * self.bandwidth
         return float(self.samples[0]) - half, float(self.samples[-1]) + half
 
+    @cached_property
+    def _bin_sums(self) -> _BinSums:
+        s, h = self.samples, self.bandwidth
+        # Only occupied bins are indexed, so nothing is sized by the span.
+        with np.errstate(over="ignore"):
+            cell = np.floor((s - s[0]) / h)
+        # A cell too far from the first sample to number (inf) would merge
+        # samples of any distance; each such sample gets a bin of its own.
+        new = (cell[1:] != cell[:-1]) | np.isinf(cell[1:])
+        start = np.concatenate(([0], np.flatnonzero(new) + 1, [s.size]))
+        rank = np.concatenate(([0], np.cumsum(new)))
+        # Halves first: the sum of two finite samples may overflow.
+        centre = 0.5 * s[start[:-1]] + 0.5 * s[start[1:] - 1]
+        t = (s - centre[rank]) / h
+        t1 = np.concatenate(([0.0], np.cumsum(t)))
+        t2 = np.concatenate(([0.0], np.cumsum(t * t)))
+        return _BinSums(rank, start, centre, t1, t2)
+
+    def _window(self, pts: NDArray[np.float64]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """Per point, the index range [lo, hi) of the samples within its kernel.
+
+        Membership is the direct sum's own test, |(x - X_i) / h| <= sqrt(5),
+        and z falls along the sorted samples. A search for x -+ sqrt(5) h
+        finds each end up to rounding; an end then steps over runs of equal
+        samples until the samples on either side of it pass and fail the
+        test, and rarely moves at all.
+        """
+        s, h = self.samples, self.bandwidth
+        ends = np.searchsorted(s, pts[:, None] + _REACH * h)
+        while True:
+            below = (pts[:, None] - s.take(ends - 1, mode="clip")) / h
+            above = (pts[:, None] - s.take(ends, mode="clip")) / h
+            down = (ends > 0) & (below <= _EDGE)
+            up = (ends < s.size) & (above > _EDGE)
+            if not (down | up).any():
+                return ends[:, 0], ends[:, 1]
+            ends = np.where(down, np.searchsorted(s, s.take(ends - 1, mode="clip"), side="left"), ends)
+            ends = np.where(up, np.searchsorted(s, s.take(ends, mode="clip"), side="right"), ends)
+
     def evaluate(self, x):
         """Density at `x`: a float for a scalar, else an array of `x`'s shape."""
         arr = np.asarray(x, dtype=np.float64)
         pts = arr.ravel()
-        dens = np.empty(pts.shape)
-        step = max(1, _BLOCK // self.n)
-        for i in range(0, pts.size, step):
-            z = (pts[i : i + step, None] - self.samples[None, :]) / self.bandwidth
-            dens[i : i + step] = epanechnikov(z).sum(axis=1)
-        dens /= self.n * self.bandwidth
+        h, bins = self.bandwidth, self._bin_sums
+        lo, hi = self._window(pts)
+        first = bins.rank.take(lo, mode="clip")
+        n_bins = np.where(hi > lo, bins.rank.take(hi - 1, mode="clip") - first + 1, 0)
+        # One column per bin the windows touch; columns past a point's last
+        # bin add exact zeros, so a point sums alike alone or among others.
+        off = np.arange(n_bins.max(initial=0))
+        b = first[:, None] + off
+        a = np.maximum(lo[:, None], bins.start.take(b, mode="clip"))
+        e = np.minimum(hi[:, None], bins.start.take(b + 1, mode="clip"))
+        k = e - a
+        v = (pts[:, None] - bins.centre.take(b, mode="clip")) / h
+        part = k - (k * v * v - 2.0 * v * (bins.t1[e] - bins.t1[a]) + (bins.t2[e] - bins.t2[a])) / 5.0
+        part = np.where(off < n_bins[:, None], part, 0.0)
+        total = np.zeros(pts.shape)
+        for col in part.T:
+            total += col
+        # The polynomial form can round a vanishing sum to just below zero.
+        dens = np.where(total > 0.0, total * (_EPA_C / (self.n * h)), 0.0)
+        dens[np.isnan(pts)] = np.nan
         if arr.ndim == 0:
             return float(dens[0])
         return dens.reshape(arr.shape)
@@ -192,8 +274,13 @@ def balance_point(crossings: Sequence[Crossing]) -> Crossing:
     """The crossing with the largest joint density, ties toward the smaller x.
 
     `crossings` must be sorted by x, as `find_crossings` returns them.
+    Densities within a relative 1e-9 of the largest count as tied: far above
+    the rounding of a density and far below what six printed digits show, so
+    a mathematically exact tie, such as mirror-image samples give, goes to the
+    smaller x whatever the last bit says.
     """
-    return max(crossings, key=lambda c: c.density)
+    top = max(c.density for c in crossings)
+    return next(c for c in crossings if top - c.density <= _TIE_RTOL * top)
 
 
 def _bisect(fn, lo: float, hi: float) -> float:

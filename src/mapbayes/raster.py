@@ -50,6 +50,27 @@ def _format_value(x: float) -> str:
     return f"{float(x):.6g}"
 
 
+def _read_only(values: Any, dtype: type) -> NDArray[Any]:
+    """`values` as a read-only array of `dtype`, for a container to keep.
+
+    An array of that dtype that owns its memory and is already read-only is
+    kept as it is: that is how `load_grid` hands over the array it has just
+    parsed, without a copy. Anything else, a caller's writable array or a
+    read-only view of one in particular, is copied, so the container neither
+    aliases nor freezes it.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Grid containers
 # ---------------------------------------------------------------------------
@@ -74,12 +95,11 @@ class Grid:
     nodata: float = -9999.0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = _read_only(self.values, np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"grid values must be a non-empty 2-D array, got shape {arr.shape}")
         if not 0.0 < self.cell_size < math.inf:
             raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -111,14 +131,13 @@ class BinaryGrid:
     origin_y: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.int8)
+        arr = _read_only(self.values, np.int8)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"binary grid must be a non-empty 2-D array, got shape {arr.shape}")
         bad = ~np.isin(arr, (0, 1, EXCLUDED))
         if bad.any():
             idx = int(np.flatnonzero(bad)[0])
             raise ValueError(f"binary grid holds a value other than 0/1/excluded at flat index {idx}")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -166,13 +185,14 @@ class ScoreGrid:
     origin_y: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = _read_only(self.values, np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"score grid must be a non-empty 2-D array, got shape {arr.shape}")
         if self.excluded is None:
             mask = np.zeros(arr.shape, dtype=bool)
+            mask.setflags(write=False)
         else:
-            mask = np.array(self.excluded, dtype=bool)
+            mask = _read_only(self.excluded, np.bool_)
         if mask.shape != arr.shape:
             raise ValueError(f"exclusion mask shape {mask.shape} != score shape {arr.shape}")
         live = arr[~mask]
@@ -182,8 +202,6 @@ class ScoreGrid:
                 raise ValueError("NaN scores on non-excluded cells")
             if lo < 0.0 or np.max(live) > 1.0:
                 raise ValueError("scores outside [0, 1] on non-excluded cells")
-        arr.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "excluded", mask)
 
@@ -258,8 +276,10 @@ def load_grid(path: str | Path, format: str = "ascii_grid") -> Grid:
             f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
         )
 
+    values = _parse_body(body, ncols)
+    values.setflags(write=False)  # handed over to the Grid, which keeps it uncopied
     return Grid(
-        _parse_body(body, ncols),
+        values,
         cell_size=header["cellsize"],
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],

@@ -1,11 +1,15 @@
 """Shared fixtures: small on-disk assessment jobs built from the synthetic
-generators."""
+generators, and the KDE tests' reference density and mirrored samples."""
 
 import csv
+import math
 
+import numpy as np
 import pytest
 
 from mapbayes import SynthConfig, generate_pair, threshold_scores, write_grid
+
+SQRT5 = math.sqrt(5.0)
 
 #: (box_id, group, cycle, kind) for a small but non-trivial job: two pool
 #: groups, two cycles, a mix of classified and score inputs.
@@ -83,3 +87,25 @@ def build_job_tree(root, layout=JOB_LAYOUT):
 @pytest.fixture
 def job_tree(tmp_path):
     return build_job_tree(tmp_path)
+
+
+def reference_density(samples, h):
+    """Independent KDE evaluation: plain numpy, no shared code paths."""
+    s = np.asarray(samples, dtype=float)
+
+    def f(x):
+        z = (x - s) / h
+        k = np.where(np.abs(z) <= SQRT5, 0.75 / SQRT5 * (1.0 - z * z / 5.0), 0.0)
+        return float(np.sum(k) / (len(s) * h))
+
+    return f
+
+
+def mirrored_samples():
+    """A tall mode near 0.15 and a broad one at 0.5, against its mirror
+    image: the two densities tie at their outer crossings, whose rounded
+    joint densities put the larger one at the larger x."""
+    rng = np.random.default_rng(6)
+    pos = np.concatenate([rng.normal(0.15, 0.05, 200), rng.normal(0.5, 0.15, 50)])
+    pos = np.clip(pos, 0.01, 0.99)
+    return pos, 1.0 - pos

@@ -12,7 +12,7 @@ from mapbayes import BinaryGrid, Grid, SynthConfig, classify_pools, generate_run
 from mapbayes.cli import main
 from mapbayes.report import write_runs_csv
 
-from conftest import write_input_files
+from conftest import mirrored_samples, write_input_files
 
 
 def expect_failure(argv):
@@ -172,6 +172,21 @@ class TestKde:
         parts = detail[0].split()
         assert parts[2] == "density"
         assert float(parts[3]) > 0.0
+
+    def test_tied_outer_crossings_print_the_smaller(self, tmp_path, capsys):
+        pos, neg = mirrored_samples()
+        path = tmp_path / "samples.csv"
+        rows = [f"pos,{v!r}" for v in pos.tolist()] + [f"neg,{v!r}" for v in neg.tolist()]
+        path.write_text("label,value\n" + "\n".join(rows) + "\n")
+        assert main(["kde", "--samples", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        crossing = next(l.split()[1] for l in lines if l.startswith("crossing "))
+        detail = [l.split() for l in lines if l.startswith("crossing_at ")]
+        top = max(float(d[3]) for d in detail)
+        tied = [d[1] for d in detail if float(d[3]) == top]
+        assert len(tied) == 2
+        assert crossing == tied[0]
+        assert float(crossing) < 0.5
 
     def test_out_writes_grid_csv(self, mirror_samples, tmp_path, capsys):
         out_dir = tmp_path / "kde_out"

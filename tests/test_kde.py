@@ -1,17 +1,19 @@
 """Tests for the parabolic-kernel density estimator and crossing search.
 
 Reference values are either closed-form (kernel constants, mirror-image
-symmetry) or recomputed here with an independent implementation (direct
-numpy evaluation plus scipy root refinement).
+symmetry) or recomputed with an independent implementation (direct numpy
+evaluation, `conftest.reference_density`, plus scipy root refinement).
 """
 
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import mirrored_samples, reference_density
 from mapbayes import kde
 from mapbayes.kde import balance_point
 
@@ -26,18 +28,6 @@ from mapbayes import (
 )
 
 SQRT5 = math.sqrt(5.0)
-
-
-def reference_density(samples, h):
-    """Independent KDE evaluation: plain numpy, no shared code paths."""
-    s = np.asarray(samples, dtype=float)
-
-    def f(x):
-        z = (x - s) / h
-        k = np.where(np.abs(z) <= SQRT5, 0.75 / SQRT5 * (1.0 - z * z / 5.0), 0.0)
-        return float(np.sum(k) / (len(s) * h))
-
-    return f
 
 
 class TestKernel:
@@ -117,11 +107,10 @@ class TestKdeModel:
             for x in rng.uniform(-0.2, 1.2, size=20):
                 assert model.evaluate(float(x)) == pytest.approx(ref(float(x)), abs=1e-12)
 
-    def test_array_evaluation_spans_several_blocks(self):
+    def test_array_evaluation_matches_reference_on_a_large_sample(self):
         rng = np.random.default_rng(16)
         samples = rng.normal(0.5, 0.2, size=20_000)
         xs = np.linspace(-0.2, 1.2, 512)
-        assert kde._BLOCK // samples.size < xs.size  # more than one block
         model = fit_kde(samples)
         ref = reference_density(samples, model.bandwidth)
         expected = np.array([ref(float(x)) for x in xs])
@@ -176,6 +165,50 @@ class TestKdeModel:
         assert model.evaluate(lo - 1e-9) == 0.0
         assert model.evaluate(hi + 1e-9) == 0.0
         assert model.evaluate(0.5) > 0.0
+
+    def test_points_on_a_support_edge_match_the_direct_sum(self):
+        # x - sqrt(5) h rounds onto the duplicated sample, whose kernel
+        # argument is just beyond sqrt(5): it must count as outside, as in
+        # the direct sum, not add a slightly negative term.
+        samples, h = [64.999, 64.999, 65.0], 1e-3
+        model = KdeModel(samples=np.array(samples), bandwidth=h)
+        ref = reference_density(samples, h)
+        xs = [64.999 + SQRT5 * h, 65.0 - SQRT5 * h, 64.999 - SQRT5 * h, 65.0 + SQRT5 * h]
+        peak = ref(64.9995)
+        for x in xs:
+            assert model.evaluate(x) == pytest.approx(ref(x), abs=1e-12 * peak)
+
+    def test_nan_points_give_nan(self):
+        model = fit_kde([0.2, 0.4, 0.5, 0.9])
+        out = model.evaluate(np.array([0.4, np.nan, 5.0]))
+        assert out[0] > 0.0
+        assert math.isnan(out[1])
+        assert out[2] == 0.0
+        assert math.isnan(model.evaluate(math.nan))
+
+    def test_far_apart_samples_allocate_nothing_by_span(self):
+        # 1e12 bandwidths between two samples: bins are indexed by the
+        # samples they hold, never by the span they cover.
+        tracemalloc.start()
+        try:
+            model = KdeModel(samples=np.array([0.0, 1e9]), bandwidth=1e-3)
+            out = model.evaluate(np.array([0.0, 1e-3, 5e8, 1e9 - 2e-3, 1e9]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        ref = reference_density([0.0, 1e9], 1e-3)
+        for x, got in zip([0.0, 1e-3, 5e8, 1e9 - 2e-3, 1e9], out):
+            assert got == pytest.approx(ref(x), abs=1e-12 * max(1.0, ref(0.0)))
+
+    def test_samples_too_far_apart_to_number_their_bins(self):
+        # The second pair lies beyond the largest float from the first
+        # sample; each still counts alone, with no overflow warning.
+        samples = np.array([-1e308, 0.0, 9e307, 1e308])
+        model = KdeModel(samples=samples, bandwidth=1.0)
+        alone = kde._EPA_C / samples.size
+        np.testing.assert_allclose(model.evaluate(samples), alone, rtol=1e-15)
+        assert model.evaluate(0.5) == pytest.approx(alone * (1.0 - 0.25 / 5.0), rel=1e-15)
 
     def test_density_is_non_negative(self):
         rng = np.random.default_rng(14)
@@ -262,6 +295,27 @@ class TestCrossings:
     def test_balance_point_ties_go_to_smaller_x(self):
         crossings = [Crossing(0.2, 1.0), Crossing(0.5, 3.0), Crossing(0.7, 3.0)]
         assert balance_point(crossings) == Crossing(0.5, 3.0)
+
+    def test_balance_point_densities_an_ulp_apart_are_tied(self):
+        # The two outer crossings of mirror-image densities: an exact tie
+        # that rounding left one ulp apart, the larger at the larger x.
+        low, high = 0.24233286499023568, 0.2423328649902357
+        assert high == np.nextafter(low, 1.0)
+        crossings = [Crossing(0.131611, low), Crossing(0.5, 0.1), Crossing(0.868389, high)]
+        assert balance_point(crossings) == crossings[0]
+        # A real difference still wins.
+        crossings[2] = Crossing(0.868389, low * (1.0 + 1e-6))
+        assert balance_point(crossings) == crossings[2]
+
+    def test_mirror_image_samples_give_the_smaller_outer_crossing(self):
+        pos, neg = mirrored_samples()
+        f_pos, f_neg = fit_kde(pos), fit_kde(neg)
+        crossings = find_crossings(f_pos, f_neg)
+        top = max(c.density for c in crossings)
+        tied = [c.x for c in crossings if c.density == pytest.approx(top, rel=1e-9)]
+        assert len(tied) == 2
+        assert tied[0] == pytest.approx(1.0 - tied[1], abs=1e-5)
+        assert density_intersection(f_pos, f_neg) == tied[0] < 0.5
 
     def test_identical_densities_are_degenerate(self):
         samples = np.array([0.2, 0.5, 0.8])

@@ -1,0 +1,105 @@
+"""Property tests for the windowed polynomial KDE sum and the crossing search.
+
+`KdeModel.evaluate` sums the kernel from per-bin prefix sums. These tests
+pin it, over generated samples and points, to the direct sum in
+`conftest.reference_density`, and check the invariants a density must keep:
+non-negative, exactly zero off its support, unit mass, and crossings that
+the grid scan brackets.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import SQRT5, reference_density
+from mapbayes import KdeModel, find_crossings
+from mapbayes.kde import GRID
+
+
+@st.composite
+def models(draw):
+    """Samples with duplicates, n = 1, tight clusters and wide spans."""
+    h = 10.0 ** draw(st.floats(-4.0, 1.0))
+    # Spread of the distinct values, in bandwidths: from a tight cluster
+    # well inside one bin to a span of a million bins.
+    spread = h * 10.0 ** draw(st.floats(-3.0, 6.0))
+    loc = draw(st.floats(-1e3, 1e3))
+    distinct = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60))
+    repeats = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=100))
+    unit = np.array(distinct + [distinct[i] for i in repeats])
+    return KdeModel(samples=loc + spread * unit, bandwidth=h)
+
+
+@st.composite
+def points(draw, model):
+    """Points inside the support, on its edges and outside it."""
+    s, h = model.samples, model.bandwidth
+    lo, hi = model.support
+    near = [float(v) + h * draw(st.floats(-3.0, 3.0)) for v in draw(st.lists(st.sampled_from(s), max_size=10))]
+    edges = [lo, hi, float(s[0]) - SQRT5 * h, float(s[-1]) + SQRT5 * h, float(s[len(s) // 2]) + SQRT5 * h]
+    outside = [lo - h * draw(st.floats(1e-9, 1e3)), hi + h * draw(st.floats(1e-9, 1e3))]
+    return np.array(near + edges + outside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_matches_direct_sum(data):
+    model = data.draw(models())
+    xs = data.draw(points(model))
+    ref = reference_density(model.samples, model.bandwidth)
+    expected = np.array([ref(float(x)) for x in xs])
+    peak = max(max(ref(float(v)) for v in model.samples), expected.max())
+    got = model.evaluate(xs)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * max(1.0, peak))
+    # A point evaluates alike alone and among others: the crossing search
+    # bisects with scalars from the brackets of the tabulated scan.
+    assert np.array_equal(got, [model.evaluate(float(x)) for x in xs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_density_is_non_negative_and_exactly_zero_off_support(data):
+    model = data.draw(models())
+    xs = data.draw(points(model))
+    got = model.evaluate(xs)
+    assert (got >= 0.0).all()
+    lo, hi = model.support
+    off = (xs < lo) | (xs > hi)
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in got[off])
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_density_integrates_to_one(model):
+    # Between consecutive ends of the samples' supports the density is one
+    # quadratic, on which two-point Gauss-Legendre is exact. Its nodes stay
+    # off the ends, where the kernel has a kink and a rounded end could
+    # read the neighbouring piece.
+    half = SQRT5 * model.bandwidth
+    knots = np.unique(np.concatenate([model.samples - half, model.samples + half]))
+    mid, width = 0.5 * (knots[:-1] + knots[1:]), knots[1:] - knots[:-1]
+    node = width / (2.0 * math.sqrt(3.0))
+    mass = np.sum(0.5 * width * (model.evaluate(mid - node) + model.evaluate(mid + node)))
+    assert math.isclose(mass, 1.0, abs_tol=1e-6)
+
+
+unit_samples = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_samples, unit_samples, st.floats(-2.5, 0.0), st.floats(-2.5, 0.0))
+def test_crossings_are_bracketed_by_the_grid_scan(pos, neg, log_h_pos, log_h_neg):
+    f_pos = KdeModel(samples=np.array(pos), bandwidth=10.0**log_h_pos)
+    f_neg = KdeModel(samples=np.array(neg), bandwidth=10.0**log_h_neg)
+    try:
+        crossings = find_crossings(f_pos, f_neg)
+    except ValueError:
+        assume(False)
+    g = f_pos.on_grid - f_neg.on_grid
+    for c in crossings:
+        around = np.flatnonzero((GRID[:-1] <= c.x) & (c.x <= GRID[1:]))
+        bracketed = any(g[i] * g[i + 1] < 0.0 for i in around)
+        on_zero = any(c.x == GRID[i] and g[i] == 0.0 and f_pos.on_grid[i] > 0.0 for i in np.flatnonzero(GRID == c.x))
+        assert bracketed or on_zero

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mapbayes import raster
 from mapbayes import (
     EXCLUDED,
     BinaryGrid,
@@ -48,6 +49,34 @@ class TestGridContainers:
         g = Grid(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             g.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "make, kept, dtype",
+        [
+            (Grid, lambda g: g.values, np.float64),
+            (BinaryGrid, lambda g: g.values, np.int8),
+            (ScoreGrid, lambda g: g.values, np.float64),
+            (lambda a: ScoreGrid(np.zeros(a.shape), a), lambda g: g.excluded, np.bool_),
+        ],
+        ids=["Grid", "BinaryGrid", "ScoreGrid", "ScoreGrid-mask"],
+    )
+    def test_callers_array_is_copied_not_frozen_or_aliased(self, make, kept, dtype):
+        writable = np.zeros((2, 3), dtype=dtype)
+        # A read-only view does not own its memory: its base may still change.
+        view = writable.view()
+        view.setflags(write=False)
+        for given in (writable, view):
+            held = kept(make(given))
+            assert not np.shares_memory(held, writable)
+            assert not held.flags.writeable
+        assert writable.flags.writeable
+        writable[0, 0] = 1
+        assert held[0, 0] == 0
+
+    def test_owned_read_only_array_is_kept_uncopied(self):
+        values = np.zeros((2, 3))
+        values.setflags(write=False)
+        assert Grid(values).values is values
 
     def test_nodata_mask(self):
         g = Grid(np.array([[1.0, -9999.0], [0.0, 2.0]]))
@@ -98,6 +127,22 @@ class TestLoadGrid:
         assert g.cell_size == 30.0
         assert g.nodata == -9999.0
         assert g.values.tolist() == [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("body", ["1 0 -9999\n0.25 1 0\n", "1 0 -9999\n0.25 1 1_0\n"], ids=["numpy", "loop"])
+    def test_parsed_array_is_handed_over_uncopied(self, tmp_path, monkeypatch, body):
+        parsed = []
+
+        def keep(*args):
+            parsed.append(parse(*args))
+            return parsed[-1]
+
+        parse = raster._parse_body
+        monkeypatch.setattr(raster, "_parse_body", keep)
+        p = tmp_path / "g.asc"
+        p.write_text(CANONICAL.split("1 0 -9999")[0] + body)
+        g = load_grid(p)
+        assert g.values is parsed[0]
+        assert not g.values.flags.writeable
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         p = tmp_path / "g.asc"

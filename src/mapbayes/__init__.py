@@ -57,6 +57,7 @@ from .raster import (
     Grid,
     GridFormatError,
     ScoreGrid,
+    check_aligned,
     load_grid,
     threshold_scores,
     to_binary,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryGrid
+from .raster import BinaryGrid, check_aligned
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,16 @@ def build_confusion(sim: BinaryGrid, obs: BinaryGrid) -> ConfusionMatrix:
 
     Args:
         sim: Predicted binary grid.
-        obs: Observed binary grid, same shape.
+        obs: Observed binary grid, on the same cells.
 
     Returns:
         ConfusionMatrix over cells non-excluded in both grids.
 
     Raises:
-        ValueError: Shape mismatch, or no jointly non-excluded cells.
+        ValueError: The grids do not line up (see `check_aligned`), or no
+            jointly non-excluded cells.
     """
-    if sim.shape != obs.shape:
-        raise ValueError(f"prediction shape {sim.shape} != observation shape {obs.shape}")
+    check_aligned(sim, "prediction", obs, "observation")
     # Code (sim + 1) * 3 + (obs + 1) in 0..8: an excluded side (-1) lands in
     # bins 0-3 or 6, and the live outcomes in tn 4, fn 5, fp 7, tp 8.
     code = ((sim.values + 1) * 3 + (obs.values + 1)).view(np.uint8)

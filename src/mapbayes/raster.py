@@ -134,9 +134,10 @@ class BinaryGrid:
         arr = _read_only(self.values, np.int8)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"binary grid must be a non-empty 2-D array, got shape {arr.shape}")
-        bad = ~np.isin(arr, (0, 1, EXCLUDED))
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
+        # An int8 array holds only EXCLUDED, 0 and 1 exactly when its range
+        # does; the slower isin only names the first bad cell.
+        if arr.min() < EXCLUDED or arr.max() > 1:
+            idx = int(np.flatnonzero(~np.isin(arr, (0, 1, EXCLUDED)))[0])
             raise ValueError(f"binary grid holds a value other than 0/1/excluded at flat index {idx}")
         object.__setattr__(self, "values", arr)
 
@@ -343,6 +344,37 @@ def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_aligned(
+    a: Grid | BinaryGrid | ScoreGrid, a_role: str, b: Grid | BinaryGrid | ScoreGrid, b_role: str
+) -> None:
+    """Raise unless two grids cover the same cells.
+
+    Shapes must be equal, and cell sizes and lower-left origins equal within
+    a relative 1e-9 of the cell size (headers are read from six-digit text;
+    a NaN matches a NaN).
+
+    Raises:
+        ValueError: Naming the first field that differs, both values and
+            both roles.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"{a_role} shape {a.shape} != {b_role} shape {b.shape}")
+    tol = 1e-9 * max(a.cell_size, b.cell_size)
+    for name in ("cell_size", "origin_x", "origin_y"):
+        x, y = getattr(a, name), getattr(b, name)
+        if not (abs(x - y) <= tol or x == y or (math.isnan(x) and math.isnan(y))):
+            raise ValueError(f"{a_role} {name} {x!r} != {b_role} {name} {y!r}: the rasters do not line up")
+
+
+def _excluded_cells(grid: Grid, exclusion: Grid | None) -> NDArray[np.bool_]:
+    """Cells that are nodata in `grid` or nonzero (nodata included) in `exclusion`."""
+    excluded = grid.nodata_mask()
+    if exclusion is not None:
+        check_aligned(exclusion, "exclusion", grid, "grid")
+        excluded |= exclusion.values != 0.0
+    return excluded
+
+
 def to_binary(
     grid: Grid,
     one_value: float,
@@ -357,40 +389,33 @@ def to_binary(
     `zero_value`.
 
     Raises:
-        ValueError: Shape mismatch with the exclusion grid, or an unexpected
-            value outside the exclusion (message names the flat cell index).
+        ValueError: `one_value` equal to `zero_value`, an exclusion grid that
+            does not line up (see `check_aligned`), or an unexpected value
+            outside the exclusion (message names the flat cell index).
     """
-    excluded = grid.nodata_mask()
-    if exclusion is not None:
-        if exclusion.shape != grid.shape:
-            raise ValueError(f"exclusion shape {exclusion.shape} != grid shape {grid.shape}")
-        excluded = excluded | (exclusion.values != 0.0)
-
-    out = np.full(grid.shape, EXCLUDED, dtype=np.int8)
-    live = ~excluded
-    ones = live & (grid.values == one_value)
-    zeros = live & (grid.values == zero_value)
-    out[ones] = 1
-    out[zeros] = 0
-    stray = live & ~ones & ~zeros
-    if stray.any():
-        idx = int(np.flatnonzero(stray)[0])
-        val = grid.values.ravel()[idx]
+    if one_value == zero_value:
+        raise ValueError(f"one_value and zero_value must differ, both are {one_value!r}")
+    excluded = _excluded_cells(grid, exclusion)
+    ones = grid.values == one_value
+    known = ones | (grid.values == zero_value) | excluded
+    if not known.all():
+        idx = int(np.flatnonzero(~known)[0])
         raise ValueError(
-            f"unexpected value {val!r} at flat index {idx}: not {one_value!r}/{zero_value!r} and not excluded"
+            f"unexpected value {grid.values.flat[idx]!r} at flat index {idx}: "
+            f"not {one_value!r}/{zero_value!r} and not excluded"
         )
+    out = ones.astype(np.int8)
+    np.putmask(out, excluded, EXCLUDED)
+    out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied
     return BinaryGrid(out, grid.cell_size, grid.origin_x, grid.origin_y)
 
 
 def to_scores(grid: Grid, exclusion: Grid | None = None) -> ScoreGrid:
-    """Interpret a value grid as scores in [0, 1] with exclusions."""
-    excluded = grid.nodata_mask()
-    if exclusion is not None:
-        if exclusion.shape != grid.shape:
-            raise ValueError(f"exclusion shape {exclusion.shape} != grid shape {grid.shape}")
-        excluded = excluded | (exclusion.values != 0.0)
-    vals = grid.values.copy()
-    vals[excluded] = 0.0
+    """Interpret a value grid as scores in [0, 1] with exclusions (stored as 0.0)."""
+    excluded = _excluded_cells(grid, exclusion)
+    vals = np.where(excluded, 0.0, grid.values)
+    vals.setflags(write=False)  # both handed over to the ScoreGrid uncopied
+    excluded.setflags(write=False)
     return ScoreGrid(vals, excluded, grid.cell_size, grid.origin_x, grid.origin_y)
 
 
@@ -410,35 +435,39 @@ def threshold_scores(
         quantity: Exactly this many cells become 1 - the highest scores among
             non-excluded cells, ties broken by row-major cell index (lower
             index wins). Matches the practice of pinning the predicted amount
-            of change to a known quantity.
+            of change to a known quantity. The selection is linear: the cut
+            is the quantity-th largest live score, found with `np.partition`;
+            every live cell above the cut becomes 1, and then the
+            lowest-indexed live cells equal to it fill the count (-0.0
+            equals 0.0).
 
     Raises:
-        ValueError: Both or neither mode given, or quantity exceeds the
-            number of non-excluded cells.
+        ValueError: Both or neither mode given, quantity not an integer (a
+            bool is not one), or quantity outside [0, number of
+            non-excluded cells].
     """
     if (value is None) == (quantity is None):
         raise ValueError("give exactly one of value= or quantity=")
 
-    live = ~scores.excluded
-    out = np.full(scores.shape, EXCLUDED, dtype=np.int8)
-
+    vals = scores.values
     if value is not None:
-        out[live] = (scores.values[live] >= value).astype(np.int8)
-        return BinaryGrid(out, scores.cell_size, scores.origin_x, scores.origin_y)
-
-    n_live = int(np.count_nonzero(live))
-    if quantity < 0 or quantity > n_live:
-        raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
-    out[live] = 0
-    if quantity:
-        flat_idx = np.flatnonzero(live.ravel())
-        flat_scores = scores.values.ravel()[flat_idx]
-        # Stable sort on descending score keeps row-major order within ties.
-        order = np.argsort(-flat_scores, kind="stable")[:quantity]
-        chosen = flat_idx[order]
-        flat_out = out.ravel()
-        flat_out[chosen] = 1
-        out = flat_out.reshape(scores.shape)
+        out = (vals >= value).astype(np.int8)
+    else:
+        if isinstance(quantity, bool) or not isinstance(quantity, (int, np.integer)):
+            raise ValueError(f"quantity must be a non-negative integer, got {quantity!r}")
+        live = ~scores.excluded
+        live_vals = vals[live]
+        n_live = live_vals.size
+        if quantity < 0 or quantity > n_live:
+            raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
+        # The cut is the quantity-th largest live score; no score reaches inf.
+        cut = np.partition(live_vals, n_live - quantity)[n_live - quantity] if quantity else np.inf
+        above = (vals > cut) & live
+        ties = np.flatnonzero((vals == cut) & live)[: quantity - np.count_nonzero(above)]
+        out = above.astype(np.int8)
+        np.put(out, ties, 1)
+    np.putmask(out, scores.excluded, EXCLUDED)
+    out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied
     return BinaryGrid(out, scores.cell_size, scores.origin_x, scores.origin_y)
 
 

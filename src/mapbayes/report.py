@@ -63,21 +63,24 @@ def format_float(x: float | None) -> str:
 class ThresholdPolicy:
     """How score grids are binarized.
 
-    kind "value": fixed cut at `value`. kind "quantity": top-`value` cells.
-    kind "quantity_obs": top-n with n equal to the observation's change
-    count (pins predicted change area to the observed amount).
+    kind "value": fixed cut at `value`. kind "quantity": the top `value`
+    cells, `value` a non-negative int. kind "quantity_obs": top-n with n
+    equal to the observation's change count (pins predicted change area to
+    the observed amount).
     """
 
     kind: str
-    value: float | None = None
+    value: float | int | None = None
 
     def __post_init__(self):
         if self.kind not in ("value", "quantity", "quantity_obs"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "value" and not (self.value is not None and 0.0 <= self.value <= 1.0):
             raise ValueError(f"value threshold needs a cut in [0, 1], got {self.value}")
-        if self.kind == "quantity" and not (self.value is not None and self.value >= 0):
-            raise ValueError(f"quantity threshold needs a non-negative count, got {self.value}")
+        if self.kind == "quantity" and (
+            isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer)) or self.value < 0
+        ):
+            raise ValueError(f"quantity threshold needs a non-negative integer count, got {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdPolicy":
@@ -90,14 +93,18 @@ class ThresholdPolicy:
         if kind == "quantity":
             if arg == "obs":
                 return cls("quantity_obs")
-            return cls("quantity", int(arg))
+            try:
+                count: Any = int(arg)
+            except ValueError:
+                count = arg  # refused by __post_init__, which names the field
+            return cls("quantity", count)
         raise ValueError(f"cannot parse threshold policy {text!r}")
 
     def describe(self) -> str:
         if self.kind == "value":
             return f"value:{format_float(self.value)}"
         if self.kind == "quantity":
-            return f"quantity:{int(self.value)}"
+            return f"quantity:{self.value}"
         return "quantity:obs"
 
 
@@ -294,7 +301,7 @@ def assess_pair(
         if threshold.kind == "value":
             sim = threshold_scores(scores, value=threshold.value)
         elif threshold.kind == "quantity":
-            sim = threshold_scores(scores, quantity=int(threshold.value))
+            sim = threshold_scores(scores, quantity=threshold.value)
         else:
             sim = threshold_scores(scores, quantity=obs.n_ones)
 

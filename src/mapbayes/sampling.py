@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .raster import BinaryGrid
+from .raster import BinaryGrid, check_aligned
 
 #: Pool label -> minimum change-to-exclusion index for membership.
 POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
@@ -63,7 +63,7 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
     Args:
         urban_change: Binary grid of observed urban change (1 = change).
         exclusion: Binary grid of exclusionary land (1 = exclusionary),
-            same shape.
+            on the same cells.
         box_cells: Cells per box; must be a perfect square. Partial boxes at
             the right/bottom edges are dropped.
 
@@ -73,11 +73,11 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
         index, all over the box's full cell count.
 
     Raises:
-        ValueError: Shape mismatch, box_cells not a perfect square, or box
-            side longer than either region dimension.
+        ValueError: The grids do not line up (see `check_aligned`),
+            box_cells not a perfect square, or box side longer than either
+            region dimension.
     """
-    if urban_change.shape != exclusion.shape:
-        raise ValueError(f"change shape {urban_change.shape} != exclusion shape {exclusion.shape}")
+    check_aligned(urban_change, "change", exclusion, "exclusion")
     if box_cells < 1:
         raise ValueError(f"box_cells must be positive, got {box_cells}")
     side = math.isqrt(box_cells)

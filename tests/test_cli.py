@@ -93,6 +93,16 @@ class TestAssess:
         expect_failure(["assess", "--sim", str(bad), "--obs", str(bad)])
         assert capsys.readouterr().err == "error: line 7: expected 1000000000000 values, found 3\n"
 
+    def test_misaligned_pair_is_a_usage_error(self, tmp_path, capsys):
+        # Same values, different georeferencing: not a perfect match, an error.
+        values = np.eye(20)
+        write_grid(Grid(values, cell_size=30.0), tmp_path / "obs.asc")
+        write_grid(Grid(values, cell_size=90.0, origin_x=5000.0), tmp_path / "sim.asc")
+        expect_failure(["assess", "--sim", str(tmp_path / "sim.asc"), "--obs", str(tmp_path / "obs.asc")])
+        assert capsys.readouterr().err == (
+            "error: prediction cell_size 90.0 != observation cell_size 30.0: the rasters do not line up\n"
+        )
+
     def test_neither_prediction_rejected(self, raster_pair):
         _, obs = raster_pair
         expect_failure(["assess", "--obs", obs])
@@ -272,6 +282,15 @@ class TestSample:
         ])
         assert rc == 0
         return read_csv_text(capsys.readouterr().out)
+
+    def test_misaligned_exclusion_is_a_usage_error(self, region, tmp_path, capsys):
+        change, _ = region
+        shifted = tmp_path / "shifted.asc"
+        write_grid(Grid(np.array(self.EXCL, dtype=float), origin_y=30.0), shifted)
+        expect_failure(["sample", "--change", change, "--exclusion", str(shifted), "--box-cells", "4"])
+        assert capsys.readouterr().err == (
+            "error: change origin_y 0.0 != exclusion origin_y 30.0: the rasters do not line up\n"
+        )
 
     def test_box_statistics_and_pools(self, region, capsys):
         rows = self.run_sample(region, capsys)

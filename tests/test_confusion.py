@@ -151,6 +151,13 @@ class TestBuildConfusion:
                 BinaryGrid(np.zeros((2, 3), dtype=np.int8)),
             )
 
+    def test_misaligned_pair_is_named(self):
+        grid = np.zeros((2, 2), dtype=np.int8)
+        with pytest.raises(ValueError, match=r"^prediction cell_size 90.0 != observation cell_size 30.0: "):
+            build_confusion(BinaryGrid(grid, cell_size=90.0), BinaryGrid(grid))
+        with pytest.raises(ValueError, match=r"^prediction origin_y 0.0 != observation origin_y 60.0: "):
+            build_confusion(BinaryGrid(grid), BinaryGrid(grid, origin_y=60.0))
+
     def test_no_live_overlap_is_an_error(self):
         sim = BinaryGrid(np.array([[1, -1]], dtype=np.int8))
         obs = BinaryGrid(np.array([[-1, 1]], dtype=np.int8))

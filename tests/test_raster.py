@@ -10,6 +10,7 @@ from mapbayes import (
     Grid,
     GridFormatError,
     ScoreGrid,
+    check_aligned,
     load_grid,
     threshold_scores,
     to_binary,
@@ -78,6 +79,33 @@ class TestGridContainers:
         values.setflags(write=False)
         assert Grid(values).values is values
 
+    def test_conversions_hand_over_their_arrays_uncopied(self, monkeypatch):
+        scores = Grid(np.array([[0.2, -9999.0, 0.8], [0.0, 0.5, 1.0]]))
+        classes = Grid(np.array([[1.0, -9999.0, 0.0], [0.0, 1.0, 1.0]]))
+        exclusion = Grid(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+        copied = []
+        read_only = raster._read_only
+
+        def spy(values, dtype):
+            out = read_only(values, dtype)
+            if out is not values:
+                copied.append(np.dtype(dtype).name)
+            return out
+
+        monkeypatch.setattr(raster, "_read_only", spy)
+        s = to_scores(scores, exclusion=exclusion)
+        held = [
+            to_binary(classes, 1.0, 0.0, exclusion=exclusion).values,
+            s.values,
+            s.excluded,
+            threshold_scores(s, value=0.5).values,
+            threshold_scores(s, quantity=2).values,
+        ]
+        assert copied == []
+        for arr in held:
+            assert arr.flags.owndata
+            assert not arr.flags.writeable
+
     def test_nodata_mask(self):
         g = Grid(np.array([[1.0, -9999.0], [0.0, 2.0]]))
         assert g.nodata_mask().tolist() == [[False, True], [False, False]]
@@ -92,6 +120,12 @@ class TestGridContainers:
     def test_binary_grid_rejects_stray_values(self):
         with pytest.raises(ValueError, match="flat index 2"):
             BinaryGrid(np.array([[0, 1, 2]], dtype=np.int8))
+
+    @pytest.mark.parametrize("stray", [2, -2, 127, -128])
+    def test_binary_grid_range_check_names_the_first_stray_cell(self, stray):
+        values = np.array([[1, 0, -1], [0, stray, stray]], dtype=np.int8)
+        with pytest.raises(ValueError, match="at flat index 4$"):
+            BinaryGrid(values)
 
     def test_score_grid_validates_range_on_live_cells_only(self):
         # An out-of-range value on an excluded cell is never read, so it passes.
@@ -344,6 +378,11 @@ class TestToBinary:
         with pytest.raises(ValueError, match="exclusion shape"):
             to_binary(g, 1.0, 0.0, exclusion=Grid(np.zeros((2, 3))))
 
+    def test_equal_class_values_rejected(self):
+        # Every cell would match both classes.
+        with pytest.raises(ValueError, match="one_value and zero_value must differ, both are 1.0"):
+            to_binary(Grid(np.ones((2, 2))), one_value=1.0, zero_value=1.0)
+
 
 class TestToScores:
     def test_scores_keep_values_and_mask(self):
@@ -415,6 +454,25 @@ class TestThresholdScores:
         with pytest.raises(ValueError, match="outside"):
             threshold_scores(s, quantity=-1)
 
+    @pytest.mark.parametrize(
+        "quantity", [2.0, 2.5, np.float64(2.0), True, "2", np.inf], ids=["2.0", "2.5", "np2.0", "True", "str", "inf"]
+    )
+    def test_quantity_must_be_an_integer(self, quantity):
+        s = ScoreGrid(np.array([[0.5, 0.7, 0.1]]))
+        with pytest.raises(ValueError, match="quantity must be a non-negative integer"):
+            threshold_scores(s, quantity=quantity)
+
+    def test_numpy_integer_quantity_accepted(self):
+        s = ScoreGrid(np.array([[0.5, 0.7, 0.1]]))
+        assert threshold_scores(s, quantity=np.int64(2)).values.tolist() == [[1, 1, 0]]
+
+    def test_quantity_ties_at_signed_zero_break_by_index(self):
+        # -0.0 == 0.0: the cut at zero takes the lowest-indexed zeros of either sign.
+        s = ScoreGrid(np.array([[0.0, 0.3, -0.0, 0.0]]))
+        assert threshold_scores(s, quantity=2).values.tolist() == [[1, 1, 0, 0]]
+        s = ScoreGrid(np.array([[0.0, 0.3, -0.0, 0.0]]), excluded=np.array([[True, False, False, False]]))
+        assert threshold_scores(s, quantity=2).values.tolist() == [[EXCLUDED, 1, 1, 0]]
+
     def test_value_and_quantity_agree_on_distinct_scores(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -426,3 +484,34 @@ class TestThresholdScores:
                 threshold_scores(s, quantity=k).values.tolist()
                 == threshold_scores(s, value=cut).values.tolist()
             )
+
+
+class TestCheckAligned:
+    FIELDS = [("cell_size", 90.0, 30.0), ("origin_x", 5000.0, 0.0), ("origin_y", -30.0, 0.0)]
+
+    @pytest.mark.parametrize("field, off, base", FIELDS)
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda g, e: to_binary(g, 1.0, 0.0, exclusion=e), lambda g, e: to_scores(g, exclusion=e)],
+        ids=["to_binary", "to_scores"],
+    )
+    def test_misaligned_exclusion_is_named(self, convert, field, off, base):
+        grid = Grid(np.zeros((2, 2)))
+        exclusion = Grid(np.zeros((2, 2)), **{field: off})
+        message = f"exclusion {field} {off!r} != grid {field} {base!r}: the rasters do not line up"
+        with pytest.raises(ValueError) as err:
+            convert(grid, exclusion)
+        assert str(err.value) == message
+
+    def test_tolerance_is_relative_to_the_cell_size(self):
+        base = Grid(np.zeros((1, 1)), cell_size=30.0, origin_x=0.3, origin_y=1e6)
+        # 0.1 + 0.2 != 0.3, and 20 nm on a 30 m cell are both within 1e-9 x 30.
+        check_aligned(base, "a", Grid(np.zeros((1, 1)), cell_size=30.0, origin_x=0.1 + 0.2, origin_y=1e6 + 2e-8), "b")
+        with pytest.raises(ValueError, match="origin_y"):
+            check_aligned(base, "a", Grid(np.zeros((1, 1)), cell_size=30.0, origin_x=0.3, origin_y=1e6 + 1e-7), "b")
+
+    def test_nan_origin_matches_nan(self):
+        a = Grid(np.zeros((1, 1)), origin_x=np.nan)
+        check_aligned(a, "a", Grid(np.zeros((1, 1)), origin_x=np.nan), "b")
+        with pytest.raises(ValueError, match="origin_x nan != b origin_x 0.0"):
+            check_aligned(a, "a", Grid(np.zeros((1, 1))), "b")

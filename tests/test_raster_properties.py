@@ -1,9 +1,10 @@
-"""Property tests for the ASCII grid text format.
+"""Property tests for the ASCII grid text format and the classify stage.
 
 `load_grid` parses well-formed bodies with numpy's C reader and falls back to
 a per-line loop for everything else. These tests pin it, over generated
 files, to the plain per-token parser it replaced, and pin the writer's round
-trip.
+trip. The classify tests pin the linear top-n selection to a stable argsort,
+`to_binary` to a per-cell rule, and the tally to the cells live in both maps.
 """
 
 import math
@@ -14,7 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mapbayes import Grid, GridFormatError, load_grid, write_grid
+from mapbayes import (
+    EXCLUDED,
+    BinaryGrid,
+    Grid,
+    GridFormatError,
+    ScoreGrid,
+    build_confusion,
+    load_grid,
+    threshold_scores,
+    to_binary,
+    write_grid,
+)
 
 HEADER_LINES = 6
 
@@ -156,3 +168,116 @@ def test_write_load_write_is_byte_stable(grid_path, vals, cell_size, origin_x, o
     assert [line.split(" ") for line in body] == [[f"{v:.6g}" for v in row] for row in vals.tolist()]
     write_grid(load_grid(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Classify stage
+# ---------------------------------------------------------------------------
+
+
+def reference_top_n(scores, excluded, n):
+    """The reference selection: a stable argsort on descending score, so
+    ties go to the lower row-major index."""
+    out = np.full(scores.shape, EXCLUDED, dtype=np.int8)
+    out[~excluded] = 0
+    live_idx = np.flatnonzero(~excluded.ravel())
+    order = np.argsort(-scores.ravel()[live_idx], kind="stable")[:n]
+    out.ravel()[live_idx[order]] = 1
+    return out
+
+
+@st.composite
+def score_cases(draw):
+    """Scores rounded to 0-3 decimals so ties are common, with -0.0 among
+    them, fully excluded rows, odd values under the exclusion, and a count
+    that is often 0 or every live cell."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    decimals = draw(st.integers(0, 3))
+    live_score = st.floats(0.0, 1.0).map(lambda x: round(x, decimals)) | st.just(-0.0)
+    scores = draw(arrays(np.float64, (rows, cols), elements=live_score))
+    excluded = draw(arrays(np.bool_, (rows, cols), elements=st.booleans() | st.just(False)))
+    excluded[sorted(draw(st.sets(st.integers(0, rows - 1), max_size=rows)))] = True
+    odd = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0, 5.0, -1.0, math.nan])))
+    scores[excluded] = odd[excluded]
+    n_live = int(np.count_nonzero(~excluded))
+    n = draw(st.just(0) | st.just(n_live) | st.integers(0, n_live))
+    return scores, excluded, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(score_cases())
+def test_top_n_selection_matches_stable_argsort(case):
+    scores, excluded, n = case
+    got = threshold_scores(ScoreGrid(scores, excluded), quantity=n).values
+    assert got.tolist() == reference_top_n(scores, excluded, n).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_cases())
+def test_quantity_n_yields_exactly_n_ones(case):
+    scores, excluded, n = case
+    b = threshold_scores(ScoreGrid(scores, excluded), quantity=n)
+    assert b.n_ones == n
+    assert b.n_zeros == np.count_nonzero(~excluded) - n
+    assert (b.values == EXCLUDED).tolist() == excluded.tolist()
+
+
+CELL_VALUES = [0.0, -0.0, 1.0, 2.0, 0.5, -9999.0, math.nan]
+
+
+def reference_to_binary(values, nodata, exclusion, one_value, zero_value):
+    """Per-cell classification; returns the codes or the first stray flat index."""
+    out = []
+    for idx, (v, e) in enumerate(zip(values.ravel().tolist(), exclusion.ravel().tolist())):
+        if (math.isnan(v) if math.isnan(nodata) else v == nodata) or e != 0.0:
+            out.append(EXCLUDED)
+        elif v == one_value:
+            out.append(1)
+        elif v == zero_value:
+            out.append(0)
+        else:
+            return idx
+    return np.array(out, dtype=np.int8).reshape(values.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=st.sampled_from(CELL_VALUES)),
+            arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -9999.0, math.nan])),
+        )
+    ),
+    st.sampled_from([-9999.0, math.nan, 2.0]),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=2, unique=True),
+)
+def test_to_binary_matches_per_cell_reference(layers, nodata, classes):
+    values, exclusion = layers
+    one_value, zero_value = classes
+    grid = Grid(values, nodata=nodata)
+    expected = reference_to_binary(values, nodata, exclusion, one_value, zero_value)
+    if isinstance(expected, int):
+        with pytest.raises(ValueError, match=f"at flat index {expected}:"):
+            to_binary(grid, one_value, zero_value, exclusion=Grid(exclusion))
+    else:
+        assert to_binary(grid, one_value, zero_value, exclusion=Grid(exclusion)).values.tolist() == expected.tolist()
+
+
+@st.composite
+def code_pairs(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    codes = st.sampled_from([EXCLUDED, 0, 1])
+    return draw(arrays(np.int8, shape, elements=codes)), draw(arrays(np.int8, shape, elements=codes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_pairs())
+def test_tally_sums_to_the_cells_live_in_both(pair):
+    sim, obs = pair
+    both_live = int(np.count_nonzero((sim != EXCLUDED) & (obs != EXCLUDED)))
+    if both_live == 0:
+        with pytest.raises(ValueError, match="no jointly non-excluded cells"):
+            build_confusion(BinaryGrid(sim), BinaryGrid(obs))
+    else:
+        m = build_confusion(BinaryGrid(sim), BinaryGrid(obs))
+        assert m.tp + m.fp + m.fn + m.tn == both_live

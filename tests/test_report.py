@@ -80,6 +80,16 @@ class TestThresholdPolicy:
         assert p.kind == "quantity_obs"
         assert p.describe() == "quantity:obs"
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, math.inf, True, None])
+    def test_quantity_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="quantity threshold needs a non-negative integer count"):
+            ThresholdPolicy("quantity", count)
+
+    @pytest.mark.parametrize("text", ["quantity:2.5", "quantity:inf", "quantity:", "quantity:-1"])
+    def test_parsed_quantity_must_be_a_count(self, text):
+        with pytest.raises(ValueError, match="quantity threshold needs a non-negative integer count, got"):
+            ThresholdPolicy.parse(text)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="cannot parse"):
             ThresholdPolicy.parse("median")
@@ -329,6 +339,26 @@ class TestRunJob:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["n_assessed"] == 12
         assert summary["n_failed"] == 1
+
+    def test_misaligned_input_is_a_failure_row(self, job_tree):
+        config_path, out_dir = job_tree
+        data_dir = config_path.parent / "data"
+        # A score raster one cell east of its observed map.
+        good = load_grid(data_dir / "score_b1_c1.asc")
+        shifted = data_dir / "shifted.asc"
+        write_grid(Grid(good.values, good.cell_size, good.origin_x + good.cell_size, good.origin_y), shifted)
+        manifest_path = data_dir / "inputs.csv"
+        manifest_path.write_text(manifest_path.read_text() + f"score,{shifted.name},obs_b1_c1.asc,,9,A,3\n")
+        manifest = quiet_run_job(load_job(config_path))
+        assert manifest["failures"] == [
+            {
+                "sim": str(shifted),
+                "box_id": "9",
+                "cycle": "3",
+                "error": "prediction origin_x 30.0 != observation origin_x 0.0: the rasters do not line up",
+            }
+        ]
+        assert json.loads((out_dir / "summary.json").read_text())["n_assessed"] == 12
 
     def test_cross_group_odds_warning_is_raised(self, job_tree):
         config_path, _ = job_tree

@@ -116,6 +116,11 @@ class TestTileRegion:
                 box_cells=4,
             )
 
+    def test_misaligned_exclusion_is_named(self):
+        grid = np.zeros((4, 4), dtype=np.int8)
+        with pytest.raises(ValueError, match=r"^change origin_x 0.0 != exclusion origin_x 120.0: "):
+            tile_region(BinaryGrid(grid), BinaryGrid(grid, origin_x=120.0), box_cells=4)
+
     def test_box_cells_must_be_square(self):
         g = BinaryGrid(np.zeros((10, 10), dtype=np.int8))
         with pytest.raises(ValueError, match="perfect square"):

@@ -13,23 +13,24 @@ import csv
 import logging
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
 from .convergence import DEFAULT_ALPHA_GRID, RunRecord
 from .kde import GRID, balance_point, find_crossings, fit_kde
-from .raster import load_grid, to_binary, write_grid
+from .raster import format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
     JobInput,
     ThresholdPolicy,
     analyze_scopes,
     assess_pair,
-    format_float,
     load_job,
     parse_alpha_grid,
     parse_config,
+    read_csv,
     run_job,
+    write_csv,
     write_json,
     write_runs_csv,
 )
@@ -191,31 +192,15 @@ def cmd_assess(args) -> int:
     convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
     inp = _pair_input(args)
     a = assess_pair(inp, ThresholdPolicy.parse(args.threshold), convention)
-    rows = [
-        ("tp", a.tp),
-        ("fp", a.fp),
-        ("fn", a.fn),
-        ("tn", a.tn),
-        ("sens", format_float(a.sensitivity)),
-        ("tn_rate", format_float(a.tn_rate)),
-        ("prevalence", format_float(a.prevalence)),
-        ("pcm", format_float(a.pcm)),
-        ("convention", convention.value),
-        ("ppv", format_float(a.ppv)),
-        ("npv", format_float(a.npv)),
-        ("lr_pos", format_float(a.lr_pos)),
-        ("lr_neg", format_float(a.lr_neg)),
-        ("dor", format_float(a.dor)),
-    ]
+    rates = format_floats((a.sensitivity, a.tn_rate, a.prevalence, a.pcm))
+    ratios = format_floats((a.ppv, a.npv, a.lr_pos, a.lr_neg, a.dor))
+    header = ("tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm", "convention")
+    header += ("ppv", "npv", "lr_pos", "lr_neg", "dor")
+    row = (a.tp, a.fp, a.fn, a.tn, *rates, convention.value, *ratios)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "assess.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([k for k, _ in rows])
-            writer.writerow([v for _, v in rows])
-        print(out / "assess.csv")
+        _emit_csv(out, "assess.csv", header, [row])
     else:
-        for k, v in rows:
+        for k, v in zip(header, row):
             print(f"{k} {v}")
     return 0
 
@@ -240,32 +225,22 @@ def cmd_sweep(args) -> int:
         grid = [float(t) for t in args.prevalences.split(",")]
     else:
         grid = [round(i * 0.01, 2) for i in range(101)]
-    lines = [("prevalence", "ppv", "npv", "convention")]
-    for pv in prevalence_sweep(rates, grid, convention):
-        lines.append((format_float(pv.prevalence), format_float(pv.ppv), format_float(pv.npv), convention.value))
-    _emit_csv(settings.get("out"), "sweep.csv", lines)
+    rows = [
+        (*format_floats((pv.prevalence, pv.ppv, pv.npv)), convention.value)
+        for pv in prevalence_sweep(rates, grid, convention)
+    ]
+    _emit_csv(settings.get("out"), "sweep.csv", ("prevalence", "ppv", "npv", "convention"), rows)
     return 0
 
 
 def cmd_kde(args) -> int:
     settings = _settings(args)
     bandwidth = settings.get("bandwidth")
-    pos, neg = [], []
-    with args.samples.open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            label = rec["label"].strip().lower()
-            if label == "pos":
-                pos.append(float(rec["value"]))
-            elif label == "neg":
-                neg.append(float(rec["value"]))
-            else:
-                raise ValueError(f"sample label must be pos or neg, got {rec['label']!r}")
-    f_pos = fit_kde(pos, bandwidth)
-    f_neg = fit_kde(neg, bandwidth)
-    lines = [("x", "f_pos", "f_neg")]
-    rows = zip(GRID, f_pos.on_grid, f_neg.on_grid)
-    lines += [(format_float(x), format_float(a), format_float(b)) for x, a, b in rows]
-    _emit_csv(settings.get("out"), "kde.csv", lines)
+    samples = list(read_csv(args.samples, {"label": _sample_label, "value": float}))
+    f_pos = fit_kde([v for label, v in samples if label == "pos"], bandwidth)
+    f_neg = fit_kde([v for label, v in samples if label == "neg"], bandwidth)
+    rows = zip(*(format_floats(col.tolist()) for col in (GRID, f_pos.on_grid, f_neg.on_grid)))
+    _emit_csv(settings.get("out"), "kde.csv", ("x", "f_pos", "f_neg"), rows)
     crossings = find_crossings(f_pos, f_neg)
     print(f"crossing {format_float(balance_point(crossings).x)}")
     for c in crossings:
@@ -312,24 +287,15 @@ def cmd_sample(args) -> int:
             selected[label] = {b.box_id for b in drawn}
         else:
             log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
-    lines = [("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")]
     members = {label: {b.box_id for b in pool} for label, pool in sorted(pools.items())}
+    rows = []
     for b in boxes:
         in_pools = "".join(l for l in members if b.box_id in members[l])
         chosen = "".join(l for l in sorted(selected) if b.box_id in selected[l])
-        lines.append(
-            (
-                str(b.box_id),
-                str(b.row0),
-                str(b.col0),
-                format_float(b.pct_urban_change),
-                format_float(b.pct_exclusionary),
-                format_float(b.index),
-                in_pools,
-                chosen,
-            )
-        )
-    _emit_csv(settings.get("out"), "sample.csv", lines)
+        stats = format_floats((b.pct_urban_change, b.pct_exclusionary, b.index))
+        rows.append((b.box_id, b.row0, b.col0, *stats, in_pools, chosen))
+    header = ("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")
+    _emit_csv(settings.get("out"), "sample.csv", header, rows)
     return 0
 
 
@@ -376,33 +342,26 @@ def cmd_report(args) -> int:
 
 
 def _read_runs(path: Path) -> list[RunRecord]:
-    runs = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            runs.append(
-                RunRecord(
-                    box_id=int(rec["box_id"]),
-                    group=rec["group"].strip(),
-                    cycle=int(rec["cycle"]),
-                    ppv=float(rec["ppv"]),
-                    npv=float(rec["npv"]),
-                )
-            )
-    if not runs:
-        raise ValueError(f"runs file {path} is empty")
-    return runs
+    columns = {"box_id": int, "group": str, "cycle": int, "ppv": float, "npv": float}
+    return [RunRecord(*row) for row in read_csv(path, columns)]
 
 
-def _emit_csv(out: Path | None, name: str, lines) -> None:
+def _sample_label(text: str) -> str:
+    label = text.lower()
+    if label not in ("pos", "neg"):
+        raise ValueError(f"sample label must be pos or neg, got {text!r}")
+    return label
+
+
+def _emit_csv(out: Path | None, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write the table to `out`/`name` and print that path; without `out`, print the table."""
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        with (out / name).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(lines)
-        print(out / name)
+        print(write_csv(out / name, header, rows))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(lines)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 if __name__ == "__main__":

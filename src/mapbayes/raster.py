@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,9 +45,18 @@ class GridFormatError(ValueError):
         self.line = line
 
 
-def _format_value(x: float) -> str:
-    """Canonical text form of a value: up to 6 significant digits."""
-    return f"{float(x):.6g}"
+def format_floats(values: Iterable[float | None]) -> list[str]:
+    """Canonical text of each value: up to 6 significant digits, '' for None.
+
+    Every float that mapbayes writes goes through here. Give a numpy column
+    as `.tolist()`: formatting Python floats is faster.
+    """
+    return ["" if v is None else "%.6g" % v for v in values]
+
+
+def format_float(x: float | None) -> str:
+    """Canonical text of one value (see `format_floats`)."""
+    return format_floats((x,))[0]
 
 
 def _read_only(values: Any, dtype: type) -> NDArray[Any]:
@@ -58,6 +67,10 @@ def _read_only(values: Any, dtype: type) -> NDArray[Any]:
     parsed, without a copy. Anything else, a caller's writable array or a
     read-only view of one in particular, is copied, so the container neither
     aliases nor freezes it.
+
+    Raises:
+        ValueError: Casting to `dtype` changes a value (257 or 0.5 to int8,
+            0.5 to bool); the message names the first such flat index.
     """
     if (
         isinstance(values, np.ndarray)
@@ -66,7 +79,15 @@ def _read_only(values: Any, dtype: type) -> NDArray[Any]:
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=dtype)
+    src = np.asarray(values)
+    with np.errstate(invalid="ignore", over="ignore"):  # a lossy cast is caught below
+        arr = src.astype(dtype)
+    if src.dtype != dtype:
+        # arr == arr is False only at a NaN, which a float cast keeps.
+        lost = np.flatnonzero((arr != src) & (arr == arr))
+        if lost.size:
+            idx = int(lost[0])
+            raise ValueError(f"value {src.flat[idx]!r} at flat index {idx} changes when cast to {arr.dtype}")
     arr.setflags(write=False)
     return arr
 
@@ -229,23 +250,14 @@ class ScoreGrid:
 # ---------------------------------------------------------------------------
 
 
-def load_grid(path: str | Path, format: str = "ascii_grid") -> Grid:
-    """Read a raster from disk.
-
-    Args:
-        path: File to read.
-        format: Only "ascii_grid" is supported.
-
-    Returns:
-        The parsed Grid.
+def load_grid(path: str | Path) -> Grid:
+    """Read an ASCII grid raster from disk.
 
     Raises:
         GridFormatError: Malformed header (ncols and nrows must be positive
             integers, cellsize positive and finite), bad row length, or a
             non-numeric token; the message names the 1-based line number.
     """
-    if format != "ascii_grid":
-        raise ValueError(f"unsupported raster format: {format!r}")
     path = Path(path)
     with path.open("r", encoding="ascii") as fh:
         lines = fh.read().split("\n")
@@ -326,16 +338,10 @@ def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
     if isinstance(grid, (BinaryGrid, ScoreGrid)):
         grid = grid.as_grid()
     path = Path(path)
-    out = [
-        f"ncols {grid.cols}",
-        f"nrows {grid.rows}",
-        f"xllcorner {_format_value(grid.origin_x)}",
-        f"yllcorner {_format_value(grid.origin_y)}",
-        f"cellsize {_format_value(grid.cell_size)}",
-        f"NODATA_value {_format_value(grid.nodata)}",
-    ]
-    for row in grid.values:
-        out.append(" ".join(["%.6g" % v for v in row.tolist()]))
+    x, y, size, nodata = format_floats((grid.origin_x, grid.origin_y, grid.cell_size, grid.nodata))
+    out = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
+    out += [f"cellsize {size}", f"NODATA_value {nodata}"]
+    out += [" ".join(format_floats(row.tolist())) for row in grid.values]
     path.write_text("\n".join(out) + "\n", encoding="ascii")
 
 

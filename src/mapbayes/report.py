@@ -17,10 +17,11 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,20 +39,13 @@ from .convergence import (
     split_robustness,
 )
 from .kde import GRID, balance_point, find_crossings, fit_kde
-from .raster import BinaryGrid, Grid, load_grid, threshold_scores, to_binary, to_scores
+from .raster import BinaryGrid, Grid, format_float, format_floats, load_grid, threshold_scores, to_binary, to_scores
 from .sampling import POOL_THRESHOLDS
 
 log = logging.getLogger(__name__)
 
 #: Scope label covering every run regardless of group.
 SCOPE_ALL = "all"
-
-
-def format_float(x: float | None) -> str:
-    """Canonical float text: up to 6 significant digits, '' for undefined."""
-    if x is None:
-        return ""
-    return f"{float(x):.6g}"
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +69,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.kind not in ("value", "quantity", "quantity_obs"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kind == "value" and not (self.value is not None and 0.0 <= self.value <= 1.0):
-            raise ValueError(f"value threshold needs a cut in [0, 1], got {self.value}")
+        if self.kind == "value" and not (isinstance(self.value, numbers.Real) and 0.0 <= self.value <= 1.0):
+            raise ValueError(f"value threshold needs a cut in [0, 1], got {self.value!r}")
         if self.kind == "quantity" and (
             isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer)) or self.value < 0
         ):
@@ -88,16 +82,14 @@ class ThresholdPolicy:
         kind, _, arg = text.partition(":")
         kind = kind.strip().lower()
         arg = arg.strip().lower()
-        if kind == "value":
-            return cls("value", float(arg))
-        if kind == "quantity":
-            if arg == "obs":
-                return cls("quantity_obs")
+        if (kind, arg) == ("quantity", "obs"):
+            return cls("quantity_obs")
+        if kind in ("value", "quantity"):
             try:
-                count: Any = int(arg)
+                number: Any = (float if kind == "value" else int)(arg)
             except ValueError:
-                count = arg  # refused by __post_init__, which names the field
-            return cls("quantity", count)
+                number = arg  # refused by __post_init__, which names the field
+            return cls(kind, number)
         raise ValueError(f"cannot parse threshold policy {text!r}")
 
     def describe(self) -> str:
@@ -179,27 +171,11 @@ def parse_config(path: str | Path) -> dict[str, str]:
 def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
     base = Path(path).parent
-    rows: list[JobInput] = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"kind", "sim", "obs", "exclusion", "box_id", "group", "cycle"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ValueError(f"inputs manifest must have columns {sorted(needed)}")
-        for rec in reader:
-            rows.append(
-                JobInput(
-                    kind=rec["kind"].strip(),
-                    sim=base / rec["sim"].strip(),
-                    obs=base / rec["obs"].strip(),
-                    exclusion=(base / rec["exclusion"].strip()) if rec["exclusion"].strip() else None,
-                    box_id=int(rec["box_id"]),
-                    group=rec["group"].strip(),
-                    cycle=int(rec["cycle"]),
-                )
-            )
-    if not rows:
-        raise ValueError(f"inputs manifest {path} lists no inputs")
-    return tuple(rows)
+    columns = {"kind": str, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": str, "cycle": int}
+    return tuple(
+        JobInput(kind, base / sim, base / obs, base / excl if excl else None, box_id, group, cycle)
+        for kind, sim, obs, excl, box_id, group, cycle in read_csv(path, columns)
+    )
 
 
 def load_job(config_path: str | Path, overrides: Mapping[str, str] | None = None) -> AssessmentJob:
@@ -389,6 +365,10 @@ def group_summaries(records: Sequence[RunRecord]) -> dict[str, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
+_CONFUSION_HEADER = ("box_id", "cycle", "tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm")
+_BAYES_HEADER = ("box_id", "cycle", "convention", "prevalence", "ppv", "npv", "lr_pos", "lr_neg", "dor")
+
+
 def run_job(job: AssessmentJob) -> dict[str, Any]:
     """Run a full assessment job and write the output tree.
 
@@ -427,9 +407,20 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
             except Exception as exc:
                 fail(inp, exc)
 
-    files: list[Path] = []
-    files.append(_write_confusion_csv(out_dir / "confusion.csv", assessed))
-    files.append(_write_bayes_csv(out_dir / "bayes.csv", assessed, job.convention))
+    confusion = [
+        (a.input.box_id, a.input.cycle, a.tp, a.fp, a.fn, a.tn)
+        + tuple(format_floats((a.sensitivity, a.tn_rate, a.prevalence, a.pcm)))
+        for a in assessed
+    ]
+    bayes = [
+        (a.input.box_id, a.input.cycle, job.convention.value)
+        + tuple(format_floats((a.prevalence, a.ppv, a.npv, a.lr_pos, a.lr_neg, a.dor)))
+        for a in assessed
+    ]
+    files = [
+        write_csv(out_dir / "confusion.csv", _CONFUSION_HEADER, confusion),
+        write_csv(out_dir / "bayes.csv", _BAYES_HEADER, bayes),
+    ]
 
     runs = [
         RunRecord(box_id=a.input.box_id, group=a.input.group, cycle=a.input.cycle, ppv=a.ppv, npv=a.npv)
@@ -504,15 +495,16 @@ def analyze_scopes(
     instead of raised.
     """
     forms = asymmetric_family(alpha_grid)
-    files: list[Path] = []
-
-    files.append(_write_timeline_csv(out_dir / "timeline.csv", runs, forms))
+    labels = [f.label for f in forms]
+    timeline = factor_timeline(runs, forms)
+    rows = [(cycle, *format_floats([means[lbl] for lbl in labels])) for cycle, means in timeline]
+    files = [write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)]
 
     scopes: dict[str, Sequence[RunRecord]] = {SCOPE_ALL: runs}
     for label in sorted({r.group for r in runs}):
         scopes[label] = [r for r in runs if r.group == label]
 
-    fits_rows: list[dict[str, str]] = []
+    fits_rows: list[tuple[Any, ...]] = []
     dom_rows: list[dict[str, str]] = []
     summaries: dict[str, Any] = {}
     for scope, batch in scopes.items():
@@ -526,17 +518,7 @@ def analyze_scopes(
             entry["convergence_error"] = str(exc)
             summaries[scope] = entry
             continue
-        for f in fits:
-            fits_rows.append(
-                {
-                    "scope": scope,
-                    "group": f.group,
-                    "form": f.form.label,
-                    "alpha": format_float(f.form.alpha),
-                    "mu": format_float(f.mu),
-                    "sigma": format_float(f.sigma),
-                }
-            )
+        fits_rows += [(scope, f.group, f.form.label, *format_floats((f.form.alpha, f.mu, f.sigma))) for f in fits]
         ordered_groups = list(table.groups)
         for form in table.forms:
             lbl = form.label
@@ -562,16 +544,19 @@ def analyze_scopes(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             curve = pp_curve(values, fit_all.mu, fit_all.sigma)
-        files.append(_write_ppcurve_csv(out_dir / f"ppcurve_{scope}.csv", curve))
+        # Formatted row by row: two whole text columns of a large scope raise the peak memory.
+        pp_rows = (format_floats(pair) for pair in zip(curve.p.tolist(), curve.fitted.tolist()))
+        files.append(write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows))
         entry["pp_prevalence_estimate"] = curve.prevalence_estimate
         entry["pp_net_gain"] = curve.net_gain
         entry["pp_crossings"] = list(curve.crossings)
         summaries[scope] = entry
 
     if fits_rows:
-        files.append(_write_rows_csv(out_dir / "fits.csv", fits_rows))
+        files.append(write_csv(out_dir / "fits.csv", ("scope", "group", "form", "alpha", "mu", "sigma"), fits_rows))
     if dom_rows:
-        files.append(_write_rows_csv(out_dir / "dominance.csv", dom_rows))
+        # Every scope has the same robustness groups and forms, so the same keys.
+        files.append(write_csv(out_dir / "dominance.csv", dom_rows[0], [row.values() for row in dom_rows]))
     return files, summaries
 
 
@@ -588,15 +573,8 @@ def _kde_analysis(
     try:
         f_pos = fit_kde(pos, bandwidth)
         f_neg = fit_kde(neg, bandwidth)
-        rows = [
-            {
-                "x": format_float(x),
-                "f_pos": format_float(fp),
-                "f_neg": format_float(fn),
-            }
-            for x, fp, fn in zip(GRID, f_pos.on_grid, f_neg.on_grid)
-        ]
-        files.append(_write_rows_csv(out_dir / f"kde_{scope}.csv", rows))
+        rows = zip(*(format_floats(col.tolist()) for col in (GRID, f_pos.on_grid, f_neg.on_grid)))
+        files.append(write_csv(out_dir / f"kde_{scope}.csv", ("x", "f_pos", "f_neg"), rows))
         entry["kde_bandwidth_pos"] = f_pos.bandwidth
         entry["kde_bandwidth_neg"] = f_neg.bandwidth
         crossings = find_crossings(f_pos, f_neg)
@@ -623,94 +601,67 @@ def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]
 
 
 # ---------------------------------------------------------------------------
-# Writers
+# CSV tables
 # ---------------------------------------------------------------------------
 
 
-def _write_rows_csv(path: Path, rows: Sequence[Mapping[str, str]]) -> Path:
-    fieldnames = list(rows[0].keys())
+def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> Iterator[tuple[Any, ...]]:
+    """Yield the rows of a CSV file with a header line, parsed.
+
+    `columns` maps each column to read to its parser; each row comes out as
+    a tuple in that order. Fields are stripped and blank lines skipped; other
+    columns, and any column order, are accepted. Rows are parsed as they are
+    read, so a caller that keeps its own objects never holds the file's text
+    or a second copy of the table.
+
+    Raises:
+        ValueError: Naming the path: a missing column, a row whose field
+            count differs from the header's (with its line), a value its
+            parser refuses (with its line and column), or no rows at all.
+    """
+    header: list[str] | None = None
+    n_rows = 0
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            if header is None:
+                header = fields
+                missing = [name for name in columns if name not in header]
+                if missing:
+                    raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+                spec = [(name, header.index(name), parse) for name, parse in columns.items()]
+                continue
+            if len(fields) != len(header):
+                found, expected = len(fields), len(header)
+                raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
+            values = []
+            for name, i, parse in spec:
+                try:
+                    values.append(parse(fields[i]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+            n_rows += 1
+            yield tuple(values)
+    if not n_rows:
+        raise ValueError(f"{path} lists no inputs")
+
+
+def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> Path:
+    """Write a header line and rows as UTF-8 CSV with newline line endings; returns `path`."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
     return path
 
 
-def _write_confusion_csv(path: Path, assessed: Sequence[PairAssessment]) -> Path:
-    rows = [
-        {
-            "box_id": str(a.input.box_id),
-            "cycle": str(a.input.cycle),
-            "tp": str(a.tp),
-            "fp": str(a.fp),
-            "fn": str(a.fn),
-            "tn": str(a.tn),
-            "sens": format_float(a.sensitivity),
-            "tn_rate": format_float(a.tn_rate),
-            "prevalence": format_float(a.prevalence),
-            "pcm": format_float(a.pcm),
-        }
-        for a in assessed
-    ]
-    if not rows:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["box_id", "cycle", "tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm"]
-            )
-        return path
-    return _write_rows_csv(path, rows)
-
-
-def _write_bayes_csv(path: Path, assessed: Sequence[PairAssessment], convention: Convention) -> Path:
-    header = ["box_id", "cycle", "convention", "prevalence", "ppv", "npv", "lr_pos", "lr_neg", "dor"]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for a in assessed:
-            writer.writerow(
-                [
-                    a.input.box_id,
-                    a.input.cycle,
-                    convention.value,
-                    format_float(a.prevalence),
-                    format_float(a.ppv),
-                    format_float(a.npv),
-                    format_float(a.lr_pos),
-                    format_float(a.lr_neg),
-                    format_float(a.dor),
-                ]
-            )
-    return path
-
-
 def write_runs_csv(path: Path, runs: Sequence[RunRecord]) -> Path:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["box_id", "group", "cycle", "ppv", "npv"])
-        for r in runs:
-            writer.writerow([r.box_id, r.group, r.cycle, format_float(r.ppv), format_float(r.npv)])
-    return path
-
-
-def _write_timeline_csv(path: Path, runs: Sequence[RunRecord], forms) -> Path:
-    timeline = factor_timeline(runs, forms)
-    labels = [f.label for f in forms]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cycle"] + [f"mean_{lbl}" for lbl in labels])
-        for cycle, means in timeline:
-            writer.writerow([cycle] + [format_float(means[lbl]) for lbl in labels])
-    return path
-
-
-def _write_ppcurve_csv(path: Path, curve) -> Path:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p_empirical", "p_fitted"])
-        for p, f in zip(curve.p, curve.fitted):
-            writer.writerow([format_float(p), format_float(f)])
-    return path
+    # Formatted row by row, like the P-P curves, to keep the peak memory down.
+    rows = ((r.box_id, r.group, r.cycle, *format_floats((r.ppv, r.npv))) for r in runs)
+    return write_csv(path, ("box_id", "group", "cycle", "ppv", "npv"), rows)
 
 
 def _round_floats(obj: Any) -> Any:

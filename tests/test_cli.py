@@ -7,9 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapbayes import BinaryGrid, Grid, SynthConfig, classify_pools, generate_run_table, tile_region, write_grid
-from mapbayes.cli import main
+from mapbayes import (
+    BinaryGrid,
+    Grid,
+    RunRecord,
+    SynthConfig,
+    classify_pools,
+    generate_run_table,
+    tile_region,
+    write_grid,
+)
+from mapbayes.cli import _read_runs, main
+from mapbayes.raster import format_float
 from mapbayes.report import write_runs_csv
 
 from conftest import mirrored_samples, write_input_files
@@ -102,6 +114,11 @@ class TestAssess:
         assert capsys.readouterr().err == (
             "error: prediction cell_size 90.0 != observation cell_size 30.0: the rasters do not line up\n"
         )
+
+    def test_unparsable_value_threshold_is_a_usage_error(self, score_pair, capsys):
+        score, obs = score_pair
+        expect_failure(["assess", "--score", score, "--obs", obs, "--threshold", "value:abc"])
+        assert capsys.readouterr().err == "error: value threshold needs a cut in [0, 1], got 'abc'\n"
 
     def test_neither_prediction_rejected(self, raster_pair):
         _, obs = raster_pair
@@ -212,6 +229,13 @@ class TestKde:
         path.write_text("label,value\nmaybe,0.5\n")
         expect_failure(["kde", "--samples", str(path)])
 
+    def test_missing_value_column_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text("label,score\npos,0.5\nneg,0.4\n")
+        expect_failure(["kde", "--samples", str(path)])
+        err = capsys.readouterr().err
+        assert str(path) in err and "missing columns ['value']" in err
+
 
 class TestConverge:
     @pytest.fixture
@@ -246,6 +270,46 @@ class TestConverge:
         path = tmp_path / "runs.csv"
         path.write_text("box_id,group,cycle,ppv,npv\n")
         expect_failure(["converge", "--runs", str(path), "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("box_id,group,cycle,ppv\n1,A,1,0.5\n", "missing columns ['npv']"),
+            ("box_id,group,cycle,ppv,npv\n1,A,1,0.5,0.5\n2,A,1,0.5\n", "line 3 has 4 fields, the header has 5"),
+            ("box_id,group,cycle,ppv,npv\nx,A,1,0.5,0.5\n", "line 2, column 'box_id': invalid literal for int()"),
+        ],
+        ids=["missing-column", "short-row", "bad-box-id"],
+    )
+    def test_malformed_runs_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "runs.csv"
+        path.write_text(text)
+        expect_failure(["converge", "--runs", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and message in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                RunRecord,
+                box_id=st.integers(-(10**12), 10**12),
+                group=st.text(alphabet="ABC x,\"'", max_size=4).filter(lambda g: g == g.strip()),
+                cycle=st.integers(-1000, 1000),
+                ppv=st.floats(0.0, 1.0),
+                npv=st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_written_runs_read_back(self, tmp_path_factory, runs):
+        path = tmp_path_factory.mktemp("runs") / "runs.csv"
+        write_runs_csv(path, runs)
+        expected = [
+            RunRecord(r.box_id, r.group, r.cycle, float(format_float(r.ppv)), float(format_float(r.npv)))
+            for r in runs
+        ]
+        assert _read_runs(path) == expected
 
 
 class TestSample:
@@ -391,6 +455,13 @@ class TestReport:
 
     def test_requires_config(self):
         expect_failure(["report"])
+
+    def test_short_manifest_row_is_a_usage_error(self, job_tree, capsys):
+        config_path, _ = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        manifest.write_text(manifest.read_text() + "binary,sim.asc,obs.asc\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == f"error: {manifest}: line 14 has 3 fields, the header has 7\n"
 
     def test_failed_inputs_reported_on_stderr(self, job_tree, capsys):
         config_path, _ = job_tree

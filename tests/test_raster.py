@@ -74,6 +74,30 @@ class TestGridContainers:
         writable[0, 0] = 1
         assert held[0, 0] == 0
 
+    @pytest.mark.parametrize(
+        "make, idx",
+        [
+            (lambda: BinaryGrid(np.array([[257, 255, 0]])), 0),
+            (lambda: BinaryGrid(np.array([[0.5, 1.7]])), 0),
+            (lambda: BinaryGrid(np.array([[1.0, np.nan]])), 1),
+            (lambda: BinaryGrid([[0, 1, 300]]), 2),
+            (lambda: ScoreGrid(np.zeros((1, 2)), excluded=np.array([[0.5, 0]])), 0),
+            (lambda: ScoreGrid(np.zeros((1, 2)), excluded=np.array([[0, 2]])), 1),
+        ],
+        ids=["int-wraps", "float-truncates", "nan", "int-list", "mask-from-float", "mask-from-int"],
+    )
+    def test_lossy_cast_is_refused(self, make, idx):
+        with pytest.raises(ValueError, match=f"at flat index {idx} changes when cast"):
+            make()
+
+    def test_exact_casts_are_accepted(self):
+        for given in (np.array([[1.0, 0.0, -1.0]]), [[1, 0, -1]], np.array([[1, 0, -1]], dtype=np.int64)):
+            np.testing.assert_array_equal(BinaryGrid(given).values, [[1, 0, EXCLUDED]])
+        s = ScoreGrid(np.zeros((1, 3)), excluded=np.array([[1.0, 0.0, 1.0]]))
+        np.testing.assert_array_equal(s.excluded, [[True, False, True]])
+        g = Grid(np.array([[np.nan, 0.25]], dtype=np.float32))
+        assert np.isnan(g.values[0, 0]) and g.values[0, 1] == 0.25
+
     def test_owned_read_only_array_is_kept_uncopied(self):
         values = np.zeros((2, 3))
         values.setflags(write=False)
@@ -197,12 +221,6 @@ class TestLoadGrid:
             reloaded = load_grid(p1)
             write_grid(reloaded, p2)
             assert p1.read_bytes() == p2.read_bytes()
-
-    def test_unsupported_format(self, tmp_path):
-        p = tmp_path / "g.asc"
-        p.write_text(CANONICAL)
-        with pytest.raises(ValueError, match="unsupported raster format"):
-            load_grid(p, format="geotiff")
 
     def test_missing_header_line_reports_line_number(self, tmp_path):
         p = tmp_path / "g.asc"

@@ -1,8 +1,10 @@
 """Tests for job configuration, orchestration, and the written output tree."""
 
+import ast
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 from mapbayes import Grid, RunRecord, SynthConfig, generate_pair, load_grid, threshold_scores, write_grid
 from mapbayes import report
+from mapbayes.raster import format_floats
 from mapbayes.bayes import Convention
 from mapbayes.report import (
     AssessmentJob,
@@ -63,6 +66,22 @@ class TestFormatFloat:
     def test_none_is_empty(self):
         assert format_float(None) == ""
 
+    def test_a_column_at_once(self):
+        assert format_floats(np.array([0.1234567, 1.0, -0.0]).tolist() + [None]) == ["0.123457", "1", "-0", ""]
+
+    def test_six_digit_rule_is_spelled_in_one_function(self):
+        # A second spelling would let two writers' float text drift apart.
+        places = set()
+        for path in sorted(Path(report.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if ".6g" in line:
+                    around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                    inner = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else None
+                    places.add((path.name, inner))
+        assert places == {("raster.py", "format_floats")}
+
 
 class TestThresholdPolicy:
     def test_parse_value(self):
@@ -88,6 +107,11 @@ class TestThresholdPolicy:
     @pytest.mark.parametrize("text", ["quantity:2.5", "quantity:inf", "quantity:", "quantity:-1"])
     def test_parsed_quantity_must_be_a_count(self, text):
         with pytest.raises(ValueError, match="quantity threshold needs a non-negative integer count, got"):
+            ThresholdPolicy.parse(text)
+
+    @pytest.mark.parametrize("text, arg", [("value:abc", "'abc'"), ("value:", "''"), ("value:1.5", "1.5")])
+    def test_parsed_value_must_be_a_cut(self, text, arg):
+        with pytest.raises(ValueError, match=re.escape(f"value threshold needs a cut in [0, 1], got {arg}")):
             ThresholdPolicy.parse(text)
 
     def test_validation(self):
@@ -192,6 +216,12 @@ class TestReadInputsManifest:
         inputs = read_inputs_manifest(config_path.parent / "data" / "inputs.csv")
         assert all(inp.exclusion is None for inp in inputs)
 
+    def test_short_row_names_the_line(self, tmp_path):
+        p = tmp_path / "inputs.csv"
+        p.write_text("kind,sim,obs,exclusion,box_id,group,cycle\nbinary,a.asc,b.asc,,0,A,1\nbinary,a.asc\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3 has 2 fields, the header has 7")):
+            read_inputs_manifest(p)
+
     def test_bad_kind_rejected(self, tmp_path):
         p = tmp_path / "inputs.csv"
         p.write_text(
@@ -199,6 +229,33 @@ class TestReadInputsManifest:
         )
         with pytest.raises(ValueError, match="binary.*score"):
             read_inputs_manifest(p)
+
+
+class TestReadCsv:
+    COLUMNS = {"box_id": int, "group": str, "ppv": float}
+
+    def test_blank_lines_extra_columns_and_any_order(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\nnote, ppv ,group,box_id\n\nx, 0.5 , A ,3\n  \n,1,B,4\n\n")
+        assert list(report.read_csv(p, self.COLUMNS)) == [(3, "A", 0.5), (4, "B", 1.0)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("box_id,group\n1,A\n", "missing columns ['ppv']"),
+            ("box_id,group,ppv\n1,A,0.5\n2,B\n", "line 3 has 2 fields, the header has 3"),
+            ("box_id,group,ppv\n1,A,0.5,9\n", "line 2 has 4 fields, the header has 3"),
+            ("box_id,group,ppv\n1,A,0.5\n\nx,B,0.5\n", "line 4, column 'box_id': invalid literal for int()"),
+            ("box_id,group,ppv\n1,A,\n", "line 2, column 'ppv': could not convert"),
+            ("box_id,group,ppv\n", "lists no inputs"),
+            ("", "lists no inputs"),
+        ],
+    )
+    def test_errors_name_the_path_and_place(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(p)) + ".*" + re.escape(message)):
+            list(report.read_csv(p, self.COLUMNS))
 
 
 class TestAssessPair:

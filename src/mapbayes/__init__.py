@@ -32,6 +32,7 @@ from .convergence import (
     FitResult,
     PPCurve,
     RunRecord,
+    RunTable,
     asymmetric_family,
     convergence_factor,
     dominance_table,

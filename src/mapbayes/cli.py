@@ -15,9 +15,11 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
-from .convergence import DEFAULT_ALPHA_GRID, RunRecord
+from .convergence import DEFAULT_ALPHA_GRID, RunTable
 from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
@@ -25,6 +27,7 @@ from .report import (
     ThresholdPolicy,
     analyze_scopes,
     assess_pair,
+    column_rows,
     load_job,
     parse_alpha_grid,
     parse_config,
@@ -236,10 +239,15 @@ def cmd_sweep(args) -> int:
 def cmd_kde(args) -> int:
     settings = _settings(args)
     bandwidth = settings.get("bandwidth")
-    samples = list(read_csv(args.samples, {"label": _sample_label, "value": float}))
-    f_pos = fit_kde([v for label, v in samples if label == "pos"], bandwidth)
-    f_neg = fit_kde([v for label, v in samples if label == "neg"], bandwidth)
-    rows = zip(*(format_floats(col.tolist()) for col in (GRID, f_pos.on_grid, f_neg.on_grid)))
+    labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": float}))
+    fits = {}
+    for label in ("pos", "neg"):
+        try:
+            fits[label] = fit_kde(values[labels == label], bandwidth)
+        except ValueError as exc:
+            raise ValueError(f"{args.samples}: label {label!r}: {exc}") from None
+    f_pos, f_neg = fits["pos"], fits["neg"]
+    rows = column_rows(GRID, f_pos.on_grid, f_neg.on_grid)
     _emit_csv(settings.get("out"), "kde.csv", ("x", "f_pos", "f_neg"), rows)
     crossings = find_crossings(f_pos, f_neg)
     print(f"crossing {format_float(balance_point(crossings).x)}")
@@ -341,9 +349,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_runs(path: Path) -> list[RunRecord]:
+def _read_runs(path: Path) -> RunTable:
     columns = {"box_id": int, "group": str, "cycle": int, "ppv": float, "npv": float}
-    return [RunRecord(*row) for row in read_csv(path, columns)]
+    return RunTable(*read_csv(path, columns, check=RunTable))
 
 
 def _sample_label(text: str) -> str:

@@ -22,7 +22,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,13 +90,17 @@ def _factor_array(diff: NDArray[np.float64], form: ConvergenceForm) -> NDArray[n
 
 
 # ---------------------------------------------------------------------------
-# Run records and robustness groups
+# Run records, run tables and robustness groups
 # ---------------------------------------------------------------------------
+
+
+def _outside(box_id: int, cycle: int, ppv: float, npv: float) -> str:
+    return f"run {box_id}@{cycle}: predictive values outside [0, 1] (ppv={ppv}, npv={npv})"
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One assessed simulation run."""
+    """One assessed simulation run: a row of a `RunTable`."""
 
     box_id: int
     group: str
@@ -106,34 +110,86 @@ class RunRecord:
 
     def __post_init__(self):
         if not (0.0 <= self.ppv <= 1.0 and 0.0 <= self.npv <= 1.0):
-            raise ValueError(
-                f"run {self.box_id}@{self.cycle}: predictive values outside [0, 1] "
-                f"(ppv={self.ppv}, npv={self.npv})"
-            )
+            raise ValueError(_outside(self.box_id, self.cycle, self.ppv, self.npv))
 
 
-def factor_values(runs: Sequence[RunRecord], form: ConvergenceForm) -> NDArray[np.float64]:
+#: The columns of a run table and their dtypes.
+_RUN_COLUMNS = {"box_id": np.int64, "group": object, "cycle": np.int64, "ppv": np.float64, "npv": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable:
+    """Assessed simulation runs as read-only columns, one row per run.
+
+    Each column is a copy of its argument, of the dtype in `_RUN_COLUMNS`;
+    `group` holds each label's `str` as given. `diff` is ppv - npv. A boolean
+    mask selects a sub-table in run order. A predictive value outside [0, 1]
+    is refused with the message a `RunRecord` gives for that row.
+    """
+
+    box_id: NDArray[np.int64]
+    group: NDArray[np.object_]
+    cycle: NDArray[np.int64]
+    ppv: NDArray[np.float64]
+    npv: NDArray[np.float64]
+    diff: NDArray[np.float64] = field(init=False, repr=False)
+    __iter__ = None  # rows are selected by mask, not iterated
+
+    def __post_init__(self):
+        for name, dtype in _RUN_COLUMNS.items():
+            try:
+                col = np.array(getattr(self, name), dtype=dtype)
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"run table column {name!r}: {exc}") from None
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        shapes = {getattr(self, name).shape for name in _RUN_COLUMNS}
+        if len(shapes) != 1 or len(min(shapes)) != 1:
+            raise ValueError(f"run table columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        inside = (0.0 <= self.ppv) & (self.ppv <= 1.0) & (0.0 <= self.npv) & (self.npv <= 1.0)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValueError(_outside(*(getattr(self, c)[i].item() for c in ("box_id", "cycle", "ppv", "npv"))))
+        diff = self.ppv - self.npv
+        diff.setflags(write=False)
+        object.__setattr__(self, "diff", diff)
+
+    @classmethod
+    def of(cls, runs: RunTable | Sequence[RunRecord]) -> RunTable:
+        """`runs` as a table: a table as it is, records gathered by column."""
+        return runs if isinstance(runs, RunTable) else cls(*([getattr(r, c) for r in runs] for c in _RUN_COLUMNS))
+
+    def __len__(self) -> int:
+        return self.box_id.size
+
+    def __getitem__(self, mask: NDArray[np.bool_]) -> RunTable:
+        return RunTable(*(getattr(self, c)[mask] for c in _RUN_COLUMNS))
+
+
+#: A run table, or run records in run order.
+Runs = Union[RunTable, Sequence[RunRecord]]
+
+
+def factor_values(runs: Runs, form: ConvergenceForm) -> NDArray[np.float64]:
     """Factor value per run, in run order."""
-    diff = np.asarray([r.ppv - r.npv for r in runs], dtype=np.float64)
-    return _factor_array(diff, form)
+    return _factor_array(RunTable.of(runs).diff, form)
 
 
-def split_robustness(
-    runs: Sequence[RunRecord],
-    final_cycle: int | None = None,
-) -> dict[str, list[RunRecord]]:
+def split_robustness(runs: Runs, final_cycle: int | None = None) -> dict[str, RunTable]:
     """Split runs into the two default robustness groups.
 
     `all_cycles` keeps everything; `final_cycles` keeps runs at or past
-    `final_cycle` (default: only the largest cycle present).
+    `final_cycle` (default: only the largest cycle present). Both keep run
+    order.
     """
-    if not runs:
+    table = RunTable.of(runs)
+    if not len(table):
         raise ValueError("no runs to split")
-    cutoff = max(r.cycle for r in runs) if final_cycle is None else final_cycle
-    final = [r for r in runs if r.cycle >= cutoff]
-    if not final:
+    cutoff = table.cycle.max().item() if final_cycle is None else final_cycle
+    final = table[table.cycle >= cutoff]
+    if not len(final):
         raise ValueError(f"no runs at or past cycle {cutoff}")
-    return {GROUP_ALL: list(runs), GROUP_FINAL: final}
+    return {GROUP_ALL: table, GROUP_FINAL: final}
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +211,13 @@ def fit_normal_ml(values: Sequence[float] | NDArray[np.float64]) -> tuple[float,
 
 @dataclass(frozen=True)
 class FitResult:
-    """Normal summary of one form's factor values within one group."""
+    """Normal summary of one form's factor values within one group (`values`, when kept)."""
 
     form: ConvergenceForm
     group: str
     mu: float
     sigma: float
+    values: NDArray[np.float64] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -169,18 +226,17 @@ class FitResult:
             )
 
 
-def fit_by_form(
-    groups: Mapping[str, Sequence[RunRecord]],
-    forms: Sequence[ConvergenceForm],
-) -> list[FitResult]:
+def fit_by_form(groups: Mapping[str, Runs], forms: Sequence[ConvergenceForm]) -> list[FitResult]:
     """ML normal fits for every (group, form) pair."""
     fits = []
     for group, runs in groups.items():
-        if not runs:
+        diff = RunTable.of(runs).diff
+        if not diff.size:
             raise ValueError(f"robustness group {group!r} is empty")
         for form in forms:
-            mu, sigma = fit_normal_ml(factor_values(runs, form))
-            fits.append(FitResult(form=form, group=group, mu=mu, sigma=sigma))
+            values = _factor_array(diff, form)
+            mu, sigma = fit_normal_ml(values)
+            fits.append(FitResult(form=form, group=group, mu=mu, sigma=sigma, values=values))
     return fits
 
 
@@ -358,18 +414,14 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
         warnings.warn(f"probability curve built from only {n} points; estimates will be coarse", stacklevel=2)
     p = (np.arange(1, n + 1) - 0.5) / n
     z = (x - mu) / sigma
-    fitted = np.asarray([_phi(v) for v in z])
+    # The standard normal CDF, one math.erf per point.
+    fitted = 0.5 * (1.0 + np.array([math.erf(v) for v in (z / math.sqrt(2.0)).tolist()]))
 
     d = fitted - p
-    crossings: list[float] = []
-    for i in range(n):
-        if d[i] == 0.0:
-            crossings.append(float(p[i]))
-        elif i + 1 < n and d[i] * d[i + 1] < 0.0:
-            # Linear interpolation of the deviation to zero.
-            frac = d[i] / (d[i] - d[i + 1])
-            crossings.append(float(p[i] + frac * (p[i + 1] - p[i])))
-    crossings = sorted(set(crossings))
+    # Points on the diagonal, then sign changes, interpolated linearly to zero.
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    frac = d[i] / (d[i] - d[i + 1])
+    crossings = sorted(set(p[d == 0.0].tolist() + (p[i] + frac * (p[i + 1] - p[i])).tolist()))
 
     if crossings:
         prevalence = min(crossings, key=lambda c: (abs(c - 0.5), c))
@@ -393,7 +445,7 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
 
 
 def factor_timeline(
-    runs: Sequence[RunRecord],
+    runs: Runs,
     forms: Sequence[ConvergenceForm],
     cycles: Sequence[int] | None = None,
 ) -> list[tuple[int, dict[str, float]]]:
@@ -401,19 +453,15 @@ def factor_timeline(
 
     Cycles with no runs are skipped with a warning.
     """
+    table = RunTable.of(runs)
     if cycles is None:
-        cycles = sorted({r.cycle for r in runs})
+        cycles = np.unique(table.cycle).tolist()
     out: list[tuple[int, dict[str, float]]] = []
     for cycle in cycles:
-        batch = [r for r in runs if r.cycle == cycle]
-        if not batch:
+        diff = table.diff[table.cycle == cycle]
+        if not diff.size:
             warnings.warn(f"no runs at cycle {cycle}; skipped", stacklevel=2)
             continue
-        means = {form.label: float(np.mean(factor_values(batch, form))) for form in forms}
+        means = {form.label: float(np.mean(_factor_array(diff, form))) for form in forms}
         out.append((cycle, means))
     return out
-
-
-def _phi(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

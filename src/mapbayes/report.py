@@ -24,16 +24,17 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .bayes import Convention, diagnostic_odds_ratio, likelihood_ratios, predictive_values
 from .confusion import agreement_rates, build_confusion
 from .convergence import (
     DEFAULT_ALPHA_GRID,
-    RunRecord,
+    Runs,
+    RunTable,
     asymmetric_family,
     dominance_table,
     factor_timeline,
-    factor_values,
     fit_by_form,
     pp_curve,
     split_robustness,
@@ -113,8 +114,14 @@ class JobInput:
     cycle: int
 
     def __post_init__(self):
-        if self.kind not in ("binary", "score"):
-            raise ValueError(f"input kind must be 'binary' or 'score', got {self.kind!r}")
+        input_kind(self.kind)
+
+
+def input_kind(kind: str) -> str:
+    """`kind` if it is an input kind ("binary" or "score")."""
+    if kind not in ("binary", "score"):
+        raise ValueError(f"input kind must be 'binary' or 'score', got {kind!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -171,10 +178,12 @@ def parse_config(path: str | Path) -> dict[str, str]:
 def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
     base = Path(path).parent
-    columns = {"kind": str, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": str, "cycle": int}
+    columns = {
+        "kind": input_kind, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": str, "cycle": int
+    }
     return tuple(
         JobInput(kind, base / sim, base / obs, base / excl if excl else None, box_id, group, cycle)
-        for kind, sim, obs, excl, box_id, group, cycle in read_csv(path, columns)
+        for kind, sim, obs, excl, box_id, group, cycle in zip(*read_csv(path, columns))
     )
 
 
@@ -316,7 +325,7 @@ def assess_pair(
 # ---------------------------------------------------------------------------
 
 
-def group_summaries(records: Sequence[RunRecord]) -> dict[str, dict[str, Any]]:
+def group_summaries(records: Runs) -> dict[str, dict[str, Any]]:
     """Per-group cycle trajectories of the predictive values.
 
     For each group: mean PPV and NPV per cycle, the sign of mean PPV - mean
@@ -327,22 +336,23 @@ def group_summaries(records: Sequence[RunRecord]) -> dict[str, dict[str, Any]]:
     Raises:
         ValueError: A record carries an unknown group label.
     """
-    known = set(POOL_THRESHOLDS)
+    table = RunTable.of(records)
+    known = sorted(POOL_THRESHOLDS)
+    unknown = np.flatnonzero(~np.isin(table.group, known))
+    if unknown.size:
+        raise ValueError(f"unknown group label {table.group[unknown[0]]!r}; expected one of {known}")
     out: dict[str, dict[str, Any]] = {}
-    for rec in records:
-        if rec.group not in known:
-            raise ValueError(f"unknown group label {rec.group!r}; expected one of {sorted(known)}")
-    for label in sorted(known):
-        batch = [r for r in records if r.group == label]
-        if not batch:
+    for label in known:
+        batch = table[table.group == label]
+        if not len(batch):
             log.info("group %s has no runs; omitted from summaries", label)
             continue
-        cycles = sorted({r.cycle for r in batch})
+        cycles = np.unique(batch.cycle).tolist()
         per_cycle = {}
         for cyc in cycles:
-            here = [r for r in batch if r.cycle == cyc]
-            mean_ppv = float(np.mean([r.ppv for r in here]))
-            mean_npv = float(np.mean([r.npv for r in here]))
+            here = batch.cycle == cyc
+            mean_ppv = float(np.mean(batch.ppv[here]))
+            mean_npv = float(np.mean(batch.npv[here]))
             per_cycle[cyc] = {
                 "mean_ppv": mean_ppv,
                 "mean_npv": mean_npv,
@@ -352,7 +362,7 @@ def group_summaries(records: Sequence[RunRecord]) -> dict[str, dict[str, Any]]:
         out[label] = {
             "cycles": per_cycle,
             "n_runs": len(batch),
-            "mean_abs_difference": float(np.mean([abs(r.ppv - r.npv) for r in batch])),
+            "mean_abs_difference": float(np.mean(np.abs(batch.diff))),
             "final_cycle": cycles[-1],
             "final_mean_ppv": final["mean_ppv"],
             "final_mean_npv": final["mean_npv"],
@@ -422,11 +432,14 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
         write_csv(out_dir / "bayes.csv", _BAYES_HEADER, bayes),
     ]
 
-    runs = [
-        RunRecord(box_id=a.input.box_id, group=a.input.group, cycle=a.input.cycle, ppv=a.ppv, npv=a.npv)
-        for a in assessed
-        if a.ppv is not None and a.npv is not None
-    ]
+    scored = [a for a in assessed if a.ppv is not None and a.npv is not None]
+    runs = RunTable(
+        [a.input.box_id for a in scored],
+        [a.input.group for a in scored],
+        [a.input.cycle for a in scored],
+        [a.ppv for a in scored],
+        [a.npv for a in scored],
+    )
     files.append(write_runs_csv(out_dir / "runs.csv", runs))
 
     summary: dict[str, Any] = {
@@ -443,7 +456,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
             "paper_alias": "1 - specificity",
         },
     }
-    if runs:
+    if len(runs):
         try:
             summary["groups"] = group_summaries(runs)
         except ValueError as exc:
@@ -479,7 +492,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
 
 
 def analyze_scopes(
-    runs: Sequence[RunRecord],
+    runs: Runs,
     out_dir: Path,
     *,
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
@@ -494,15 +507,16 @@ def analyze_scopes(
     degenerate fits, no density crossing) are recorded in the summary
     instead of raised.
     """
+    runs = RunTable.of(runs)
     forms = asymmetric_family(alpha_grid)
     labels = [f.label for f in forms]
     timeline = factor_timeline(runs, forms)
     rows = [(cycle, *format_floats([means[lbl] for lbl in labels])) for cycle, means in timeline]
     files = [write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)]
 
-    scopes: dict[str, Sequence[RunRecord]] = {SCOPE_ALL: runs}
-    for label in sorted({r.group for r in runs}):
-        scopes[label] = [r for r in runs if r.group == label]
+    scopes = {SCOPE_ALL: runs}
+    for label in np.unique(runs.group).tolist():
+        scopes[label] = runs[runs.group == label]
 
     fits_rows: list[tuple[Any, ...]] = []
     dom_rows: list[dict[str, str]] = []
@@ -539,13 +553,11 @@ def analyze_scopes(
         entry["uniform_dominator"] = table.uniform_dominator
         if not table.uniform_dominator:
             entry["selection_note"] = "no uniform dominator; ranked by location criterion"
-        values = factor_values(batch, selected)
         fit_all = next(f for f in fits if f.form.label == selected.label and f.group == table.groups[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            curve = pp_curve(values, fit_all.mu, fit_all.sigma)
-        # Formatted row by row: two whole text columns of a large scope raise the peak memory.
-        pp_rows = (format_floats(pair) for pair in zip(curve.p.tolist(), curve.fitted.tolist()))
+            curve = pp_curve(fit_all.values, fit_all.mu, fit_all.sigma)
+        pp_rows = column_rows(curve.p, curve.fitted)
         files.append(write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows))
         entry["pp_prevalence_estimate"] = curve.prevalence_estimate
         entry["pp_net_gain"] = curve.net_gain
@@ -562,18 +574,16 @@ def analyze_scopes(
 
 def _kde_analysis(
     scope: str,
-    batch: Sequence[RunRecord],
+    batch: RunTable,
     bandwidth: float | None,
     out_dir: Path,
     files: list[Path],
 ) -> dict[str, Any]:
     entry: dict[str, Any] = {}
-    pos = [r.ppv for r in batch]
-    neg = [r.npv for r in batch]
     try:
-        f_pos = fit_kde(pos, bandwidth)
-        f_neg = fit_kde(neg, bandwidth)
-        rows = zip(*(format_floats(col.tolist()) for col in (GRID, f_pos.on_grid, f_neg.on_grid)))
+        f_pos = fit_kde(batch.ppv, bandwidth)
+        f_neg = fit_kde(batch.npv, bandwidth)
+        rows = column_rows(GRID, f_pos.on_grid, f_neg.on_grid)
         files.append(write_csv(out_dir / f"kde_{scope}.csv", ("x", "f_pos", "f_neg"), rows))
         entry["kde_bandwidth_pos"] = f_pos.bandwidth
         entry["kde_bandwidth_neg"] = f_neg.bandwidth
@@ -605,48 +615,85 @@ def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]
 # ---------------------------------------------------------------------------
 
 
-def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> Iterator[tuple[Any, ...]]:
-    """Yield the rows of a CSV file with a header line, parsed.
+#: Rows that `read_csv` holds as text and parses at a time, and `column_rows` formats at a time.
+_BLOCK_ROWS = 4096
 
-    `columns` maps each column to read to its parser; each row comes out as
-    a tuple in that order. Fields are stripped and blank lines skipped; other
-    columns, and any column order, are accepted. Rows are parsed as they are
-    read, so a caller that keeps its own objects never holds the file's text
-    or a second copy of the table.
+
+def read_csv(
+    path: str | Path, columns: Mapping[str, Callable[[str], Any]], check: Callable[..., Any] | None = None
+) -> tuple[list[Any], ...]:
+    """The requested columns of a CSV file with a header line, parsed.
+
+    `columns` maps each column to read to its parser; the columns come back
+    as lists in that order. Fields are stripped and blank lines skipped;
+    other columns, and any column order, are accepted. Rows are parsed a
+    block at a time; `check`, when given, is called with each block's
+    parsed columns and refuses a row by raising `ValueError`.
 
     Raises:
         ValueError: Naming the path: a missing column, a row whose field
             count differs from the header's (with its line), a value its
-            parser refuses (with its line and column), or no rows at all.
+            parser refuses (with its line and column), a row `check`
+            refuses (with its line), or no rows at all.
     """
+    out: tuple[list[Any], ...] = tuple([] for _ in columns)
     header: list[str] | None = None
-    n_rows = 0
+    rows: list[list[str]] = []
+    lines: list[int] = []
+
+    def parse_block() -> None:
+        if not rows:
+            return
+        fields = list(zip(*rows))
+        try:
+            block = [list(map(parse, map(str.strip, fields[i]))) for _, i, parse in spec]
+            if check is not None:
+                check(*block)
+        except ValueError:
+            # Walk the block in file order to name the first refused value or row.
+            for row, line in zip(rows, lines):
+                values = []
+                for name, i, parse in spec:
+                    try:
+                        values.append(parse(row[i].strip()))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {line}, column {name!r}: {exc}") from None
+                if check is None:
+                    continue
+                try:
+                    check(*([v] for v in values))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line}: {exc}") from None
+            raise
+        for col, part in zip(out, block):
+            col.extend(part)
+        rows.clear()
+        lines.clear()
+
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            fields = [f.strip() for f in row]
-            if not any(fields):
+            if not "".join(row).strip():
                 continue
             if header is None:
-                header = fields
+                header = [f.strip() for f in row]
                 missing = [name for name in columns if name not in header]
                 if missing:
                     raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
                 spec = [(name, header.index(name), parse) for name, parse in columns.items()]
-                continue
-            if len(fields) != len(header):
-                found, expected = len(fields), len(header)
+            elif len(row) != len(header):
+                parse_block()  # an earlier refused value or row comes first
+                found, expected = len(row), len(header)
                 raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-            values = []
-            for name, i, parse in spec:
-                try:
-                    values.append(parse(fields[i]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
-            n_rows += 1
-            yield tuple(values)
-    if not n_rows:
+            else:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    parse_block()
+    parse_block()
+    if not (out and out[0]):
         raise ValueError(f"{path} lists no inputs")
+    return out
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> Path:
@@ -658,9 +705,16 @@ def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) 
     return path
 
 
-def write_runs_csv(path: Path, runs: Sequence[RunRecord]) -> Path:
-    # Formatted row by row, like the P-P curves, to keep the peak memory down.
-    rows = ((r.box_id, r.group, r.cycle, *format_floats((r.ppv, r.npv))) for r in runs)
+def column_rows(*columns: NDArray[Any]) -> Iterator[tuple[Any, ...]]:
+    """The rows of equal-length columns, a block at a time, float columns through `format_floats`."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[start : start + _BLOCK_ROWS].tolist() for col in columns]
+        yield from zip(*(format_floats(b) if col.dtype.kind == "f" else b for col, b in zip(columns, block)))
+
+
+def write_runs_csv(path: Path, runs: Runs) -> Path:
+    t = RunTable.of(runs)
+    rows = column_rows(t.box_id, t.group, t.cycle, t.ppv, t.npv)
     return write_csv(path, ("box_id", "group", "cycle", "ppv", "npv"), rows)
 
 

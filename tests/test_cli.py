@@ -229,6 +229,13 @@ class TestKde:
         path.write_text("label,value\nmaybe,0.5\n")
         expect_failure(["kde", "--samples", str(path)])
 
+    def test_missing_label_names_the_file_and_label(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text("label,value\npos,0.4\npos,0.5\npos,0.6\n")
+        expect_failure(["kde", "--samples", str(path)])
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: label 'neg': need at least 2 samples to pick a bandwidth, got 0\n"
+
     def test_missing_value_column_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"
         path.write_text("label,score\npos,0.5\nneg,0.4\n")
@@ -287,6 +294,13 @@ class TestConverge:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}") and message in err
 
+    def test_refused_run_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("box_id,group,cycle,ppv,npv\n2,A,1,0.5,0.5\n\n1,A,1,0.5,1.5\n")
+        expect_failure(["converge", "--runs", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 4: run 1@1: predictive values outside [0, 1] (ppv=0.5, npv=1.5)\n"
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -305,11 +319,12 @@ class TestConverge:
     def test_written_runs_read_back(self, tmp_path_factory, runs):
         path = tmp_path_factory.mktemp("runs") / "runs.csv"
         write_runs_csv(path, runs)
-        expected = [
-            RunRecord(r.box_id, r.group, r.cycle, float(format_float(r.ppv)), float(format_float(r.npv)))
-            for r in runs
-        ]
-        assert _read_runs(path) == expected
+        table = _read_runs(path)
+        assert table.box_id.tolist() == [r.box_id for r in runs]
+        assert table.group.tolist() == [r.group for r in runs]
+        assert table.cycle.tolist() == [r.cycle for r in runs]
+        assert table.ppv.tolist() == [float(format_float(r.ppv)) for r in runs]
+        assert table.npv.tolist() == [float(format_float(r.npv)) for r in runs]
 
 
 class TestSample:

@@ -14,6 +14,7 @@ from mapbayes import (
     ConvergenceForm,
     FitResult,
     RunRecord,
+    RunTable,
     asymmetric_family,
     convergence_factor,
     dominance_table,
@@ -28,6 +29,15 @@ from mapbayes import (
 
 def run(box_id=0, group="A", cycle=1, ppv=0.6, npv=0.4):
     return RunRecord(box_id=box_id, group=group, cycle=cycle, ppv=ppv, npv=npv)
+
+
+def assert_columns(table, records):
+    """Every column of `table` equals the records' values exactly, in order and type."""
+    for name in ("box_id", "group", "cycle", "ppv", "npv"):
+        got = getattr(table, name).tolist()
+        expected = [getattr(r, name) for r in records]
+        assert got == expected, name
+        assert [type(v) for v in got] == [type(v) for v in expected], name
 
 
 class TestConvergenceForm:
@@ -112,24 +122,113 @@ class TestRunRecord:
             run(npv=-0.1)
 
 
+class TestRunTable:
+    def table(self):
+        return RunTable([3, 1, 2], ["A", "B", "A"], [1, 2, 2], [0.5, 0.75, 1.0], [0.25, 0.5, 0.0])
+
+    def test_columns_have_their_dtypes_and_are_read_only(self):
+        t = self.table()
+        assert [t.box_id.dtype, t.cycle.dtype, t.ppv.dtype, t.npv.dtype, t.group.dtype] == [
+            np.int64, np.int64, np.float64, np.float64, object
+        ]
+        for col in (t.box_id, t.group, t.cycle, t.ppv, t.npv, t.diff):
+            assert not col.flags.writeable
+        assert len(t) == 3
+
+    def test_group_labels_are_kept_exactly(self):
+        # A fixed-width unicode column would drop the trailing NUL.
+        labels = ["A\x00", "A", "\u00c4 b"]
+        t = RunTable([0, 1, 2], labels, [1, 1, 1], [0.5] * 3, [0.5] * 3)
+        assert t.group.tolist() == labels
+        assert t[t.group == "A"].box_id.tolist() == [1]
+
+    def test_columns_are_copies(self):
+        ppv = np.array([0.5, 0.25])
+        t = RunTable([0, 1], ["A", "A"], [1, 1], ppv, [0.5, 0.5])
+        ppv[0] = 0.75
+        assert t.ppv.tolist() == [0.5, 0.25]
+        assert ppv.flags.writeable
+
+    def test_diff_is_ppv_minus_npv(self):
+        t = self.table()
+        assert t.diff.tolist() == [0.5 - 0.25, 0.75 - 0.5, 1.0 - 0.0]
+
+    def test_of_returns_a_table_unchanged_and_gathers_records(self):
+        t = self.table()
+        assert RunTable.of(t) is t
+        records = [run(box_id=3, cycle=1, ppv=0.5, npv=0.25), run(box_id=1, group="B", cycle=2)]
+        assert_columns(RunTable.of(records), records)
+        assert len(RunTable.of([])) == 0
+
+    def test_mask_selects_in_run_order(self):
+        t = self.table()
+        sub = t[t.cycle == 2]
+        assert sub.box_id.tolist() == [1, 2]
+        assert sub.group.tolist() == ["B", "A"]
+        assert sub.diff.tolist() == [0.75 - 0.5, 1.0 - 0.0]
+
+    @pytest.mark.parametrize("ppv, npv", [(0.5, 1.5), (-0.0001, 0.5), (float("nan"), 0.5), (0.5, float("inf"))])
+    def test_validation_names_the_first_bad_run_as_a_record_does(self, ppv, npv):
+        with pytest.raises(ValueError) as from_record:
+            RunRecord(box_id=7, group="A", cycle=4, ppv=ppv, npv=npv)
+        with pytest.raises(ValueError) as from_table:
+            RunTable([1, 7, 8], ["A"] * 3, [1, 4, 4], [0.5, ppv, ppv], [0.5, npv, npv])
+        assert str(from_table.value) == str(from_record.value)
+        assert "np." not in str(from_table.value)
+
+    def test_validation_text(self):
+        with pytest.raises(ValueError) as exc:
+            RunTable([1], ["A"], [1], [0.5], [1.5])
+        assert str(exc.value) == "run 1@1: predictive values outside [0, 1] (ppv=0.5, npv=1.5)"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1, 2], ["A"], [1, 1], [0.5, 0.5], [0.5, 0.5]),
+            ([[1]], [["A"]], [[1]], [[0.5]], [[0.5]]),
+            (1, "A", 1, 0.5, 0.5),
+        ],
+        ids=["lengths", "2-d", "scalars"],
+    )
+    def test_columns_must_be_1d_and_of_one_length(self, columns):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            RunTable(*columns)
+
+    def test_integer_beyond_int64_is_named(self):
+        with pytest.raises(ValueError, match="column 'box_id'"):
+            RunTable([10**20], ["A"], [1], [0.5], [0.5])
+
+    def test_rows_are_selected_not_iterated(self):
+        with pytest.raises(TypeError):
+            iter(self.table())
+
+    def test_factor_values_alike_for_table_and_records(self):
+        rng = np.random.default_rng(73)
+        records = [run(box_id=i, ppv=float(rng.uniform()), npv=float(rng.uniform())) for i in range(30)]
+        form = ConvergenceForm("asymmetric_normal", 0.5)
+        assert np.array_equal(factor_values(RunTable.of(records), form), factor_values(records, form))
+
+
 class TestSplitRobustness:
     def make_runs(self):
         return [run(box_id=i, cycle=c) for i in range(3) for c in (1, 2, 3)]
 
     def test_default_cutoff_is_last_cycle(self):
-        groups = split_robustness(self.make_runs())
+        runs = self.make_runs()
+        groups = split_robustness(runs)
         assert set(groups) == {GROUP_ALL, GROUP_FINAL}
         assert len(groups[GROUP_ALL]) == 9
-        assert [r.cycle for r in groups[GROUP_FINAL]] == [3, 3, 3]
+        assert_columns(groups[GROUP_FINAL], [r for r in runs if r.cycle == 3])
 
     def test_explicit_cutoff_is_inclusive(self):
-        groups = split_robustness(self.make_runs(), final_cycle=2)
-        assert sorted({r.cycle for r in groups[GROUP_FINAL]}) == [2, 3]
+        runs = self.make_runs()
+        groups = split_robustness(runs, final_cycle=2)
+        assert_columns(groups[GROUP_FINAL], [r for r in runs if r.cycle >= 2])
 
     def test_all_group_keeps_input_order(self):
         runs = self.make_runs()
         groups = split_robustness(runs)
-        assert groups[GROUP_ALL] == runs
+        assert_columns(groups[GROUP_ALL], runs)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no runs"):
@@ -197,6 +296,17 @@ class TestFitByForm:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_by_form({"a": []}, [ConvergenceForm("triangular")])
+
+    def test_fits_keep_the_values_they_summarize(self):
+        rng = np.random.default_rng(89)
+        pv = rng.uniform(size=(16, 2)).tolist()
+        runs = [run(box_id=k // 2, cycle=k % 2 + 1, ppv=pv[k][0], npv=pv[k][1]) for k in range(16)]
+        groups = split_robustness(runs)
+        for fit in fit_by_form(groups, asymmetric_family((0.0, 0.5))):
+            assert np.array_equal(fit.values, factor_values(groups[fit.group], fit.form))
+            assert (fit.mu, fit.sigma) == fit_normal_ml(fit.values)
+        # The values take no part in equality.
+        assert FitResult(TRI, "g", 0.5, 0.1, values=np.ones(3)) == FitResult(TRI, "g", 0.5, 0.1)
 
     def test_fit_result_requires_positive_scale(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -1,21 +1,28 @@
-"""Property tests for the windowed polynomial KDE sum and the crossing search.
+"""Property tests for the density and convergence analyses.
 
 `KdeModel.evaluate` sums the kernel from per-bin prefix sums. These tests
 pin it, over generated samples and points, to the direct sum in
 `conftest.reference_density`, and check the invariants a density must keep:
 non-negative, exactly zero off its support, unit mass, and crossings that
-the grid scan brackets.
+the grid scan brackets. `pp_curve` computes its fitted probabilities and
+diagonal crossings over whole columns; it is pinned, bit for bit, to the
+per-point loop it replaced. `analyze_scopes` writes the same files from a
+run table as from the run records it holds.
 """
 
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SQRT5, reference_density
-from mapbayes import KdeModel, find_crossings
+from mapbayes import KdeModel, RunRecord, RunTable, find_crossings, pp_curve
 from mapbayes.kde import GRID
+from mapbayes.report import analyze_scopes
 
 
 @st.composite
@@ -103,3 +110,74 @@ def test_crossings_are_bracketed_by_the_grid_scan(pos, neg, log_h_pos, log_h_neg
         bracketed = any(g[i] * g[i + 1] < 0.0 for i in around)
         on_zero = any(c.x == GRID[i] and g[i] == 0.0 and f_pos.on_grid[i] > 0.0 for i in np.flatnonzero(GRID == c.x))
         assert bracketed or on_zero
+
+
+def reference_pp(values, mu, sigma):
+    """Fitted probabilities and diagonal crossings, one point at a time."""
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    n = x.size
+    p = (np.arange(1, n + 1) - 0.5) / n
+    z = (x - mu) / sigma
+    fitted = np.asarray([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    d = fitted - p
+    crossings = []
+    for i in range(n):
+        if d[i] == 0.0:
+            crossings.append(float(p[i]))
+        elif i + 1 < n and d[i] * d[i + 1] < 0.0:
+            frac = d[i] / (d[i] - d[i + 1])
+            crossings.append(float(p[i] + frac * (p[i + 1] - p[i])))
+    return fitted, tuple(sorted(set(crossings)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pp_curve_matches_per_point_reference(data):
+    mu = data.draw(st.floats(0.0, 1.0))
+    sigma = data.draw(st.floats(1e-4, 2.0))
+    # Points at mu sit on the diagonal when they are the median of the sample.
+    values = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(mu)), min_size=1, max_size=60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fewer than ten points
+        curve = pp_curve(values, mu, sigma)
+    fitted, crossings = reference_pp(values, mu, sigma)
+    assert curve.fitted.tobytes() == fitted.tobytes()
+    assert curve.crossings == crossings
+    assert all(type(c) is float for c in curve.crossings)
+
+
+# One, two or three groups; with up to 25 runs over 4 cycles, single-run cycles are common.
+run_records = st.sampled_from(["A", "AB", "ABC"]).flatmap(
+    lambda groups: st.lists(
+        st.builds(
+            RunRecord,
+            box_id=st.integers(0, 5),
+            group=st.sampled_from(list(groups)),
+            cycle=st.integers(1, 4),
+            ppv=st.floats(0.0, 1.0),
+            npv=st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_records, st.sampled_from([None, 2]))
+def test_analyze_scopes_writes_alike_from_a_table_and_from_records(records, final_cycle):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = {}
+        for name, runs in (("table", RunTable.of(records)), ("records", records)):
+            (Path(tmp) / name).mkdir()
+            files, summaries = analyze_scopes(runs, Path(tmp) / name, final_cycle=final_cycle)
+            out[name] = ({f.name: f.read_bytes() for f in files}, summaries)
+    assert out["table"][0] == out["records"][0]
+    assert repr(out["table"][1]) == repr(out["records"][1])
+    files, summaries = out["table"]
+    groups = sorted({r.group for r in records})
+    assert list(summaries) == ["all"] + groups
+    assert [summaries[g]["n_runs"] for g in groups] == [sum(r.group == g for r in records) for g in groups]
+    timeline = files["timeline.csv"].decode().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in timeline] == sorted({r.cycle for r in records})

@@ -1,13 +1,19 @@
-"""Property tests for the ASCII grid text format and the classify stage.
+"""Property tests for the input formats, the classify stage and the tally.
 
 `load_grid` parses well-formed bodies with numpy's C reader and falls back to
 a per-line loop for everything else. These tests pin it, over generated
 files, to the plain per-token parser it replaced, and pin the writer's round
-trip. The classify tests pin the linear top-n selection to a stable argsort,
-`to_binary` to a per-cell rule, and the tally to the cells live in both maps.
+trip. `report.read_csv` parses CSV text a block of rows at a time; it is
+pinned to the per-row reader it replaced. The classify tests pin the linear
+top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
+tally to the cells live in both maps. The predictive values of any tally lie
+in [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
 """
 
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,15 +24,22 @@ from hypothesis.extra.numpy import arrays
 from mapbayes import (
     EXCLUDED,
     BinaryGrid,
+    ConfusionMatrix,
+    Convention,
     Grid,
     GridFormatError,
     ScoreGrid,
+    agreement_rates,
     build_confusion,
+    likelihood_ratios,
     load_grid,
+    predictive_values,
     threshold_scores,
     to_binary,
     write_grid,
 )
+from mapbayes import report
+from mapbayes.confusion import AgreementRates
 
 HEADER_LINES = 6
 
@@ -281,3 +294,140 @@ def test_tally_sums_to_the_cells_live_in_both(pair):
     else:
         m = build_confusion(BinaryGrid(sim), BinaryGrid(obs))
         assert m.tp + m.fp + m.fn + m.tn == both_live
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+# ---------------------------------------------------------------------------
+
+
+def reference_read_csv(path, columns):
+    """The per-row reader that `report.read_csv` replaced, returning columns."""
+    header, rows = None, []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            if header is None:
+                header = fields
+                missing = [name for name in columns if name not in header]
+                if missing:
+                    raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+                spec = [(name, header.index(name), parse) for name, parse in columns.items()]
+                continue
+            if len(fields) != len(header):
+                found, expected = len(fields), len(header)
+                raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
+            values = []
+            for name, i, parse in spec:
+                try:
+                    values.append(parse(fields[i]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path} lists no inputs")
+    return tuple(list(col) for col in zip(*rows))
+
+
+CSV_COLUMNS = {"box_id": int, "group": str, "ppv": float}
+_padding = st.sampled_from(["", " ", "  ", "\t"])
+_labels = st.text(alphabet='AB ,"\n', max_size=4)
+_blank_lines = st.sampled_from(["", "   ", ",", " , ,", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Header and rows with blank lines, quoting, padding, extra and reordered
+    columns, up to two bad values, short or long rows, or a missing column."""
+    names = list(CSV_COLUMNS) + draw(st.lists(st.sampled_from(["note", "x", "cycle"]), unique=True))
+    names = draw(st.permutations(names))
+    if draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(list(CSV_COLUMNS))))
+    good = {
+        "box_id": st.integers(-(10**6), 10**6).map(str),
+        "group": _labels,
+        "ppv": st.floats(allow_nan=False).map(repr),
+        "note": _labels,
+        "x": st.sampled_from(["", "1", "q"]),
+        "cycle": st.integers(0, 12).map(str),
+    }
+    n_rows = draw(st.integers(0, 12))
+    rows = [[draw(_padding) + draw(good[n]) + draw(_padding) for n in names] for _ in range(n_rows)]
+    # Up to two faults, so that which one comes first in the file matters.
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["value", "short", "long"]))
+        if kind == "value" and set(CSV_COLUMNS) & set(names):
+            col = names.index(draw(st.sampled_from(sorted(set(CSV_COLUMNS) & set(names)))))
+            rows[row][col] = draw(st.sampled_from(["", "x", "1.5.2", " - "]))
+        elif kind == "short":
+            rows[row] = rows[row][:-1]
+        elif kind == "long":
+            rows[row] = rows[row] + ["extra"]
+    out = io.StringIO()
+    for record in [[draw(_padding) + n + draw(_padding) for n in names]] + rows:
+        for _ in range(draw(st.integers(0, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+            out.write(draw(_blank_lines) + "\n")
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        csv.writer(out, quoting=quoting, lineterminator="\n").writerow(record)
+    return out.getvalue()
+
+
+def outcome(read, path):
+    try:
+        return read(path, CSV_COLUMNS)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 2, 3, 5, 4096]))
+def test_read_csv_matches_per_row_reference(tmp_path_factory, text, block_rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(reference_read_csv, path)
+    with mock.patch.object(report, "_BLOCK_ROWS", block_rows):
+        got = outcome(report.read_csv, path)
+    assert got == expected
+    if isinstance(got, tuple):
+        # Not only equal: the same types, so -0.0 stays a float and 1 an int.
+        assert [[type(v) for v in col] for col in got] == [[type(v) for v in col] for col in expected]
+
+
+# ---------------------------------------------------------------------------
+# Predictive values
+# ---------------------------------------------------------------------------
+
+counts = st.integers(0, 10**6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(counts, counts, counts, counts, st.sampled_from(list(Convention)))
+def test_predictive_values_of_a_tally_are_in_unit_range_or_undefined(tp, fp, fn, tn, convention):
+    m = ConfusionMatrix(tp, fp, fn, tn)
+    if m.grand_total == 0:
+        with pytest.raises(ValueError, match="empty confusion matrix"):
+            agreement_rates(m)
+        return
+    rates = agreement_rates(m)
+    if rates.sensitivity is None or rates.tn_rate is None:
+        with pytest.raises(ValueError, match="must both be defined"):
+            predictive_values(rates, rates.prevalence_observed, convention)
+        return
+    pv = predictive_values(rates, rates.prevalence_observed, convention)
+    for v in (pv.ppv, pv.npv):
+        assert v is None or 0.0 <= v <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_conventions_agree_at_half_sensitivity_and_tn_rate(prevalence):
+    rates = AgreementRates(sensitivity=0.5, tn_rate=0.5, prevalence_observed=prevalence, pcm=0.5)
+    paper = predictive_values(rates, prevalence, Convention.PAPER)
+    standard = predictive_values(rates, prevalence, Convention.STANDARD)
+    assert (paper.ppv, paper.npv) == (standard.ppv, standard.npv)
+    lr_paper, lr_standard = likelihood_ratios(rates, Convention.PAPER), likelihood_ratios(rates, Convention.STANDARD)
+    assert (lr_paper.lr_pos, lr_paper.lr_neg) == (lr_standard.lr_pos, lr_standard.lr_neg) == (1.0, 1.0)

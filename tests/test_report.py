@@ -71,16 +71,32 @@ class TestFormatFloat:
 
     def test_six_digit_rule_is_spelled_in_one_function(self):
         # A second spelling would let two writers' float text drift apart.
-        places = set()
-        for path in sorted(Path(report.__file__).parent.glob("*.py")):
-            text = path.read_text(encoding="utf-8")
-            funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if ".6g" in line:
-                    around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
-                    inner = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else None
-                    places.add((path.name, inner))
-        assert places == {("raster.py", "format_floats")}
+        assert functions_spelling(".6g") == {("raster.py", "format_floats")}
+
+
+def functions_spelling(pattern):
+    """(file, innermost function) of each line of src/mapbayes/*.py that matches `pattern`."""
+    places = set()
+    for path in sorted(Path(report.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if re.search(pattern, line):
+                around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                inner = min(around, key=lambda f: f.end_lineno - f.lineno).name if around else None
+                places.add((path.name, inner))
+    return places
+
+
+class TestOneReaderOneWriter:
+    def test_csv_files_are_read_in_one_function(self):
+        # A second reader would drift from the first one's errors and rules.
+        assert functions_spelling(r"csv\.(reader|DictReader)\(") == {("report.py", "read_csv")}
+
+    def test_csv_files_are_written_in_two_functions(self):
+        # write_csv writes every file; _emit_csv writes the CLI's tables to stdout.
+        writers = {("report.py", "write_csv"), ("cli.py", "_emit_csv")}
+        assert functions_spelling(r"csv\.(writer|DictWriter)\(") == writers
 
 
 class TestThresholdPolicy:
@@ -222,6 +238,14 @@ class TestReadInputsManifest:
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3 has 2 fields, the header has 7")):
             read_inputs_manifest(p)
 
+    def test_bad_kind_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "inputs.csv"
+        header = "kind,sim,obs,exclusion,box_id,group,cycle\n"
+        p.write_text(header + "binary,a.asc,b.asc,,0,A,1\n\nraster,a.asc,b.asc,,0,A,2\n")
+        with pytest.raises(ValueError) as exc:
+            read_inputs_manifest(p)
+        assert str(exc.value) == f"{p}: line 4, column 'kind': input kind must be 'binary' or 'score', got 'raster'"
+
     def test_bad_kind_rejected(self, tmp_path):
         p = tmp_path / "inputs.csv"
         p.write_text(
@@ -234,10 +258,15 @@ class TestReadInputsManifest:
 class TestReadCsv:
     COLUMNS = {"box_id": int, "group": str, "ppv": float}
 
+    @staticmethod
+    def at_most_half(box_id, group, ppv):
+        if max(ppv) > 0.5:
+            raise ValueError(f"ppv above 0.5: {max(ppv)}")
+
     def test_blank_lines_extra_columns_and_any_order(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("\nnote, ppv ,group,box_id\n\nx, 0.5 , A ,3\n  \n,1,B,4\n\n")
-        assert list(report.read_csv(p, self.COLUMNS)) == [(3, "A", 0.5), (4, "B", 1.0)]
+        assert report.read_csv(p, self.COLUMNS) == ([3, 4], ["A", "B"], [0.5, 1.0])
 
     @pytest.mark.parametrize(
         "text, message",
@@ -256,6 +285,45 @@ class TestReadCsv:
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(p)) + ".*" + re.escape(message)):
             list(report.read_csv(p, self.COLUMNS))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    def test_a_refused_row_names_its_line(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+        p = tmp_path / "t.csv"
+        p.write_text('box_id,group,ppv\n1,A,0.5\n2,"B\nC",0.25\n\n3,A,0.75\n4,A,0.5\n')
+        with pytest.raises(ValueError) as exc:
+            report.read_csv(p, self.COLUMNS, check=self.at_most_half)
+        assert str(exc.value) == f"{p}: line 6: ppv above 0.5: 0.75"
+        p.write_text("box_id,group,ppv\n1,A,0.5\n3,A,0.25\n")
+        assert report.read_csv(p, self.COLUMNS, check=self.at_most_half) == ([1, 3], ["A", "A"], [0.5, 0.25])
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1,A,0.75", "x,A,0.5", "1,A"], "line 2: ppv above 0.5: 0.75"),
+            (["1,A,0.5", "x,A,0.75", "1,A"], "line 3, column 'box_id'"),
+            (["1,A,0.5", "2,A,0.5", "1,A"], "line 4 has 2 fields, the header has 3"),
+        ],
+        ids=["refused-row", "bad-value", "short-row"],
+    )
+    def test_the_first_error_in_the_file_is_named(self, tmp_path, monkeypatch, block_rows, rows, message):
+        monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+        p = tmp_path / "t.csv"
+        p.write_text("box_id,group,ppv\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            report.read_csv(p, self.COLUMNS, check=self.at_most_half)
+
+
+class TestColumnRows:
+    def test_blocks_give_the_rows_of_whole_columns(self, monkeypatch):
+        monkeypatch.setattr(report, "_BLOCK_ROWS", 2)
+        ints = np.array([3, -1, 7, 0, 5])
+        labels = np.array(["A", "B\x00", "C", "A", "B"], dtype=object)
+        floats = np.array([0.1234567, 1.0, -0.0, 1e-300, 0.5])
+        rows = list(report.column_rows(ints, labels, floats))
+        assert rows == list(zip(ints.tolist(), labels.tolist(), format_floats(floats.tolist())))
+        assert list(report.column_rows(np.array([]))) == []
 
 
 class TestAssessPair:
@@ -545,6 +613,27 @@ class TestAnalyzeScopes:
         # Two densities (PPV and NPV) per scope, one array evaluation each.
         assert len(array_calls) == 2 * len(summaries)
         assert len(set(array_calls)) == len(array_calls)
+
+    def test_the_p_p_curve_reuses_the_fitted_factor_values(self, tmp_path, monkeypatch):
+        from mapbayes import SynthConfig, generate_run_table
+
+        fitted, plotted = [], []
+        fit_by_form, pp_curve = report.fit_by_form, report.pp_curve
+
+        def spy_fit(groups, forms):
+            fits = fit_by_form(groups, forms)
+            fitted.extend(f.values for f in fits)
+            return fits
+
+        def spy_pp(values, mu, sigma):
+            plotted.append(values)
+            return pp_curve(values, mu, sigma)
+
+        monkeypatch.setattr(report, "fit_by_form", spy_fit)
+        monkeypatch.setattr(report, "pp_curve", spy_pp)
+        analyze_scopes(generate_run_table(SynthConfig(seed=3, planted_offset=0.25)), tmp_path)
+        assert len(plotted) == 4
+        assert all(any(v is f for f in fitted) for v in plotted)
 
     def test_degenerate_scope_records_errors(self, tmp_path):
         runs = [

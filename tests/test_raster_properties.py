@@ -360,8 +360,10 @@ def csv_texts(draw):
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = draw(st.integers(0, len(rows) - 1))
         kind = draw(st.sampled_from(["value", "short", "long"]))
-        if kind == "value" and set(CSV_COLUMNS) & set(names):
-            col = names.index(draw(st.sampled_from(sorted(set(CSV_COLUMNS) & set(names)))))
+        # A row cut short by an earlier fault has lost its last column.
+        present = sorted(n for n in set(CSV_COLUMNS) & set(names) if names.index(n) < len(rows[row]))
+        if kind == "value" and present:
+            col = names.index(draw(st.sampled_from(present)))
             rows[row][col] = draw(st.sampled_from(["", "x", "1.5.2", " - "]))
         elif kind == "short":
             rows[row] = rows[row][:-1]

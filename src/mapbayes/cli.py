@@ -3,7 +3,7 @@
 Subcommands: assess, sweep, kde, converge, sample, synth, report. Every
 subcommand takes --config, a key = value file; `SHARED_SETTINGS` lists the
 shared settings (seed, out, convention, alpha_grid, bandwidth) each one
-reads, as flags or config keys. Explicit flags win.
+reads, as flags or config keys; `report.read_settings` parses both.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .report import (
     assess_pair,
     column_rows,
     load_job,
-    parse_alpha_grid,
-    parse_config,
     read_csv,
+    read_settings,
     run_job,
     write_csv,
     write_json,
@@ -68,24 +67,15 @@ SHARED_SETTINGS: dict[str, tuple[str, ...]] = {
     "report": ("out", "convention", "alpha_grid", "bandwidth", "seed"),
 }
 
-#: argparse options of each shared setting's flag.
+#: argparse options of each shared setting's flag; `read_settings` parses its text.
 _FLAGS: dict[str, dict[str, Any]] = {
-    "out": {"type": Path, "help": "output directory"},
+    "out": {"help": "output directory"},
     "convention": {"choices": ["paper", "standard"], "help": "formula convention (default paper)"},
     "alpha_grid": {"help": "comma-separated offsets in [0,1] for the asymmetric family"},
-    "bandwidth": {"type": float, "help": "KDE bandwidth (default: Silverman's rule)"},
-    "seed": {"type": int, "help": "non-negative RNG seed (default 0)"},
+    "bandwidth": {"help": "positive KDE bandwidth (default: Silverman's rule)"},
+    "seed": {"help": "non-negative RNG seed (default 0)"},
 }
 _REPORT_SEED_HELP = "provenance only: echoed into manifest.json settings, feeds no computation (default 0)"
-
-#: Parser of each shared setting, for flag values and config-file text alike.
-_PARSE = {
-    "out": Path,
-    "seed": int,
-    "convention": lambda v: Convention.parse(str(v)),
-    "alpha_grid": lambda v: parse_alpha_grid(str(v)),
-    "bandwidth": float,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,11 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("assess", "confusion + ratio metrics for one raster pair", cmd_assess)
-    _add_pair_arguments(p)
-    p.add_argument("--box-id", type=int, default=0)
-    p.add_argument("--group", default="A")
-    p.add_argument("--cycle", type=int, default=0)
+    _add_pair_arguments(add("assess", "confusion + ratio metrics for one raster pair", cmd_assess))
 
     p = add("sweep", "predictive values across a prevalence grid", cmd_sweep)
     _add_pair_arguments(p, required=False)
@@ -153,36 +139,17 @@ def _add_pair_arguments(p: argparse.ArgumentParser, required: bool = True) -> No
     p.add_argument("--threshold", default="value:0.5", help="value:<t>, quantity:<n>, or quantity:obs")
 
 
-def _settings(args) -> dict[str, Any]:
-    """The subcommand's shared settings, parsed; a flag wins over --config.
-
-    The config file is read once. A setting that is unset or empty is left
-    out of the result.
-
-    Raises:
-        ValueError: The config file sets a key the subcommand does not read.
-    """
-    keys = SHARED_SETTINGS[args.command]
-    raw: dict[str, Any] = parse_config(args.config) if args.config is not None else {}
-    unread = sorted(set(raw) - set(keys))
-    if unread:
-        raise ValueError(f"{args.config}: config keys not read by {args.command}: {unread}")
-    raw.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    return {k: _PARSE[k](v) for k, v in raw.items() if v != ""}
+def _settings(args, *required: str) -> dict[str, Any]:
+    """The subcommand's shared settings, parsed from its flags and --config."""
+    return read_settings(args.config, vars(args), args.command, SHARED_SETTINGS[args.command], required)
 
 
 def _pair_input(args) -> JobInput:
     if (args.sim is None) == (args.score is None):
         raise ValueError("give exactly one of --sim (binary) or --score")
-    return JobInput(
-        kind="binary" if args.sim is not None else "score",
-        sim=args.sim if args.sim is not None else args.score,
-        obs=args.obs,
-        exclusion=args.exclusion,
-        box_id=getattr(args, "box_id", 0),
-        group=getattr(args, "group", "A"),
-        cycle=getattr(args, "cycle", 0),
-    )
+    sim, kind = (args.sim, "binary") if args.sim is not None else (args.score, "score")
+    # A lone pair has no box, group or cycle; no output reads them.
+    return JobInput(kind, sim, args.obs, args.exclusion, box_id=0, group="A", cycle=0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +178,12 @@ def cmd_assess(args) -> int:
 def cmd_sweep(args) -> int:
     settings = _settings(args)
     convention = settings.get("convention", Convention.PAPER)
-    if args.sens is not None and args.tn_rate is not None:
-        rates = AgreementRates(
-            sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0
-        )
+    if args.sens is not None or args.tn_rate is not None:
+        given = [f"--{k.replace('_', '-')}" for k in ("sens", "tn_rate", "sim", "score", "obs", "exclusion")
+                 if getattr(args, k) is not None]
+        if given != ["--sens", "--tn-rate"]:
+            raise ValueError(f"--sens and --tn-rate go together, without a raster pair; got {' '.join(given)}")
+        rates = AgreementRates(sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0)
     elif args.obs is not None:
         a = assess_pair(_pair_input(args), ThresholdPolicy.parse(args.threshold), convention)
         if a.sensitivity is None or a.tn_rate is None:
@@ -257,18 +226,15 @@ def cmd_kde(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    settings = _settings(args)
-    convention = settings.get("convention", Convention.PAPER)
-    out = settings.get("out")
-    if out is None:
-        raise ValueError("converge needs --out")
+    settings = _settings(args, "out")
+    convention, out = settings.get("convention", Convention.PAPER), settings["out"]
     runs = _read_runs(args.runs)
     out.mkdir(parents=True, exist_ok=True)
     write_runs_csv(out / "runs.csv", runs)
     _, scope_summaries = analyze_scopes(
         runs,
         out,
-        alpha_grid=settings.get("alpha_grid") or DEFAULT_ALPHA_GRID,
+        alpha_grid=settings.get("alpha_grid", DEFAULT_ALPHA_GRID),
         bandwidth=settings.get("bandwidth"),
         final_cycle=args.final_cycle,
     )
@@ -308,10 +274,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    settings = _settings(args)
-    out = settings.get("out")
-    if out is None:
-        raise ValueError("synth needs --out")
+    settings = _settings(args, "out")
+    out = settings["out"]
     cfg = SynthConfig(
         rows=args.rows,
         cols=args.cols,
@@ -334,8 +298,7 @@ def cmd_synth(args) -> int:
 def cmd_report(args) -> int:
     if args.config is None:
         raise ValueError("report needs --config")
-    flags = {k: getattr(args, k) for k in SHARED_SETTINGS["report"]}
-    job = load_job(args.config, {k: str(v) for k, v in flags.items() if v is not None})
+    job = load_job(args.config, vars(args))
     manifest = run_job(job)
     print(job.out_dir)
     n_fail = len(manifest["failures"])

@@ -98,6 +98,13 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
     return h
 
 
+def check_bandwidth(bandwidth: float) -> float:
+    """`bandwidth` if it is positive and finite; otherwise a `ValueError`."""
+    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    return bandwidth
+
+
 @dataclass(frozen=True, eq=False)
 class KdeModel:
     """A fitted fixed-bandwidth Epanechnikov density."""
@@ -111,8 +118,7 @@ class KdeModel:
             raise ValueError("cannot fit a density to zero samples")
         if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
-        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        check_bandwidth(self.bandwidth)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

@@ -21,7 +21,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,7 +39,7 @@ from .convergence import (
     pp_curve,
     split_robustness,
 )
-from .kde import GRID, balance_point, find_crossings, fit_kde
+from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import BinaryGrid, Grid, format_float, format_floats, load_grid, threshold_scores, to_binary, to_scores
 from .sampling import POOL_THRESHOLDS
 
@@ -140,10 +140,9 @@ class AssessmentJob:
     def __post_init__(self):
         if not self.inputs:
             raise ValueError("job has no inputs")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.bandwidth is not None:
+            check_bandwidth(self.bandwidth)
+        check_seed(self.seed)
         if not self.alpha_grid:
             raise ValueError("alpha grid is empty")
         missing = [
@@ -157,7 +156,7 @@ class AssessmentJob:
 
 
 # ---------------------------------------------------------------------------
-# Config file + inputs manifest
+# Settings (config file and flags) + inputs manifest
 # ---------------------------------------------------------------------------
 
 
@@ -187,38 +186,16 @@ def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     )
 
 
-def load_job(config_path: str | Path, overrides: Mapping[str, str] | None = None) -> AssessmentJob:
-    """Build a job from a config file; override values win over file values.
+def load_job(config_path: str | Path, overrides: Mapping[str, str | None] | None = None) -> AssessmentJob:
+    """Build a job from a config file and flag values, read by `read_settings`.
 
-    Recognized keys: inputs (CSV manifest path), out, threshold, convention,
-    alpha_grid (comma list), bandwidth, seed, final_cycle. The seed is
+    inputs (the CSV manifest's path) and out must be set. The seed is
     provenance only: it is echoed into the settings of manifest.json and
     feeds no computation.
     """
-    cfg = parse_config(config_path)
-    if overrides:
-        cfg.update({k.lower(): v for k, v in overrides.items() if v is not None})
-    known = {"inputs", "out", "threshold", "convention", "alpha_grid", "bandwidth", "seed", "final_cycle"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for req in ("inputs", "out"):
-        if req not in cfg:
-            raise ValueError(f"config must set '{req}'")
-    base = Path(config_path).parent
-    inputs_path = Path(cfg["inputs"])
-    if not inputs_path.is_absolute():
-        inputs_path = base / inputs_path
-    return AssessmentJob(
-        inputs=read_inputs_manifest(inputs_path),
-        out_dir=Path(cfg["out"]),
-        threshold=ThresholdPolicy.parse(cfg.get("threshold", "value:0.5")),
-        convention=Convention.parse(cfg.get("convention", "paper")),
-        alpha_grid=parse_alpha_grid(cfg.get("alpha_grid", "")) or DEFAULT_ALPHA_GRID,
-        bandwidth=float(cfg["bandwidth"]) if cfg.get("bandwidth") else None,
-        seed=int(cfg.get("seed", "0")),
-        final_cycle=int(cfg["final_cycle"]) if cfg.get("final_cycle") else None,
-    )
+    settings = read_settings(config_path, overrides or {}, required=("inputs", "out"))
+    inputs = read_inputs_manifest(settings.pop("inputs"))
+    return AssessmentJob(inputs=inputs, out_dir=settings.pop("out"), **settings)
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -230,6 +207,69 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"alpha grid values must be in [0, 1], got {v}")
     return vals
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if it is non-negative; otherwise a `ValueError`."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+#: The parser of each setting, for config-file text and flag text alike.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "inputs": Path,
+    "out": Path,
+    "threshold": ThresholdPolicy.parse,
+    "convention": Convention.parse,
+    "alpha_grid": parse_alpha_grid,
+    "bandwidth": lambda v: check_bandwidth(float(v)),
+    "seed": lambda v: check_seed(int(v)),
+    "final_cycle": int,
+}
+
+
+def read_settings(
+    config: str | Path | None,
+    flags: Mapping[str, str | None],
+    command: str = "report",
+    keys: Collection[str] = _PARSERS,
+    required: Collection[str] = (),
+) -> dict[str, Any]:
+    """The settings `keys` that `command` reads, parsed; `report` reads them all.
+
+    `flags` maps a setting to its flag text, None when the flag is not
+    given; other entries are ignored. A flag wins over the `config` file,
+    and an empty value leaves the setting unset and out of the result. A relative `inputs` or `out` path from the config
+    file resolves against the file's directory; one from a flag stays
+    relative to the working directory.
+
+    Raises:
+        ValueError: The config file sets a key `command` does not read, a
+            value is refused (naming the file and key, or the flag), or a
+            `required` setting is unset.
+    """
+    text = parse_config(config) if config is not None else {}
+    unread = sorted(set(text) - set(keys))
+    if unread:
+        raise ValueError(f"{config}: config keys not read by {command}: {unread}")
+    settings: dict[str, Any] = {}
+    for key in keys:
+        flag = flags.get(key)
+        value = text.get(key, "") if flag is None else flag
+        if not value.strip():
+            continue
+        if flag is None and key in ("inputs", "out"):
+            value = Path(config).parent / value
+        try:
+            settings[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            where = f"{config}: {key}" if flag is None else "--" + key.replace("_", "-")
+            raise ValueError(f"{where}: {exc}") from None
+    for key in required:
+        if key not in settings:
+            raise ValueError(f"{command} must set '{key}'")
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +332,11 @@ def assess_pair(
 
     matrix = build_confusion(sim, obs)
     rates = agreement_rates(matrix)
-    pv = (
-        predictive_values(rates, rates.prevalence_observed, convention)
-        if rates.sensitivity is not None and rates.tn_rate is not None
-        else None
-    )
-    lr = dor = None
+    pv = lr = dor = None
     if rates.sensitivity is not None and rates.tn_rate is not None:
-        ratios = likelihood_ratios(rates, convention)
-        lr = ratios
-        dor = diagnostic_odds_ratio(ratios)
+        pv = predictive_values(rates, rates.prevalence_observed, convention)
+        lr = likelihood_ratios(rates, convention)
+        dor = diagnostic_odds_ratio(lr)
     return PairAssessment(
         input=inp,
         tp=matrix.tp,

@@ -171,6 +171,22 @@ class TestSweep:
     def test_no_rates_no_rasters(self):
         expect_failure(["sweep", "--prevalences", "0.5"])
 
+    @pytest.mark.parametrize("rate", [["--sens", "0.8"], ["--tn-rate", "0.7"]])
+    def test_one_rate_alone_is_a_usage_error(self, raster_pair, rate, capsys):
+        sim, obs = raster_pair
+        expect_failure(["sweep", *rate])
+        message = "error: --sens and --tn-rate go together, without a raster pair; got"
+        assert capsys.readouterr().err == f"{message} {rate[0]}\n"
+        expect_failure(["sweep", *rate, "--sim", sim, "--obs", obs])
+        assert capsys.readouterr().err == f"{message} {rate[0]} --sim --obs\n"
+
+    def test_rates_with_a_raster_pair_is_a_usage_error(self, score_pair, capsys):
+        score, obs = score_pair
+        expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--obs", obs, "--score", score])
+        assert capsys.readouterr().err == (
+            "error: --sens and --tn-rate go together, without a raster pair; got --sens --tn-rate --score --obs\n"
+        )
+
 
 class TestKde:
     @pytest.fixture
@@ -272,6 +288,14 @@ class TestConverge:
 
     def test_requires_out(self, runs_csv):
         expect_failure(["converge", "--runs", runs_csv])
+
+    @pytest.mark.parametrize("bandwidth", ["0", "-0.1", "inf", "nan"])
+    def test_bad_bandwidth_is_a_usage_error(self, runs_csv, tmp_path, bandwidth, capsys):
+        out_dir = tmp_path / "conv"
+        expect_failure(["converge", "--runs", runs_csv, "--out", str(out_dir), "--bandwidth", bandwidth])
+        err = capsys.readouterr().err
+        assert err == f"error: --bandwidth: bandwidth must be positive and finite, got {float(bandwidth)}\n"
+        assert not out_dir.exists()
 
     def test_empty_runs_file(self, tmp_path):
         path = tmp_path / "runs.csv"
@@ -395,6 +419,13 @@ class TestSample:
         c_selected = [r[0] for r in body if "C" in r[7]]
         assert c_selected == ["0", "2", "5"]
 
+    def test_negative_seed_is_a_usage_error(self, region, capsys):
+        change, excl = region
+        # 10 quantiles exceed every pool, so no draw would reach the seed.
+        argv = ["sample", "--change", change, "--exclusion", excl, "--box-cells", "4", "--n-quantiles", "10"]
+        expect_failure(argv + ["--seed", "-1"])
+        assert capsys.readouterr().err == "error: --seed: seed must be non-negative, got -1\n"
+
     def test_deterministic(self, region, capsys):
         first = self.run_sample(region, capsys)
         second = self.run_sample(region, capsys)
@@ -471,6 +502,28 @@ class TestReport:
     def test_requires_config(self):
         expect_failure(["report"])
 
+    def test_infinite_bandwidth_in_config_is_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        config_path.write_text(config_path.read_text() + "bandwidth = inf\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: bandwidth: bandwidth must be positive and finite, got inf\n"
+        )
+        assert not out_dir.exists()
+
+    def test_relative_config_paths_resolve_against_the_config_file(self, job_tree, tmp_path, monkeypatch, capsys):
+        config_path, out_dir = job_tree
+        job_dir = tmp_path / "job"
+        job_dir.mkdir()
+        text = config_path.read_text().replace(f"inputs = {tmp_path}", "inputs = ..")
+        (job_dir / "job.cfg").write_text(text.replace(f"out = {out_dir}", "out = results"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(UserWarning):
+            assert main(["report", "--config", "job/job.cfg"]) == 0
+        assert capsys.readouterr().out == "job/results\n"
+        assert (job_dir / "results" / "manifest.json").exists()
+        assert not (tmp_path / "results").exists()
+
     def test_short_manifest_row_is_a_usage_error(self, job_tree, capsys):
         config_path, _ = job_tree
         manifest = config_path.parent / "data" / "inputs.csv"
@@ -524,6 +577,7 @@ class TestSharedSettings:
             for command in ("assess", "sweep")
             for flag, value in (("--seed", "1"), ("--alpha-grid", "0.5"), ("--bandwidth", "0.1"))
         ]
+        + [("assess", "--box-id", "7"), ("assess", "--group", "Z"), ("assess", "--cycle", "9")]
         + [("kde", "--seed", "1"), ("kde", "--alpha-grid", "0.5"), ("kde", "--convention", "paper")]
         + [("kde", "--grid-points", "16")]
         + [("converge", "--seed", "1"), ("converge", "--threshold", "value:0.5")]
@@ -549,6 +603,31 @@ class TestSharedSettings:
         err = capsys.readouterr().err
         assert f"not read by {command}" in err
         assert repr(key) in err
+
+    def test_relative_out_resolves_against_the_config_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "job").mkdir()
+        (tmp_path / "job" / "job.cfg").write_text("out = results\n")
+        monkeypatch.chdir(tmp_path)
+        base = ["sweep", "--sens", "0.8", "--tn-rate", "0.9", "--prevalences", "0.5", "--config", "job/job.cfg"]
+        assert main(base) == 0
+        assert main(base + ["--out", "flagged"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["job/results/sweep.csv", "flagged/sweep.csv"]
+        assert (tmp_path / "job" / "results" / "sweep.csv").exists()
+        assert (tmp_path / "flagged" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("synth", "seed = abc", "seed: invalid literal for int() with base 10: 'abc'"),
+            ("kde", "bandwidth = 0", "bandwidth: bandwidth must be positive and finite, got 0.0"),
+            ("sweep", "convention = bayes", "convention: unknown convention 'bayes'"),
+        ],
+    )
+    def test_bad_config_value_names_the_file_and_key(self, command, line, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        expect_failure([command, *REQUIRED_ARGS[command], "--config", str(cfg)])
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
 
     def test_config_supplies_seed_to_synth(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"

@@ -15,6 +15,7 @@ from mapbayes import Grid, RunRecord, SynthConfig, generate_pair, load_grid, thr
 from mapbayes import report
 from mapbayes.raster import format_floats
 from mapbayes.bayes import Convention
+from mapbayes.convergence import DEFAULT_ALPHA_GRID
 from mapbayes.report import (
     AssessmentJob,
     JobInput,
@@ -183,7 +184,7 @@ class TestLoadJob:
     def test_unknown_key_rejected(self, job_tree):
         config_path, _ = job_tree
         config_path.write_text(config_path.read_text() + "bogus = 1\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match=r"config keys not read by report: \['bogus'\]"):
             load_job(config_path)
 
     def test_missing_required_key(self, tmp_path):
@@ -202,6 +203,40 @@ class TestLoadJob:
         config_path.write_text("\n".join(lines) + "\n")
         job = load_job(config_path)
         assert len(job.inputs) == 12
+
+    def test_relative_out_resolves_against_config_and_flag_against_cwd(self, job_tree, tmp_path, monkeypatch):
+        config_path, _ = job_tree
+        config_path.write_text(config_path.read_text().replace(f"out = {tmp_path / 'out'}", "out = results"))
+        monkeypatch.chdir(tmp_path / "data")
+        assert load_job(config_path).out_dir == tmp_path / "results"
+        assert load_job(config_path, overrides={"out": "flagged"}).out_dir == Path("flagged")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = abc", "seed: invalid literal for int() with base 10: 'abc'"),
+            ("bandwidth = wide", "bandwidth: could not convert string to float: 'wide'"),
+            ("convention = bayes", "convention: unknown convention 'bayes'"),
+            ("threshold = top:3", "threshold: cannot parse threshold policy 'top:3'"),
+        ],
+        ids=["int", "float", "text", "threshold"],
+    )
+    def test_bad_value_names_the_file_and_key(self, job_tree, line, message):
+        config_path, _ = job_tree
+        config_path.write_text(config_path.read_text() + line + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_job(config_path)
+        assert str(exc.value).startswith(f"{config_path}: {message}")
+
+    def test_empty_value_leaves_the_setting_unset(self, job_tree):
+        config_path, _ = job_tree
+        config_path.write_text(config_path.read_text() + "alpha_grid =\nbandwidth =\nseed =\n")
+        job = load_job(config_path)
+        assert (job.alpha_grid, job.bandwidth, job.seed) == (DEFAULT_ALPHA_GRID, None, 0)
+
+    def test_config_is_parsed_by_the_settings_reader_alone(self):
+        # A second reader of config files would drift from its key check, parsers and path rule.
+        assert functions_spelling(r"(?<!def )\bparse_config\(") == {("report.py", "read_settings")}
 
     def test_missing_raster_file_rejected_up_front(self, job_tree):
         config_path, _ = job_tree

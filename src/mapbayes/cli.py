@@ -23,7 +23,9 @@ from .convergence import DEFAULT_ALPHA_GRID, RunTable
 from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
+    DEFAULT_THRESHOLD,
     JobInput,
+    PairAssessment,
     ThresholdPolicy,
     analyze_scopes,
     assess_pair,
@@ -61,7 +63,7 @@ SHARED_SETTINGS: dict[str, tuple[str, ...]] = {
     "assess": ("out", "convention"),
     "sweep": ("out", "convention"),
     "kde": ("out", "bandwidth"),
-    "converge": ("out", "convention", "alpha_grid", "bandwidth"),
+    "converge": ("out", "alpha_grid", "bandwidth"),
     "sample": ("out", "seed"),
     "synth": ("out", "seed"),
     "report": ("out", "convention", "alpha_grid", "bandwidth", "seed"),
@@ -136,7 +138,7 @@ def _add_pair_arguments(p: argparse.ArgumentParser, required: bool = True) -> No
     p.add_argument("--score", type=Path, required=False, help="predicted score raster (needs --threshold)")
     p.add_argument("--obs", type=Path, required=required, help="observed binary raster")
     p.add_argument("--exclusion", type=Path, help="exclusionary raster (nonzero = excluded)")
-    p.add_argument("--threshold", default="value:0.5", help="value:<t>, quantity:<n>, or quantity:obs")
+    p.add_argument("--threshold", help="for --score: value:<t>, quantity:<n>, or quantity:obs (default value:0.5)")
 
 
 def _settings(args, *required: str) -> dict[str, Any]:
@@ -144,12 +146,17 @@ def _settings(args, *required: str) -> dict[str, Any]:
     return read_settings(args.config, vars(args), args.command, SHARED_SETTINGS[args.command], required)
 
 
-def _pair_input(args) -> JobInput:
+def _assess(args, convention: Convention) -> PairAssessment:
+    """Assess the pair that --sim or --score and --obs name."""
     if (args.sim is None) == (args.score is None):
         raise ValueError("give exactly one of --sim (binary) or --score")
+    if args.sim is not None and args.threshold is not None:
+        raise ValueError("--threshold applies to --score only; a --sim raster is already classified")
     sim, kind = (args.sim, "binary") if args.sim is not None else (args.score, "score")
+    threshold = DEFAULT_THRESHOLD if args.threshold is None else ThresholdPolicy.parse(args.threshold)
     # A lone pair has no box, group or cycle; no output reads them.
-    return JobInput(kind, sim, args.obs, args.exclusion, box_id=0, group="A", cycle=0)
+    inp = JobInput(kind, sim, args.obs, args.exclusion, box_id=0, group="A", cycle=0)
+    return assess_pair(inp, threshold, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +167,7 @@ def _pair_input(args) -> JobInput:
 def cmd_assess(args) -> int:
     settings = _settings(args)
     convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
-    inp = _pair_input(args)
-    a = assess_pair(inp, ThresholdPolicy.parse(args.threshold), convention)
+    a = _assess(args, convention)
     rates = format_floats((a.sensitivity, a.tn_rate, a.prevalence, a.pcm))
     ratios = format_floats((a.ppv, a.npv, a.lr_pos, a.lr_neg, a.dor))
     header = ("tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm", "convention")
@@ -179,13 +185,13 @@ def cmd_sweep(args) -> int:
     settings = _settings(args)
     convention = settings.get("convention", Convention.PAPER)
     if args.sens is not None or args.tn_rate is not None:
-        given = [f"--{k.replace('_', '-')}" for k in ("sens", "tn_rate", "sim", "score", "obs", "exclusion")
-                 if getattr(args, k) is not None]
+        flags = ("sens", "tn_rate", "sim", "score", "obs", "exclusion", "threshold")
+        given = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None]
         if given != ["--sens", "--tn-rate"]:
             raise ValueError(f"--sens and --tn-rate go together, without a raster pair; got {' '.join(given)}")
         rates = AgreementRates(sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0)
     elif args.obs is not None:
-        a = assess_pair(_pair_input(args), ThresholdPolicy.parse(args.threshold), convention)
+        a = _assess(args, convention)
         if a.sensitivity is None or a.tn_rate is None:
             raise ValueError("pair has an undefined rate; sweep needs both sensitivity and tn_rate")
         rates = AgreementRates(
@@ -227,7 +233,7 @@ def cmd_kde(args) -> int:
 
 def cmd_converge(args) -> int:
     settings = _settings(args, "out")
-    convention, out = settings.get("convention", Convention.PAPER), settings["out"]
+    out = settings["out"]
     runs = _read_runs(args.runs)
     out.mkdir(parents=True, exist_ok=True)
     write_runs_csv(out / "runs.csv", runs)
@@ -238,7 +244,7 @@ def cmd_converge(args) -> int:
         bandwidth=settings.get("bandwidth"),
         final_cycle=args.final_cycle,
     )
-    write_json(out / "summary.json", {"convention": convention.value, "scopes": scope_summaries})
+    write_json(out / "summary.json", {"scopes": scope_summaries})
     for scope in sorted(scope_summaries):
         sel = scope_summaries[scope].get("selected_alpha")
         print(f"{scope} selected_alpha {format_float(sel) if sel is not None else 'none'}")

@@ -19,8 +19,8 @@ O(n) once and O(log n) per point, and agrees with the direct sum to rounding.
 
 Each fitted density is tabulated once on the fixed 512-point `GRID` over
 [0, 1]; the crossing search scans that table for sign changes and refines
-each one by bisection. The crossings give the prevalence at which positive
-and negative predictive-value densities balance.
+them all by one bisection in lockstep. The crossings give the prevalence at
+which positive and negative predictive-value densities balance.
 """
 
 from __future__ import annotations
@@ -228,43 +228,42 @@ class Crossing:
 def find_crossings(f_pos: KdeModel, f_neg: KdeModel) -> list[Crossing]:
     """All crossings of two densities in [0, 1].
 
-    The difference is scanned at the points of `GRID`; each sign change is
-    refined by bisection to 1e-6. Crossings come back sorted by x. Points
-    where both densities vanish are skipped - equality only counts where
-    there is density to balance.
+    The difference is scanned at the points of `GRID`; every sign change is
+    refined by bisection to 1e-6, all of them in lockstep with one array
+    evaluation per step, and a midpoint where the densities are equal closes
+    its bracket there. Crossings come back sorted by x. Points where both
+    densities vanish are skipped - equality only counts where there is
+    density to balance.
 
     Raises:
         ValueError: Densities equal at every grid point (degenerate), or no
             crossing found.
     """
-
-    def diff(v: float) -> float:
-        return f_pos.evaluate(v) - f_neg.evaluate(v)
-
     dens_pos = f_pos.on_grid
     g = dens_pos - f_neg.on_grid
 
     if not np.any(g):
         raise ValueError("densities are identical across the search interval; no isolated crossing")
 
-    roots: list[float] = []
-    for i in range(GRID.size - 1):
-        if g[i] == 0.0:
-            if dens_pos[i] > 0.0:
-                roots.append(float(GRID[i]))
-        elif g[i] * g[i + 1] < 0.0:
-            roots.append(_bisect(diff, float(GRID[i]), float(GRID[i + 1])))
-    if g[-1] == 0.0 and dens_pos[-1] > 0.0:
-        roots.append(float(GRID[-1]))
+    at = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    lo, hi, g_lo = GRID[at], GRID[at + 1], g[at]
+    while (step := np.flatnonzero(hi - lo > _BISECT_TOL)).size:
+        mid = 0.5 * (lo[step] + hi[step])
+        g_mid = f_pos.evaluate(mid) - f_neg.evaluate(mid)
+        left = (g_lo[step] < 0.0) != (g_mid < 0.0)  # the sign changes in [lo, mid]
+        zero = g_mid == 0.0
+        hi[step] = np.where(left | zero, mid, hi[step])
+        lo[step] = np.where(left & ~zero, lo[step], mid)
+        g_lo[step] = np.where(left, g_lo[step], g_mid)
 
+    roots = GRID[(g == 0.0) & (dens_pos > 0.0)].tolist() + (0.5 * (lo + hi)).tolist()
     if not roots:
         raise ValueError("densities do not cross in [0.0, 1.0]")
 
-    out = []
-    for r in _dedupe(roots):
-        val = 0.5 * (f_pos.evaluate(r) + f_neg.evaluate(r))
-        out.append(Crossing(x=r, density=val))
-    return out
+    xs = _dedupe(roots)
+    at_x = np.array(xs)
+    density = 0.5 * (f_pos.evaluate(at_x) + f_neg.evaluate(at_x))
+    return [Crossing(x=x, density=d) for x, d in zip(xs, density.tolist())]
 
 
 def density_intersection(f_pos: KdeModel, f_neg: KdeModel) -> float:
@@ -287,22 +286,6 @@ def balance_point(crossings: Sequence[Crossing]) -> Crossing:
     """
     top = max(c.density for c in crossings)
     return next(c for c in crossings if top - c.density <= _TIE_RTOL * top)
-
-
-def _bisect(fn, lo: float, hi: float) -> float:
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def _dedupe(roots: list[float], tol: float = 10 * _BISECT_TOL) -> list[float]:

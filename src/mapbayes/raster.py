@@ -97,8 +97,43 @@ def _read_only(values: Any, dtype: type) -> NDArray[Any]:
 # ---------------------------------------------------------------------------
 
 
+class _Raster:
+    """What the three grid containers share: the shape, and one construction step."""
+
+    values: NDArray[Any]
+    cell_size: float
+
+    def _keep_values(self, dtype: type) -> NDArray[Any]:
+        """Check the cell size, then keep `values` as a read-only array of `dtype`.
+
+        Raises:
+            ValueError: A cell size that is not positive and finite, a lossy
+                cast (see `_read_only`), or values that are not a non-empty
+                2-D array.
+        """
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        arr = _read_only(self.values, dtype)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"{type(self).__name__} values must be a non-empty 2-D array, got shape {arr.shape}")
+        object.__setattr__(self, "values", arr)
+        return arr
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+
 @dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(_Raster):
     """A rectangular raster of real values with a nodata sentinel.
 
     Attributes:
@@ -116,24 +151,7 @@ class Grid:
     nodata: float = -9999.0
 
     def __post_init__(self):
-        arr = _read_only(self.values, np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"grid values must be a non-empty 2-D array, got shape {arr.shape}")
-        if not 0.0 < self.cell_size < math.inf:
-            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        self._keep_values(np.float64)
 
     def nodata_mask(self) -> NDArray[np.bool_]:
         """Boolean array, True where the cell holds the nodata sentinel (NaN matches NaN)."""
@@ -143,7 +161,7 @@ class Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryGrid:
+class BinaryGrid(_Raster):
     """A classified raster: 1 (event), 0 (non-event), or EXCLUDED per cell."""
 
     values: IntArray
@@ -152,27 +170,12 @@ class BinaryGrid:
     origin_y: float = 0.0
 
     def __post_init__(self):
-        arr = _read_only(self.values, np.int8)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"binary grid must be a non-empty 2-D array, got shape {arr.shape}")
+        arr = self._keep_values(np.int8)
         # An int8 array holds only EXCLUDED, 0 and 1 exactly when its range
         # does; the slower isin only names the first bad cell.
         if arr.min() < EXCLUDED or arr.max() > 1:
             idx = int(np.flatnonzero(~np.isin(arr, (0, 1, EXCLUDED)))[0])
             raise ValueError(f"binary grid holds a value other than 0/1/excluded at flat index {idx}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     @property
     def n_ones(self) -> int:
@@ -197,7 +200,7 @@ class BinaryGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreGrid:
+class ScoreGrid(_Raster):
     """A raster of scores in [0, 1] with an exclusion mask."""
 
     values: FloatArray
@@ -207,9 +210,7 @@ class ScoreGrid:
     origin_y: float = 0.0
 
     def __post_init__(self):
-        arr = _read_only(self.values, np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"score grid must be a non-empty 2-D array, got shape {arr.shape}")
+        arr = self._keep_values(np.float64)
         if self.excluded is None:
             mask = np.zeros(arr.shape, dtype=bool)
             mask.setflags(write=False)
@@ -224,20 +225,7 @@ class ScoreGrid:
                 raise ValueError("NaN scores on non-excluded cells")
             if lo < 0.0 or np.max(live) > 1.0:
                 raise ValueError("scores outside [0, 1] on non-excluded cells")
-        object.__setattr__(self, "values", arr)
         object.__setattr__(self, "excluded", mask)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     def as_grid(self, nodata: float = -9999.0) -> Grid:
         vals = self.values.copy()
@@ -425,6 +413,13 @@ def to_scores(grid: Grid, exclusion: Grid | None = None) -> ScoreGrid:
     return ScoreGrid(vals, excluded, grid.cell_size, grid.origin_x, grid.origin_y)
 
 
+def check_quantity(quantity: Any) -> int:
+    """`quantity` if it is a non-negative integer (a bool is not one); otherwise a `ValueError`."""
+    if isinstance(quantity, bool) or not isinstance(quantity, (int, np.integer)) or quantity < 0:
+        raise ValueError(f"quantity must be a non-negative integer, got {quantity!r}")
+    return quantity
+
+
 def threshold_scores(
     scores: ScoreGrid,
     *,
@@ -448,9 +443,9 @@ def threshold_scores(
             equals 0.0).
 
     Raises:
-        ValueError: Both or neither mode given, quantity not an integer (a
-            bool is not one), or quantity outside [0, number of
-            non-excluded cells].
+        ValueError: Both or neither mode given, quantity refused by
+            `check_quantity`, or quantity above the number of non-excluded
+            cells.
     """
     if (value is None) == (quantity is None):
         raise ValueError("give exactly one of value= or quantity=")
@@ -459,12 +454,11 @@ def threshold_scores(
     if value is not None:
         out = (vals >= value).astype(np.int8)
     else:
-        if isinstance(quantity, bool) or not isinstance(quantity, (int, np.integer)):
-            raise ValueError(f"quantity must be a non-negative integer, got {quantity!r}")
+        check_quantity(quantity)
         live = ~scores.excluded
         live_vals = vals[live]
         n_live = live_vals.size
-        if quantity < 0 or quantity > n_live:
+        if quantity > n_live:
             raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
         # The cut is the quantity-th largest live score; no score reaches inf.
         cut = np.partition(live_vals, n_live - quantity)[n_live - quantity] if quantity else np.inf

@@ -40,8 +40,10 @@ from .convergence import (
     split_robustness,
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
-from .raster import BinaryGrid, Grid, format_float, format_floats, load_grid, threshold_scores, to_binary, to_scores
-from .sampling import POOL_THRESHOLDS
+from .raster import (
+    BinaryGrid, Grid, check_quantity, format_float, format_floats, load_grid, threshold_scores, to_binary, to_scores
+)
+from .sampling import POOL_THRESHOLDS, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -72,10 +74,8 @@ class ThresholdPolicy:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "value" and not (isinstance(self.value, numbers.Real) and 0.0 <= self.value <= 1.0):
             raise ValueError(f"value threshold needs a cut in [0, 1], got {self.value!r}")
-        if self.kind == "quantity" and (
-            isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer)) or self.value < 0
-        ):
-            raise ValueError(f"quantity threshold needs a non-negative integer count, got {self.value!r}")
+        if self.kind == "quantity":
+            check_quantity(self.value)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdPolicy":
@@ -99,6 +99,10 @@ class ThresholdPolicy:
         if self.kind == "quantity":
             return f"quantity:{self.value}"
         return "quantity:obs"
+
+
+#: The policy of a score prediction when none is given.
+DEFAULT_THRESHOLD = ThresholdPolicy("value", 0.5)
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class AssessmentJob:
 
     inputs: tuple[JobInput, ...]
     out_dir: Path
-    threshold: ThresholdPolicy = ThresholdPolicy("value", 0.5)
+    threshold: ThresholdPolicy = DEFAULT_THRESHOLD
     convention: Convention = Convention.PAPER
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     bandwidth: float | None = None
@@ -145,6 +149,7 @@ class AssessmentJob:
         check_seed(self.seed)
         if not self.alpha_grid:
             raise ValueError("alpha grid is empty")
+        asymmetric_family(self.alpha_grid)  # refuses an offset outside [0, 1] before any work
         missing = [
             str(p)
             for inp in self.inputs
@@ -161,8 +166,9 @@ class AssessmentJob:
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    """Read a key = value config file ('#' starts a comment)."""
+    """Read a key = value config file ('#' starts a comment); a key may be set once."""
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,7 +176,11 @@ def parse_config(path: str | Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in set_on:
+            raise ValueError(f"{path}: key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
+        set_on[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -189,31 +199,24 @@ def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
 def load_job(config_path: str | Path, overrides: Mapping[str, str | None] | None = None) -> AssessmentJob:
     """Build a job from a config file and flag values, read by `read_settings`.
 
-    inputs (the CSV manifest's path) and out must be set. The seed is
+    inputs (the CSV manifest's path) and out must be set; threshold may be
+    set only when the manifest lists a score raster. The seed is
     provenance only: it is echoed into the settings of manifest.json and
     feeds no computation.
     """
     settings = read_settings(config_path, overrides or {}, required=("inputs", "out"))
     inputs = read_inputs_manifest(settings.pop("inputs"))
-    return AssessmentJob(inputs=inputs, out_dir=settings.pop("out"), **settings)
+    job = AssessmentJob(inputs=inputs, out_dir=settings.pop("out"), **settings)
+    if "threshold" in settings and all(inp.kind != "score" for inp in inputs):
+        raise ValueError(f"{config_path}: threshold: the inputs list no score raster to threshold")
+    return job
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated offset list; empty text gives ()."""
+    """Parse a comma-separated offset list, each refused as `ConvergenceForm` would; empty text gives ()."""
     if not text.strip():
         return ()
-    vals = tuple(float(t) for t in text.split(","))
-    for v in vals:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"alpha grid values must be in [0, 1], got {v}")
-    return vals
-
-
-def check_seed(seed: int) -> int:
-    """`seed` if it is non-negative; otherwise a `ValueError`."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    return tuple(form.alpha for form in asymmetric_family(float(t) for t in text.split(",")))
 
 
 #: The parser of each setting, for config-file text and flag text alike.

@@ -87,29 +87,17 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
     if side > rows or side > cols:
         raise ValueError(f"box side {side} exceeds region shape {rows}x{cols}")
 
-    change = urban_change.values == 1
-    excl = exclusion.values == 1
-    boxes: list[SampleBox] = []
-    box_id = 0
-    for r0 in range(0, rows - side + 1, side):
-        for c0 in range(0, cols - side + 1, side):
-            n_change = int(np.count_nonzero(change[r0 : r0 + side, c0 : c0 + side]))
-            n_excl = int(np.count_nonzero(excl[r0 : r0 + side, c0 : c0 + side]))
-            pct_change = n_change / box_cells
-            pct_excl = n_excl / box_cells
-            boxes.append(
-                SampleBox(
-                    box_id=box_id,
-                    row0=r0,
-                    col0=c0,
-                    side=side,
-                    pct_urban_change=pct_change,
-                    pct_exclusionary=pct_excl,
-                    index=change_exclusion_index(pct_change, pct_excl),
-                )
-            )
-            box_id += 1
-    return boxes
+    n_r, n_c = rows // side, cols // side
+
+    def pct(grid: BinaryGrid) -> list[float]:
+        # The whole boxes, one (side x side) block each, counted at once.
+        ones = grid.values[: n_r * side, : n_c * side] == 1
+        return (ones.reshape(n_r, side, n_c, side).sum(axis=(1, 3)) / box_cells).ravel().tolist()
+
+    return [
+        SampleBox(i, i // n_c * side, i % n_c * side, side, change, excl, change_exclusion_index(change, excl))
+        for i, (change, excl) in enumerate(zip(pct(urban_change), pct(exclusion)))
+    ]
 
 
 def classify_pools(boxes: Sequence[SampleBox]) -> dict[str, list[SampleBox]]:
@@ -163,8 +151,13 @@ def draw_quantile_sample(
     return drawn
 
 
-def _substream(seed: int, label: str) -> np.random.SeedSequence:
-    """Deterministic per-(seed, label) seed sequence."""
+def check_seed(seed: int) -> int:
+    """`seed` if it is non-negative; otherwise a `ValueError`."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.SeedSequence([seed, *label.encode("utf-8")])
+    return seed
+
+
+def _substream(seed: int, label: str) -> np.random.SeedSequence:
+    """Deterministic per-(seed, label) seed sequence."""
+    return np.random.SeedSequence([check_seed(seed), *label.encode("utf-8")])

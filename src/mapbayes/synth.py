@@ -13,6 +13,7 @@ import numpy as np
 
 from .convergence import RunRecord
 from .raster import EXCLUDED, BinaryGrid, ScoreGrid
+from .sampling import check_seed
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if self.change_fraction < 0 or self.exclusion_fraction < 0:
             raise ValueError("fractions must be non-negative")
         if self.change_fraction + self.exclusion_fraction > 1.0:

@@ -120,6 +120,23 @@ class TestAssess:
         expect_failure(["assess", "--score", score, "--obs", obs, "--threshold", "value:abc"])
         assert capsys.readouterr().err == "error: value threshold needs a cut in [0, 1], got 'abc'\n"
 
+    def test_threshold_with_a_classified_prediction_is_a_usage_error(self, raster_pair, capsys):
+        # A --sim raster is never thresholded, so the flag would do nothing.
+        sim, obs = raster_pair
+        expect_failure(["assess", "--sim", sim, "--obs", obs, "--threshold", "value:0.9"])
+        assert capsys.readouterr().err == (
+            "error: --threshold applies to --score only; a --sim raster is already classified\n"
+        )
+
+    def test_score_without_threshold_cuts_at_one_half(self, score_pair, capsys):
+        score, obs = score_pair
+        assert main(["assess", "--score", score, "--obs", obs]) == 0
+        default = capsys.readouterr().out
+        assert main(["assess", "--score", score, "--obs", obs, "--threshold", "value:0.5"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["assess", "--score", score, "--obs", obs, "--threshold", "value:0.9"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_neither_prediction_rejected(self, raster_pair):
         _, obs = raster_pair
         expect_failure(["assess", "--obs", obs])
@@ -185,6 +202,13 @@ class TestSweep:
         expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--obs", obs, "--score", score])
         assert capsys.readouterr().err == (
             "error: --sens and --tn-rate go together, without a raster pair; got --sens --tn-rate --score --obs\n"
+        )
+
+
+    def test_rates_with_a_threshold_is_a_usage_error(self, capsys):
+        expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--threshold", "quantity:obs"])
+        assert capsys.readouterr().err == (
+            "error: --sens and --tn-rate go together, without a raster pair; got --sens --tn-rate --threshold\n"
         )
 
 
@@ -280,6 +304,7 @@ class TestConverge:
         assert {"kde_all.csv", "ppcurve_all.csv", "kde_A.csv", "ppcurve_C.csv"} <= names
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["scopes"]["all"]["selected_alpha"] == 0.25
+        assert set(summary) == {"scopes"}
 
     def test_final_cycle_flag(self, runs_csv, tmp_path):
         out_dir = tmp_path / "conv2"
@@ -531,6 +556,24 @@ class TestReport:
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == f"error: {manifest}: line 14 has 3 fields, the header has 7\n"
 
+    def test_threshold_without_a_score_input_is_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(line for line in lines if not line.startswith("score,")) + "\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: threshold: the inputs list no score raster to threshold\n"
+        )
+        assert not out_dir.exists()
+
+    def test_a_config_key_set_twice_is_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        config_path.write_text(config_path.read_text() + "seed = 2\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == f"error: {config_path}: key 'seed' is set twice, on lines 6 and 7\n"
+        assert not out_dir.exists()
+
     def test_failed_inputs_reported_on_stderr(self, job_tree, capsys):
         config_path, _ = job_tree
         data_dir = config_path.parent / "data"
@@ -580,7 +623,7 @@ class TestSharedSettings:
         + [("assess", "--box-id", "7"), ("assess", "--group", "Z"), ("assess", "--cycle", "9")]
         + [("kde", "--seed", "1"), ("kde", "--alpha-grid", "0.5"), ("kde", "--convention", "paper")]
         + [("kde", "--grid-points", "16")]
-        + [("converge", "--seed", "1"), ("converge", "--threshold", "value:0.5")]
+        + [("converge", "--seed", "1"), ("converge", "--threshold", "value:0.5"), ("converge", "--convention", "paper")]
         + [
             (command, flag, value)
             for command in ("sample", "synth")
@@ -594,7 +637,7 @@ class TestSharedSettings:
     @pytest.mark.parametrize(
         "command, key",
         [("assess", "seed"), ("sweep", "bandwidth"), ("kde", "convention"), ("converge", "threshold"),
-         ("sample", "alpha_grid"), ("synth", "bandwidth")],
+         ("converge", "convention"), ("sample", "alpha_grid"), ("synth", "bandwidth")],
     )
     def test_unread_config_key_is_an_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"

@@ -38,13 +38,27 @@ class TestGridContainers:
     def test_grid_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             Grid(np.zeros(5))
-        with pytest.raises(ValueError, match="2-D"):
-            Grid(np.zeros((0, 3)))
+        for make in (Grid, BinaryGrid, ScoreGrid):
+            message = f"{make.__name__} values must be a non-empty 2-D array, got shape \\(0, 3\\)"
+            with pytest.raises(ValueError, match=message):
+                make(np.zeros((0, 3)))
 
     def test_grid_rejects_bad_cell_size(self):
         for bad in (0, -30.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="cell_size must be positive and finite"):
                 Grid(np.zeros((2, 2)), cell_size=bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf], ids=["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda size: BinaryGrid(np.zeros((2, 2)), cell_size=size),
+         lambda size: ScoreGrid(np.zeros((2, 2)), None, size)],
+        ids=["BinaryGrid", "ScoreGrid"],
+    )
+    def test_classified_grids_refuse_a_bad_cell_size_when_built(self, make, bad):
+        # Not later, when the grid is written or compared with another.
+        with pytest.raises(ValueError, match=f"cell_size must be positive and finite, got {bad}"):
+            make(bad)
 
     def test_grid_values_are_read_only(self):
         g = Grid(np.zeros((2, 2)))
@@ -469,7 +483,7 @@ class TestThresholdScores:
         s = ScoreGrid(np.array([[0.5, 0.5]]), excluded=np.array([[False, True]]))
         with pytest.raises(ValueError, match="quantity 2 outside"):
             threshold_scores(s, quantity=2)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="quantity must be a non-negative integer, got -1"):
             threshold_scores(s, quantity=-1)
 
     @pytest.mark.parametrize(

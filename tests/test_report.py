@@ -100,6 +100,22 @@ class TestOneReaderOneWriter:
         assert functions_spelling(r"csv\.(writer|DictWriter)\(") == writers
 
 
+class TestOneRuleOneFunction:
+    @pytest.mark.parametrize(
+        "message, place",
+        [
+            ("seed must be non-negative", ("sampling.py", "check_seed")),
+            ("must be a non-empty 2-D array", ("raster.py", "_keep_values")),
+            ("cell_size must be positive and finite", ("raster.py", "_keep_values")),
+            ("quantity must be a non-negative integer", ("raster.py", "check_quantity")),
+            ("alpha must be in [0, 1]", ("convergence.py", "__post_init__")),
+        ],
+    )
+    def test_each_input_rule_is_written_once(self, message, place):
+        # A rule written twice drifts: one copy gains a check the other lacks.
+        assert functions_spelling(re.escape(message)) == {place}
+
+
 class TestThresholdPolicy:
     def test_parse_value(self):
         p = ThresholdPolicy.parse("value:0.4")
@@ -118,12 +134,12 @@ class TestThresholdPolicy:
 
     @pytest.mark.parametrize("count", [2.5, 2.0, math.inf, True, None])
     def test_quantity_count_must_be_an_integer(self, count):
-        with pytest.raises(ValueError, match="quantity threshold needs a non-negative integer count"):
+        with pytest.raises(ValueError, match="quantity must be a non-negative integer"):
             ThresholdPolicy("quantity", count)
 
     @pytest.mark.parametrize("text", ["quantity:2.5", "quantity:inf", "quantity:", "quantity:-1"])
     def test_parsed_quantity_must_be_a_count(self, text):
-        with pytest.raises(ValueError, match="quantity threshold needs a non-negative integer count, got"):
+        with pytest.raises(ValueError, match="quantity must be a non-negative integer, got"):
             ThresholdPolicy.parse(text)
 
     @pytest.mark.parametrize("text, arg", [("value:abc", "'abc'"), ("value:", "''"), ("value:1.5", "1.5")])
@@ -142,6 +158,13 @@ class TestThresholdPolicy:
             ThresholdPolicy("area", 1)
 
 
+def set_config_line(config_path, line):
+    """Write `line` into a config file in place of the line that sets the same key, if any."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in config_path.read_text().splitlines() if old.partition("=")[0].strip() != key]
+    config_path.write_text("\n".join(kept + [line]) + "\n")
+
+
 class TestParseConfig:
     def test_comments_blanks_and_case(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -154,6 +177,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="key = value"):
             parse_config(p)
 
+    def test_a_key_set_twice_is_refused(self, tmp_path):
+        # Keeping either line would silently drop the other one's setting.
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 1\nout = results\n\nSeed = 2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}: key 'seed' is set twice, on lines 1 and 4"
+
 
 class TestParseAlphaGrid:
     def test_values(self):
@@ -161,7 +192,7 @@ class TestParseAlphaGrid:
         assert parse_alpha_grid("  ") == ()
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="alpha grid"):
+        with pytest.raises(ValueError, match=re.escape("alpha must be in [0, 1], got 2.0")):
             parse_alpha_grid("0.5, 2.0")
 
 
@@ -223,20 +254,29 @@ class TestLoadJob:
     )
     def test_bad_value_names_the_file_and_key(self, job_tree, line, message):
         config_path, _ = job_tree
-        config_path.write_text(config_path.read_text() + line + "\n")
+        set_config_line(config_path, line)
         with pytest.raises(ValueError) as exc:
             load_job(config_path)
         assert str(exc.value).startswith(f"{config_path}: {message}")
 
     def test_empty_value_leaves_the_setting_unset(self, job_tree):
         config_path, _ = job_tree
-        config_path.write_text(config_path.read_text() + "alpha_grid =\nbandwidth =\nseed =\n")
+        for line in ("alpha_grid =", "bandwidth =", "seed ="):
+            set_config_line(config_path, line)
         job = load_job(config_path)
         assert (job.alpha_grid, job.bandwidth, job.seed) == (DEFAULT_ALPHA_GRID, None, 0)
 
     def test_config_is_parsed_by_the_settings_reader_alone(self):
         # A second reader of config files would drift from its key check, parsers and path rule.
         assert functions_spelling(r"(?<!def )\bparse_config\(") == {("report.py", "read_settings")}
+
+    def test_alpha_grid_out_of_range_is_refused_before_any_work(self, job_tree):
+        # Not by run_job, after confusion.csv, bayes.csv and runs.csv are written.
+        config_path, out_dir = job_tree
+        job = load_job(config_path)
+        with pytest.raises(ValueError, match=re.escape("alpha must be in [0, 1], got 2.0")):
+            AssessmentJob(job.inputs, job.out_dir, alpha_grid=(0.5, 2.0))
+        assert not out_dir.exists()
 
     def test_missing_raster_file_rejected_up_front(self, job_tree):
         config_path, _ = job_tree
@@ -629,14 +669,14 @@ class TestAnalyzeScopes:
 
     def test_each_density_is_evaluated_on_the_grid_once(self, tmp_path, monkeypatch):
         from mapbayes import SynthConfig, generate_run_table
-        from mapbayes.kde import KdeModel
+        from mapbayes.kde import GRID, KdeModel
 
-        array_calls = []
+        grid_calls = []
         evaluate = KdeModel.evaluate
 
         def counting_evaluate(model, x):
-            if np.ndim(x) > 0:
-                array_calls.append(id(model))
+            if x is GRID:
+                grid_calls.append(id(model))
             return evaluate(model, x)
 
         monkeypatch.setattr(KdeModel, "evaluate", counting_evaluate)
@@ -645,9 +685,9 @@ class TestAnalyzeScopes:
         scopes = {"all", "A", "B", "C"}
         assert scopes <= set(summaries)
         assert all("kde_prevalence" in summaries[s] for s in scopes)
-        # Two densities (PPV and NPV) per scope, one array evaluation each.
-        assert len(array_calls) == 2 * len(summaries)
-        assert len(set(array_calls)) == len(array_calls)
+        # Two densities (PPV and NPV) per scope, one evaluation at the grid each.
+        assert len(grid_calls) == 2 * len(summaries)
+        assert len(set(grid_calls)) == len(grid_calls)
 
     def test_the_p_p_curve_reuses_the_fitted_factor_values(self, tmp_path, monkeypatch):
         from mapbayes import SynthConfig, generate_run_table

@@ -214,7 +214,7 @@ def cmd_sweep(args) -> int:
 def cmd_kde(args) -> int:
     settings = _settings(args)
     bandwidth = settings.get("bandwidth")
-    labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": float}))
+    labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": _sample_value}))
     fits = {}
     for label in ("pos", "neg"):
         try:
@@ -222,9 +222,9 @@ def cmd_kde(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.samples}: label {label!r}: {exc}") from None
     f_pos, f_neg = fits["pos"], fits["neg"]
+    crossings = find_crossings(f_pos, f_neg)  # refuses before any output is written
     rows = column_rows(GRID, f_pos.on_grid, f_neg.on_grid)
     _emit_csv(settings.get("out"), "kde.csv", ("x", "f_pos", "f_neg"), rows)
-    crossings = find_crossings(f_pos, f_neg)
     print(f"crossing {format_float(balance_point(crossings).x)}")
     for c in crossings:
         print(f"crossing_at {format_float(c.x)} density {format_float(c.density)}")
@@ -236,7 +236,6 @@ def cmd_converge(args) -> int:
     out = settings["out"]
     runs = _read_runs(args.runs)
     out.mkdir(parents=True, exist_ok=True)
-    write_runs_csv(out / "runs.csv", runs)
     _, scope_summaries = analyze_scopes(
         runs,
         out,
@@ -328,6 +327,13 @@ def _sample_label(text: str) -> str:
     if label not in ("pos", "neg"):
         raise ValueError(f"sample label must be pos or neg, got {text!r}")
     return label
+
+
+def _sample_value(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"sample value must be in [0, 1], got {text!r}")
+    return value
 
 
 def _emit_csv(out: Path | None, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -18,16 +18,12 @@ and cross-group consistency.
 
 from __future__ import annotations
 
-import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-
-log = logging.getLogger(__name__)
 
 FORM_KINDS = ("triangular", "adjusted_normal", "asymmetric_normal")
 
@@ -38,6 +34,7 @@ DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 GROUP_ALL = "all_cycles"
 GROUP_FINAL = "final_cycles"
 
+#: A P-P curve of fewer points gives only coarse crossings.
 MIN_PP_POINTS = 10
 
 
@@ -354,7 +351,6 @@ def dominance_table(fits: Sequence[FitResult]) -> DominanceTable:
         selected, uniform = dominators[0], True
     else:
         selected, uniform = ranking[0], False
-        log.info("no uniform dominator among %s; ranked by location criterion", labels)
 
     return DominanceTable(
         forms=tuple(forms),
@@ -399,7 +395,8 @@ class PPCurve:
 def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: float) -> PPCurve:
     """Build the P-P curve of `values` against a normal(mu, sigma) fit.
 
-    Fewer than 10 points triggers a warning (the curve is still computed).
+    A curve of fewer than `MIN_PP_POINTS` points is still computed; its
+    crossings are coarse, which callers read from `PPCurve.n`.
 
     Raises:
         ValueError: No values, or sigma <= 0.
@@ -410,8 +407,6 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
     if not sigma > 0.0:
         raise ValueError(f"scale must be positive, got {sigma}")
     n = x.size
-    if n < MIN_PP_POINTS:
-        warnings.warn(f"probability curve built from only {n} points; estimates will be coarse", stacklevel=2)
     p = (np.arange(1, n + 1) - 0.5) / n
     z = (x - mu) / sigma
     # The standard normal CDF, one math.erf per point.
@@ -423,11 +418,7 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
     frac = d[i] / (d[i] - d[i + 1])
     crossings = sorted(set(p[d == 0.0].tolist() + (p[i] + frac * (p[i + 1] - p[i])).tolist()))
 
-    if crossings:
-        prevalence = min(crossings, key=lambda c: (abs(c - 0.5), c))
-    else:
-        prevalence = None
-        log.info("probability curve never crosses the diagonal; no prevalence estimate")
+    prevalence = min(crossings, key=lambda c: (abs(c - 0.5), c)) if crossings else None
 
     net_gain = float(np.trapezoid(d, p)) if n > 1 else 0.0
     return PPCurve(
@@ -444,24 +435,12 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
 # ---------------------------------------------------------------------------
 
 
-def factor_timeline(
-    runs: Runs,
-    forms: Sequence[ConvergenceForm],
-    cycles: Sequence[int] | None = None,
-) -> list[tuple[int, dict[str, float]]]:
-    """Mean factor value per form at each cycle, ascending.
-
-    Cycles with no runs are skipped with a warning.
-    """
+def factor_timeline(runs: Runs, forms: Sequence[ConvergenceForm]) -> list[tuple[int, dict[str, float]]]:
+    """Mean factor value per form at each cycle that has runs, ascending."""
     table = RunTable.of(runs)
-    if cycles is None:
-        cycles = np.unique(table.cycle).tolist()
     out: list[tuple[int, dict[str, float]]] = []
-    for cycle in cycles:
+    for cycle in np.unique(table.cycle).tolist():
         diff = table.diff[table.cycle == cycle]
-        if not diff.size:
-            warnings.warn(f"no runs at cycle {cycle}; skipped", stacklevel=2)
-            continue
         means = {form.label: float(np.mean(_factor_array(diff, form))) for form in forms}
         out.append((cycle, means))
     return out

@@ -75,6 +75,14 @@ def epanechnikov(z):
     return out
 
 
+def _finite(samples: Sequence[float] | NDArray[np.float64]) -> NDArray[np.float64]:
+    """`samples` as a float array if every one is finite; otherwise a `ValueError`."""
+    x = np.asarray(samples, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    return x
+
+
 def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float:
     """Rule-of-thumb bandwidth h = 0.9 min(sd, IQR/1.34) n^(-1/5).
 
@@ -82,10 +90,10 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
     tied data), so only truly constant samples are degenerate.
 
     Raises:
-        ValueError: Fewer than two samples, or all samples identical
-            (bandwidth would be 0).
+        ValueError: A sample that is not finite, fewer than two samples, or
+            all samples identical (bandwidth would be 0).
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = _finite(samples)
     if x.size < 2:
         raise ValueError(f"need at least 2 samples to pick a bandwidth, got {x.size}")
     sd = float(np.std(x, ddof=1))
@@ -113,11 +121,9 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        arr = np.sort(np.asarray(self.samples, dtype=np.float64))
+        arr = np.sort(_finite(self.samples))
         if arr.size == 0:
             raise ValueError("cannot fit a density to zero samples")
-        if not np.isfinite(arr).all():
-            raise ValueError("samples must be finite")
         check_bandwidth(self.bandwidth)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -420,6 +421,13 @@ def check_quantity(quantity: Any) -> int:
     return quantity
 
 
+def check_cut(value: Any) -> float:
+    """`value` if it is a real number in [0, 1] (a bool is not one); otherwise a `ValueError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"value threshold needs a cut in [0, 1], got {value!r}")
+    return value
+
+
 def threshold_scores(
     scores: ScoreGrid,
     *,
@@ -443,16 +451,16 @@ def threshold_scores(
             equals 0.0).
 
     Raises:
-        ValueError: Both or neither mode given, quantity refused by
-            `check_quantity`, or quantity above the number of non-excluded
-            cells.
+        ValueError: Both or neither mode given, value refused by
+            `check_cut`, quantity refused by `check_quantity`, or quantity
+            above the number of non-excluded cells.
     """
     if (value is None) == (quantity is None):
         raise ValueError("give exactly one of value= or quantity=")
 
     vals = scores.values
     if value is not None:
-        out = (vals >= value).astype(np.int8)
+        out = (vals >= check_cut(value)).astype(np.int8)
     else:
         check_quantity(quantity)
         live = ~scores.excluded

@@ -17,8 +17,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -30,6 +28,7 @@ from .bayes import Convention, diagnostic_odds_ratio, likelihood_ratios, predict
 from .confusion import agreement_rates, build_confusion
 from .convergence import (
     DEFAULT_ALPHA_GRID,
+    MIN_PP_POINTS,
     Runs,
     RunTable,
     asymmetric_family,
@@ -41,7 +40,8 @@ from .convergence import (
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import (
-    BinaryGrid, Grid, check_quantity, format_float, format_floats, load_grid, threshold_scores, to_binary, to_scores
+    BinaryGrid, Grid, check_cut, check_quantity, format_float, format_floats, load_grid, threshold_scores, to_binary,
+    to_scores,
 )
 from .sampling import POOL_THRESHOLDS, check_seed
 
@@ -72,8 +72,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.kind not in ("value", "quantity", "quantity_obs"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kind == "value" and not (isinstance(self.value, numbers.Real) and 0.0 <= self.value <= 1.0):
-            raise ValueError(f"value threshold needs a cut in [0, 1], got {self.value!r}")
+        if self.kind == "value":
+            check_cut(self.value)
         if self.kind == "quantity":
             check_quantity(self.value)
 
@@ -383,7 +383,6 @@ def group_summaries(records: Runs) -> dict[str, dict[str, Any]]:
     for label in known:
         batch = table[table.group == label]
         if not len(batch):
-            log.info("group %s has no runs; omitted from summaries", label)
             continue
         cycles = np.unique(batch.cycle).tolist()
         per_cycle = {}
@@ -424,7 +423,10 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     kde_/ppcurve_ CSVs, fits.csv, dominance.csv, summary.json, and
     manifest.json into the job's output directory. Returns the manifest
     (also written to disk). Failures of individual inputs or per-scope
-    analyses are recorded rather than raised.
+    analyses are recorded rather than raised, and so are the caveats on
+    reading the results: summary.json's `dor_caveat` is true when two or
+    more groups carry a finite mean DOR, and each scope's `pp_coarse` when
+    its P-P curve has fewer than `MIN_PP_POINTS` points.
     """
     out_dir = Path(job.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -499,7 +501,8 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
             summary["groups"] = group_summaries(runs)
         except ValueError as exc:
             summary["groups_error"] = str(exc)
-        summary["dor_by_group"] = _dor_by_group(assessed)
+        dor = summary["dor_by_group"] = _dor_by_group(assessed)
+        summary["dor_caveat"] = sum(v is not None and math.isfinite(v) for v in dor.values()) >= 2
         scope_files, scope_summaries = analyze_scopes(
             runs,
             out_dir,
@@ -592,14 +595,13 @@ def analyze_scopes(
         if not table.uniform_dominator:
             entry["selection_note"] = "no uniform dominator; ranked by location criterion"
         fit_all = next(f for f in fits if f.form.label == selected.label and f.group == table.groups[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            curve = pp_curve(fit_all.values, fit_all.mu, fit_all.sigma)
+        curve = pp_curve(fit_all.values, fit_all.mu, fit_all.sigma)
         pp_rows = column_rows(curve.p, curve.fitted)
         files.append(write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows))
         entry["pp_prevalence_estimate"] = curve.prevalence_estimate
         entry["pp_net_gain"] = curve.net_gain
         entry["pp_crossings"] = list(curve.crossings)
+        entry["pp_coarse"] = curve.n < MIN_PP_POINTS
         summaries[scope] = entry
 
     if fits_rows:
@@ -634,17 +636,11 @@ def _kde_analysis(
 
 
 def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]:
-    """Mean DOR per group; DOR is threshold-bound, so when two or more groups
-    carry a finite mean, cross-group reading gets a warning rather than silence."""
+    """Mean finite DOR per group, None for a group with none."""
     out: dict[str, float | None] = {}
     for label in sorted({a.input.group for a in assessed}):
         vals = [a.dor for a in assessed if a.input.group == label and a.dor is not None and math.isfinite(a.dor)]
         out[label] = float(np.mean(vals)) if vals else None
-    if sum(v is not None and math.isfinite(v) for v in out.values()) >= 2:
-        warnings.warn(
-            "diagnostic odds ratios are comparable across groups only under a shared threshold rule",
-            stacklevel=2,
-        )
     return out
 
 

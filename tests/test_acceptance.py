@@ -9,7 +9,6 @@ import contextlib
 import hashlib
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -297,10 +296,8 @@ def test_criterion_10_report_runs_are_hash_identical(capsys, tmp_path):
         config_path, _ = build_job_tree(tmp_path)
         first = tmp_path / "first"
         second = tmp_path / "second"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert cli_main(["report", "--config", str(config_path), "--out", str(first)]) == 0
-            assert cli_main(["report", "--config", str(config_path), "--out", str(second)]) == 0
+        assert cli_main(["report", "--config", str(config_path), "--out", str(first)]) == 0
+        assert cli_main(["report", "--config", str(config_path), "--out", str(second)]) == 0
 
         def tree_hashes(root):
             return {

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapbayes
 from mapbayes import (
     BinaryGrid,
     Grid,
@@ -276,6 +280,27 @@ class TestKde:
         err = capsys.readouterr().err
         assert err == f"error: {path}: label 'neg': need at least 2 samples to pick a bandwidth, got 0\n"
 
+    def test_percent_samples_are_refused_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        rows = [f"pos,{v}" for v in range(40, 52)] + [f"neg,{v}" for v in range(50, 63)]
+        path.write_text("label,value\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "kout"
+        expect_failure(["kde", "--samples", str(path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 2, column 'value': sample value must be in [0, 1], got '40'\n"
+        assert captured.out == ""
+        assert not (out_dir / "kde.csv").exists()
+
+    def test_no_crossing_writes_no_kde_csv(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text("label,value\npos,0.2\npos,0.3\nneg,0.2\nneg,0.3\n")
+        out_dir = tmp_path / "kout"
+        expect_failure(["kde", "--samples", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().err == (
+            "error: densities are identical across the search interval; no isolated crossing\n"
+        )
+        assert not (out_dir / "kde.csv").exists()
+
     def test_missing_value_column_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"
         path.write_text("label,score\npos,0.5\nneg,0.4\n")
@@ -300,8 +325,9 @@ class TestConverge:
         assert all(l.split()[1] == "selected_alpha" for l in lines)
         assert lines[-1] == "all selected_alpha 0.25"
         names = {p.name for p in out_dir.iterdir()}
-        assert {"runs.csv", "timeline.csv", "fits.csv", "dominance.csv", "summary.json"} <= names
+        assert {"timeline.csv", "fits.csv", "dominance.csv", "summary.json"} <= names
         assert {"kde_all.csv", "ppcurve_all.csv", "kde_A.csv", "ppcurve_C.csv"} <= names
+        assert "runs.csv" not in names  # the command's own input, not written back
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["scopes"]["all"]["selected_alpha"] == 0.25
         assert set(summary) == {"scopes"}
@@ -505,8 +531,7 @@ class TestSynth:
 class TestReport:
     def test_runs_job_from_config(self, job_tree, capsys):
         config_path, out_dir = job_tree
-        with pytest.warns(UserWarning):
-            assert main(["report", "--config", str(config_path)]) == 0
+        assert main(["report", "--config", str(config_path)]) == 0
         assert capsys.readouterr().out.strip() == str(out_dir)
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "manifest.json").exists()
@@ -514,15 +539,26 @@ class TestReport:
     def test_flag_overrides_redirect_output(self, job_tree, tmp_path, capsys):
         config_path, _ = job_tree
         other = tmp_path / "elsewhere"
-        with pytest.warns(UserWarning):
-            rc = main([
-                "report", "--config", str(config_path),
-                "--out", str(other), "--convention", "standard",
-            ])
+        rc = main(["report", "--config", str(config_path), "--out", str(other), "--convention", "standard"])
         assert rc == 0
         capsys.readouterr()
         summary = json.loads((other / "summary.json").read_text())
         assert summary["convention"] == "standard"
+
+    def test_two_group_report_is_silent_and_records_its_caveats(self, job_tree):
+        # A caveat on reading the results is a summary field, never a line on stderr.
+        config_path, out_dir = job_tree
+        env = {**os.environ, "PYTHONPATH": str(Path(mapbayes.__file__).parents[1])}
+        argv = [sys.executable, "-m", "mapbayes.cli", "report", "--config", str(config_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert set(summary["dor_by_group"]) == {"A", "B"}
+        assert summary["dor_caveat"] is True
+        # Six runs per group are fewer than MIN_PP_POINTS; the twelve of "all" are not.
+        assert {scope: entry["pp_coarse"] for scope, entry in summary["scopes"].items()} == {
+            "all": False, "A": True, "B": True
+        }
 
     def test_requires_config(self):
         expect_failure(["report"])
@@ -543,8 +579,7 @@ class TestReport:
         text = config_path.read_text().replace(f"inputs = {tmp_path}", "inputs = ..")
         (job_dir / "job.cfg").write_text(text.replace(f"out = {out_dir}", "out = results"))
         monkeypatch.chdir(tmp_path)
-        with pytest.warns(UserWarning):
-            assert main(["report", "--config", "job/job.cfg"]) == 0
+        assert main(["report", "--config", "job/job.cfg"]) == 0
         assert capsys.readouterr().out == "job/results\n"
         assert (job_dir / "results" / "manifest.json").exists()
         assert not (tmp_path / "results").exists()
@@ -581,8 +616,7 @@ class TestReport:
         write_grid(Grid(np.array([[1.0, 0.5], [0.0, 1.0]])), bad)
         manifest = data_dir / "inputs.csv"
         manifest.write_text(manifest.read_text() + f"binary,{bad.name},{bad.name},,9,B,1\n")
-        with pytest.warns(UserWarning):
-            assert main(["report", "--config", str(config_path)]) == 0
+        assert main(["report", "--config", str(config_path)]) == 0
         assert "failed_inputs 1" in capsys.readouterr().err
 
 

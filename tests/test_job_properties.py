@@ -11,7 +11,6 @@ every input.
 import csv
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +77,7 @@ def test_the_failure_list_names_exactly_the_corrupt_rows(manifest):
                 writer.writerow([kind, f"sim_{box}_{cycle}.asc", f"obs_{box}.asc", "", box, "A", cycle])
         (root / "job.cfg").write_text("inputs = inputs.csv\nout = out\n")
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # small scopes warn; only the failure list is checked
-            manifest_out = run_job(load_job(root / "job.cfg"))
+        manifest_out = run_job(load_job(root / "job.cfg"))
         summary = json.loads((root / "out" / "summary.json").read_text())
 
     failed = [(int(f["box_id"]), int(f["cycle"])) for f in manifest_out["failures"]]

@@ -232,6 +232,12 @@ class TestKdeModel:
         with pytest.raises(ValueError, match="bandwidth"):
             KdeModel(samples=np.array([0.1, 0.2]), bandwidth=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_samples_are_refused_before_a_bandwidth_is_chosen(self, bad):
+        # Silverman's rule on an inf sample would first warn from numpy's subtract.
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            fit_kde([0.1, 0.2, bad, 0.5])
+
 
 class TestCrossings:
     def test_mirror_image_samples_cross_at_half(self):

@@ -12,7 +12,6 @@ run table as from the run records it holds.
 
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +136,7 @@ def test_pp_curve_matches_per_point_reference(data):
     sigma = data.draw(st.floats(1e-4, 2.0))
     # Points at mu sit on the diagonal when they are the median of the sample.
     values = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(mu)), min_size=1, max_size=60))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fewer than ten points
-        curve = pp_curve(values, mu, sigma)
+    curve = pp_curve(values, mu, sigma)
     fitted, crossings = reference_pp(values, mu, sigma)
     assert curve.fitted.tobytes() == fitted.tobytes()
     assert curve.crossings == crossings
@@ -166,8 +163,7 @@ run_records = st.sampled_from(["A", "AB", "ABC"]).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(run_records, st.sampled_from([None, 2]))
 def test_analyze_scopes_writes_alike_from_a_table_and_from_records(records, final_cycle):
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         out = {}
         for name, runs in (("table", RunTable.of(records)), ("records", records)):
             (Path(tmp) / name).mkdir()

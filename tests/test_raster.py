@@ -1,5 +1,7 @@
 """Tests for ASCII grid I/O, binary/score conversion, and thresholding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -443,6 +445,13 @@ class TestThresholdScores:
         s = ScoreGrid(np.array([[0.2, 0.5, 0.8]]))
         b = threshold_scores(s, value=0.5)
         assert b.values.tolist() == [[0, 1, 1]]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, True], ids=repr)
+    def test_value_outside_the_unit_interval_is_refused(self, value):
+        # Such a cut would give an all-0 or all-1 map without a word.
+        s = ScoreGrid(np.array([[0.2, 0.9]]))
+        with pytest.raises(ValueError, match=re.escape(f"value threshold needs a cut in [0, 1], got {value!r}")):
+            threshold_scores(s, value=value)
 
     def test_value_mode_keeps_exclusions(self):
         s = ScoreGrid(np.array([[0.9, 0.9]]), excluded=np.array([[True, False]]))

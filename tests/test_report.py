@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +49,6 @@ EXPECTED_FILES = {
     "summary.json",
     "manifest.json",
 }
-
-
-def quiet_run_job(job):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_job(job)
 
 
 class TestFormatFloat:
@@ -108,12 +101,20 @@ class TestOneRuleOneFunction:
             ("must be a non-empty 2-D array", ("raster.py", "_keep_values")),
             ("cell_size must be positive and finite", ("raster.py", "_keep_values")),
             ("quantity must be a non-negative integer", ("raster.py", "check_quantity")),
+            ("value threshold needs a cut in [0, 1]", ("raster.py", "check_cut")),
+            ("samples must be finite", ("kde.py", "_finite")),
             ("alpha must be in [0, 1]", ("convergence.py", "__post_init__")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
         # A rule written twice drifts: one copy gains a check the other lacks.
         assert functions_spelling(re.escape(message)) == {place}
+
+
+class TestNoWarnings:
+    def test_the_library_issues_no_warnings(self):
+        # A caveat on a result is a summary field: the output tree keeps it, a warning is lost.
+        assert functions_spelling(r"warnings\.") == set()
 
 
 class TestThresholdPolicy:
@@ -479,7 +480,7 @@ class TestGroupSummaries:
 class TestRunJob:
     def test_writes_expected_tree(self, job_tree):
         config_path, out_dir = job_tree
-        manifest = quiet_run_job(load_job(config_path))
+        manifest = run_job(load_job(config_path))
         assert set(manifest["outputs"]) == EXPECTED_FILES - {"manifest.json"}
         on_disk = {p.name for p in out_dir.iterdir()}
         assert on_disk == EXPECTED_FILES
@@ -487,14 +488,14 @@ class TestRunJob:
 
     def test_manifest_hashes_are_correct(self, job_tree):
         config_path, out_dir = job_tree
-        manifest = quiet_run_job(load_job(config_path))
+        manifest = run_job(load_job(config_path))
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             assert actual == digest, name
 
     def test_summary_contents(self, job_tree):
         config_path, out_dir = job_tree
-        quiet_run_job(load_job(config_path))
+        run_job(load_job(config_path))
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["n_inputs"] == 12
         assert summary["n_assessed"] == 12
@@ -508,16 +509,16 @@ class TestRunJob:
 
     def test_runs_csv_has_one_row_per_assessed_input(self, job_tree):
         config_path, out_dir = job_tree
-        quiet_run_job(load_job(config_path))
+        run_job(load_job(config_path))
         lines = (out_dir / "runs.csv").read_text().splitlines()
         assert lines[0] == "box_id,group,cycle,ppv,npv"
         assert len(lines) == 13
 
     def test_reruns_are_byte_identical(self, job_tree, tmp_path):
         config_path, out_dir = job_tree
-        quiet_run_job(load_job(config_path))
+        run_job(load_job(config_path))
         second_out = tmp_path / "second"
-        quiet_run_job(load_job(config_path, overrides={"out": str(second_out)}))
+        run_job(load_job(config_path, overrides={"out": str(second_out)}))
         for p in sorted(out_dir.iterdir()):
             assert (second_out / p.name).read_bytes() == p.read_bytes(), p.name
 
@@ -532,7 +533,7 @@ class TestRunJob:
         manifest_path.write_text(
             manifest_path.read_text() + f"binary,{bad.name},{bad.name},,9,B,1\n"
         )
-        manifest = quiet_run_job(load_job(config_path))
+        manifest = run_job(load_job(config_path))
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["box_id"] == "9"
         assert "unexpected value" in manifest["failures"][0]["error"]
@@ -549,7 +550,7 @@ class TestRunJob:
         write_grid(Grid(good.values, good.cell_size, good.origin_x + good.cell_size, good.origin_y), shifted)
         manifest_path = data_dir / "inputs.csv"
         manifest_path.write_text(manifest_path.read_text() + f"score,{shifted.name},obs_b1_c1.asc,,9,A,3\n")
-        manifest = quiet_run_job(load_job(config_path))
+        manifest = run_job(load_job(config_path))
         assert manifest["failures"] == [
             {
                 "sim": str(shifted),
@@ -560,23 +561,24 @@ class TestRunJob:
         ]
         assert json.loads((out_dir / "summary.json").read_text())["n_assessed"] == 12
 
-    def test_cross_group_odds_warning_is_raised(self, job_tree):
-        config_path, _ = job_tree
-        with pytest.warns(UserWarning, match="comparable across groups"):
-            run_job(load_job(config_path))
+    def test_cross_group_odds_carry_the_caveat(self, job_tree):
+        config_path, out_dir = job_tree
+        run_job(load_job(config_path))
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert all(math.isfinite(summary["dor_by_group"][g]) for g in "AB")
+        assert summary["dor_caveat"] is True
 
-    def test_single_group_raises_no_odds_warning(self, tmp_path):
+    def test_single_group_odds_carry_no_caveat(self, tmp_path):
         config_path, out_dir = build_job_tree(tmp_path, layout=[row for row in JOB_LAYOUT if row[1] == "A"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_job(load_job(config_path))
-        dor = json.loads((out_dir / "summary.json").read_text())["dor_by_group"]
-        assert list(dor) == ["A"]
-        assert math.isfinite(dor["A"])
+        run_job(load_job(config_path))
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert list(summary["dor_by_group"]) == ["A"]
+        assert math.isfinite(summary["dor_by_group"]["A"])
+        assert summary["dor_caveat"] is False
 
     def test_dor_by_group_present(self, job_tree):
         config_path, out_dir = job_tree
-        quiet_run_job(load_job(config_path))
+        run_job(load_job(config_path))
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary["dor_by_group"]) == {"A", "B"}
 
@@ -616,7 +618,7 @@ class TestSharedObservedMaps:
             return load_grid(path)
 
         monkeypatch.setattr(report, "load_grid", counting_load_grid)
-        manifest = quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        manifest = run_job(shared_map_job(inputs, tmp_path / "out"))
         assert manifest["failures"] == []
         # 2 boxes x (observed + exclusion) + 6 predictions, not 6 x 3.
         assert len(parsed) == 2 * 2 + 6
@@ -625,10 +627,10 @@ class TestSharedObservedMaps:
     def test_interleaved_boxes_match_assessing_each_input_alone(self, tmp_path):
         # Box order A, B, A: box 0's maps come back after box 1's run.
         inputs = write_shared_map_inputs(tmp_path, [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (0, 3)])
-        quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        run_job(shared_map_job(inputs, tmp_path / "out"))
         alone = []
         for i, inp in enumerate(inputs):
-            quiet_run_job(shared_map_job([inp], tmp_path / f"alone_{i}"))
+            run_job(shared_map_job([inp], tmp_path / f"alone_{i}"))
             header, row = (tmp_path / f"alone_{i}" / "confusion.csv").read_text().splitlines()
             alone.append(row)
         assert (tmp_path / "out" / "confusion.csv").read_text().splitlines() == [header] + alone
@@ -646,7 +648,7 @@ class TestSharedObservedMaps:
             errors.append(str(err.value))
         assert errors[0].startswith("line 9: non-numeric value 'x")
 
-        manifest = quiet_run_job(shared_map_job(inputs, tmp_path / "out"))
+        manifest = run_job(shared_map_job(inputs, tmp_path / "out"))
         assert manifest["failures"] == [
             {"sim": str(inp.sim), "box_id": "1", "cycle": str(inp.cycle), "error": error}
             for inp, error in zip(inputs[3:], errors)

@@ -30,6 +30,7 @@ from .report import (
     analyze_scopes,
     assess_pair,
     column_rows,
+    group_label,
     load_job,
     read_csv,
     read_settings,
@@ -318,7 +319,7 @@ def cmd_report(args) -> int:
 
 
 def _read_runs(path: Path) -> RunTable:
-    columns = {"box_id": int, "group": str, "cycle": int, "ppv": float, "npv": float}
+    columns = {"box_id": int, "group": group_label, "cycle": int, "ppv": float, "npv": float}
     return RunTable(*read_csv(path, columns, check=RunTable))
 
 

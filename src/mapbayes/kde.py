@@ -26,6 +26,7 @@ which positive and negative predictive-value densities balance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -87,11 +88,14 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
     """Rule-of-thumb bandwidth h = 0.9 min(sd, IQR/1.34) n^(-1/5).
 
     Falls back to the standard deviation alone when the IQR is 0 (heavily
-    tied data), so only truly constant samples are degenerate.
+    tied data), so only samples that are constant, or all but constant, are
+    degenerate.
 
     Raises:
         ValueError: A sample that is not finite, fewer than two samples, or
-            all samples identical (bandwidth would be 0).
+            samples so close to identical that the bandwidth falls below the
+            smallest normal float (about 2.2e-308), where the peak density,
+            K(0) / h, is no longer safely finite.
     """
     x = _finite(samples)
     if x.size < 2:
@@ -101,8 +105,8 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     h = 0.9 * spread * x.size ** (-1.0 / 5.0)
-    if h <= 0.0:
-        raise ValueError("degenerate bandwidth: all samples identical; pass an explicit bandwidth")
+    if h < sys.float_info.min:
+        raise ValueError(f"degenerate bandwidth {h!r}: the samples are all but identical; pass an explicit bandwidth")
     return h
 
 
@@ -168,8 +172,11 @@ class KdeModel:
         s, h = self.samples, self.bandwidth
         ends = np.searchsorted(s, pts[:, None] + _REACH * h)
         while True:
-            below = (pts[:, None] - s.take(ends - 1, mode="clip")) / h
-            above = (pts[:, None] - s.take(ends, mode="clip")) / h
+            # Under a subnormal bandwidth a far sample's z overflows to inf,
+            # which fails the test as it should.
+            with np.errstate(over="ignore"):
+                below = (pts[:, None] - s.take(ends - 1, mode="clip")) / h
+                above = (pts[:, None] - s.take(ends, mode="clip")) / h
             down = (ends > 0) & (below <= _EDGE)
             up = (ends < s.size) & (above > _EDGE)
             if not (down | up).any():
@@ -192,8 +199,11 @@ class KdeModel:
         a = np.maximum(lo[:, None], bins.start.take(b, mode="clip"))
         e = np.minimum(hi[:, None], bins.start.take(b + 1, mode="clip"))
         k = e - a
-        v = (pts[:, None] - bins.centre.take(b, mode="clip")) / h
-        part = k - (k * v * v - 2.0 * v * (bins.t1[e] - bins.t1[a]) + (bins.t2[e] - bins.t2[a])) / 5.0
+        # Within a window |v| stays below sqrt(5) + 1; only the columns masked
+        # out below can overflow, under a subnormal bandwidth.
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = (pts[:, None] - bins.centre.take(b, mode="clip")) / h
+            part = k - (k * v * v - 2.0 * v * (bins.t1[e] - bins.t1[a]) + (bins.t2[e] - bins.t2[a])) / 5.0
         part = np.where(off < n_bins[:, None], part, 0.0)
         total = np.zeros(pts.shape)
         for col in part.T:

@@ -242,22 +242,36 @@ class ScoreGrid(_Raster):
 def load_grid(path: str | Path) -> Grid:
     """Read an ASCII grid raster from disk.
 
+    A body in canonical single-digit form is decoded by stride (see
+    `_stride_body`); any other body goes through `_parse_body`. Both give
+    the same values for every file that the stride decode takes.
+
     Raises:
-        GridFormatError: Malformed header (ncols and nrows must be positive
-            integers, cellsize positive and finite), bad row length, or a
-            non-numeric token; the message names the 1-based line number.
+        GridFormatError: A byte that is not ASCII, malformed header (ncols
+            and nrows must be positive integers, cellsize positive and
+            finite), bad row count or length, or a non-numeric token; the
+            message names the 1-based line number.
     """
-    path = Path(path)
-    with path.open("r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # "\r\n" and "\r" end a line too
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        pos = int(np.argmax(np.frombuffer(data, np.uint8) >= 0x80))
+        raise GridFormatError(f"non-ASCII byte {data[pos]:#04x}", line=data.count(b"\n", 0, pos) + 1)
 
     header: dict[str, float] = {}
+    start = 0  # of the next line; past the end when the last line has been read
     for i, key in enumerate(_HEADER_KEYS):
-        if i >= len(lines):
+        if start > len(data):
             raise GridFormatError("missing header line", line=i + 1)
-        parts = lines[i].split()
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        line = data[start:end].decode("ascii")
+        start = end + 1
+        parts = line.split()
         if len(parts) != 2 or parts[0].lower() != key:
-            raise GridFormatError(f"expected '{key} <value>', got {lines[i]!r}", line=i + 1)
+            raise GridFormatError(f"expected '{key} <value>', got {line!r}", line=i + 1)
         try:
             header[key] = float(parts[1])
         except ValueError:
@@ -266,19 +280,28 @@ def load_grid(path: str | Path) -> Grid:
             rule, ok = _HEADER_RULES[key]
             if not ok(header[key]):
                 raise GridFormatError(f"{key} must be {rule}, got {parts[1]!r}", line=i + 1)
+    nodata_text = parts[1]  # the last header line's value, as written
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
 
-    body = lines[len(_HEADER_KEYS):]
-    # Tolerate one trailing newline (canonical files end with "\n").
-    while body and body[-1] == "":
-        body.pop()
-    if len(body) != nrows:
-        raise GridFormatError(
-            f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
-        )
+    # Tolerate trailing newlines (canonical files end with one "\n").
+    end = len(data)
+    while end > start and data[end - 1] == ord("\n"):
+        end -= 1
 
-    values = _parse_body(body, ncols)
+    # A body that the stride decode takes has exactly nrows rows.
+    values = _stride_body(data, start, end, nrows, ncols, nodata_text, header["nodata_value"])
+    if values is None:
+        # One copy of the text at a time, as before the stride decode.
+        text = str(memoryview(data)[start:end], "ascii")
+        del data
+        body = text.split("\n") if text else []
+        del text
+        if len(body) != nrows:
+            raise GridFormatError(
+                f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
+            )
+        values = _parse_body(body, ncols)
     values.setflags(write=False)  # handed over to the Grid, which keeps it uncopied
     return Grid(
         values,
@@ -287,6 +310,51 @@ def load_grid(path: str | Path) -> Grid:
         origin_y=header["yllcorner"],
         nodata=header["nodata_value"],
     )
+
+
+def _stride_body(
+    data: bytes, start: int, end: int, nrows: int, ncols: int, nodata_text: str, nodata: float
+) -> FloatArray | None:
+    """The values of the body `data[start:end]`, or None unless it has the single-digit layout.
+
+    The layout: every token is one decimal digit or exactly `nodata_text`,
+    tokens are separated by single spaces, and every row, the last included,
+    ends in "\n". Each nodata token longer than one byte is first replaced
+    by the byte 0x80, which ASCII text cannot hold, so no other token can
+    pass for it. Then cell k of row r is the two bytes at 2 * (r * ncols + k)
+    of the body, its digit and its separator, and nothing needs splitting.
+    """
+    if end == len(data):  # the last row has no "\n"
+        return None
+    n = nrows * ncols
+    # Each nodata token is len(nodata_text) - 1 bytes longer than a digit.
+    # Checked before anything is allocated: the header's shape may be huge.
+    excess, shrink = end + 1 - start - 2 * n, len(nodata_text) - 1
+    if excess and (excess < 0 or not shrink or excess % shrink or excess // shrink > n):
+        return None
+    if excess:
+        token = nodata_text.encode("ascii")
+        start -= data.count(token, 0, start) * shrink  # no token spans the newline before the body
+        tail = len(data) - end  # only newlines, so the same after the replace
+        data = data.replace(token, b"\x80")
+        if len(data) - tail + 1 - start != 2 * n:
+            return None
+    # Read as a little-endian word, a cell less the word of "0" and its
+    # separator is its digit when both bytes are right, 0x80 - ord("0") at a
+    # nodata mark, and above 9 otherwise (208 or more for a wrong separator).
+    cells = np.frombuffer(data, "<u2", count=n, offset=start).reshape(nrows, ncols)
+    zero = np.full(ncols, ord(" ") << 8 | ord("0"), "<u2")
+    zero[-1] = ord("\n") << 8 | ord("0")
+    digits = cells - zero
+    if excess:
+        is_nodata = digits == 0x80 - ord("0")
+        np.putmask(digits, is_nodata, 0)
+    if digits.max() > 9:
+        return None
+    values = digits.astype(np.float64)
+    if excess:
+        np.putmask(values, is_nodata, nodata)
+    return values
 
 
 def _parse_body(body: list[str], ncols: int) -> FloatArray:
@@ -323,15 +391,42 @@ def _parse_body(body: list[str], ncols: int) -> FloatArray:
 
 
 def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
-    """Write a raster as an ASCII grid (canonical form, 6 significant digits)."""
+    """Write a raster as an ASCII grid (canonical form, 6 significant digits).
+
+    A grid whose values are all integers from 0 to 9 is written by stride,
+    one digit and one separator byte per cell; any other grid is formatted
+    value by value. Both give the same bytes.
+    """
     if isinstance(grid, (BinaryGrid, ScoreGrid)):
         grid = grid.as_grid()
-    path = Path(path)
     x, y, size, nodata = format_floats((grid.origin_x, grid.origin_y, grid.cell_size, grid.nodata))
-    out = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
-    out += [f"cellsize {size}", f"NODATA_value {nodata}"]
-    out += [" ".join(format_floats(row.tolist())) for row in grid.values]
-    path.write_text("\n".join(out) + "\n", encoding="ascii")
+    head = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
+    head += [f"cellsize {size}", f"NODATA_value {nodata}"]
+    body = _stride_text(grid.values)
+    with Path(path).open("wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("ascii"))
+        fh.write(_format_body(grid.values) if body is None else body)
+
+
+def _stride_text(values: FloatArray) -> NDArray[np.uint8] | None:
+    """The body text of `values` as bytes, or None unless every value is an integer from 0 to 9.
+
+    -0.0 prints as "-0" and NaN as "nan", so both leave it to `_format_body`.
+    """
+    if not (values.min() >= 0.0 and values.max() <= 9.0) or np.signbit(values).any():  # a NaN fails min
+        return None
+    digits = values.astype(np.uint8)
+    if not (digits == values).all():
+        return None
+    text = np.full((values.shape[0], 2 * values.shape[1]), ord(" "), dtype=np.uint8)
+    text[:, ::2] = digits + np.uint8(ord("0"))
+    text[:, -1] = ord("\n")
+    return text
+
+
+def _format_body(values: FloatArray) -> bytes:
+    """The body text of `values`: each value through `format_floats`, one line per row."""
+    return "".join(" ".join(format_floats(row.tolist())) + "\n" for row in values).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,13 @@ class JobInput:
         input_kind(self.kind)
 
 
+def group_label(label: str) -> str:
+    """`label` unless it is `SCOPE_ALL`, which names the scope of all runs."""
+    if label == SCOPE_ALL:
+        raise ValueError(f"group label {SCOPE_ALL!r} is reserved for the scope of all runs")
+    return label
+
+
 def input_kind(kind: str) -> str:
     """`kind` if it is an input kind ("binary" or "score")."""
     if kind not in ("binary", "score"):
@@ -188,7 +195,7 @@ def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
     base = Path(path).parent
     columns = {
-        "kind": input_kind, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": str, "cycle": int
+        "kind": input_kind, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": group_label, "cycle": int
     }
     return tuple(
         JobInput(kind, base / sim, base / obs, base / excl if excl else None, box_id, group, cycle)
@@ -437,7 +444,10 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     def fail(inp: JobInput, exc: Exception) -> None:
         log.warning("input %s (box %s, cycle %s) failed: %s", inp.sim, inp.box_id, inp.cycle, exc)
         failures.append(
-            {"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle), "error": str(exc)}
+            {
+                "sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle),
+                "error": str(exc), "error_type": type(exc).__name__,
+            }
         )
 
     # A box's observed and exclusion maps repeat over its cycles: they are
@@ -547,17 +557,21 @@ def analyze_scopes(
     per-scope summary mapping. Scope-level failures (too few runs,
     degenerate fits, no density crossing) are recorded in the summary
     instead of raised.
+
+    Raises:
+        ValueError: A group labelled `SCOPE_ALL` (see `group_label`), before
+            anything is written.
     """
     runs = RunTable.of(runs)
+    scopes = {SCOPE_ALL: runs}
+    for label in np.unique(runs.group).tolist():
+        scopes[group_label(label)] = runs[runs.group == label]
+
     forms = asymmetric_family(alpha_grid)
     labels = [f.label for f in forms]
     timeline = factor_timeline(runs, forms)
     rows = [(cycle, *format_floats([means[lbl] for lbl in labels])) for cycle, means in timeline]
     files = [write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)]
-
-    scopes = {SCOPE_ALL: runs}
-    for label in np.unique(runs.group).tolist():
-        scopes[label] = runs[runs.group == label]
 
     fits_rows: list[tuple[Any, ...]] = []
     dom_rows: list[dict[str, str]] = []

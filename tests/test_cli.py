@@ -376,6 +376,18 @@ class TestConverge:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 4: run 1@1: predictive values outside [0, 1] (ppv=0.5, npv=1.5)\n"
 
+    def test_a_group_named_all_is_a_usage_error(self, tmp_path, capsys):
+        # It would replace the scope of all runs in every output keyed by scope.
+        path = tmp_path / "runs.csv"
+        rows = [f"{i},{'all' if i % 2 else 'B'},1,0.{i % 9},0.5" for i in range(80)]
+        path.write_text("box_id,group,cycle,ppv,npv\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "x"
+        expect_failure(["converge", "--runs", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3, column 'group': group label 'all' is reserved for the scope of all runs\n"
+        )
+        assert not out_dir.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -607,6 +619,18 @@ class TestReport:
         config_path.write_text(config_path.read_text() + "seed = 2\n")
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == f"error: {config_path}: key 'seed' is set twice, on lines 6 and 7\n"
+        assert not out_dir.exists()
+
+    def test_a_group_named_all_is_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:5] + ["all"] + lines[1].split(",")[6:])
+        manifest.write_text("\n".join(lines) + "\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2, column 'group': group label 'all' is reserved for the scope of all runs\n"
+        )
         assert not out_dir.exists()
 
     def test_failed_inputs_reported_on_stderr(self, job_tree, capsys):

@@ -89,6 +89,12 @@ class TestSilvermanBandwidth:
         with pytest.raises(ValueError, match="identical"):
             silverman_bandwidth([0.3, 0.3, 0.3])
 
+    def test_a_subnormal_spread_is_degenerate(self):
+        # The IQR is 1e-308, so h would be about 4.9e-309: subnormal, and
+        # within a factor of 3 of where the peak density, K(0) / h, overflows.
+        with pytest.raises(ValueError, match="identical"):
+            silverman_bandwidth([0.0, 0.0, 1e-308, 1e-308, 1.0])
+
 
 class TestKdeModel:
     def test_two_point_fixture(self):
@@ -115,6 +121,13 @@ class TestKdeModel:
         ref = reference_density(samples, model.bandwidth)
         expected = np.array([ref(float(x)) for x in xs])
         np.testing.assert_allclose(model.evaluate(xs), expected, rtol=0, atol=1e-12)
+
+    def test_a_subnormal_bandwidth_evaluates_without_overflow(self):
+        # A far sample's z overflows to inf; that reads as outside the kernel, not as a warning.
+        h = 4e-309
+        model = KdeModel(samples=np.array([0.0, 1.0]), bandwidth=h)
+        peak = 0.75 / SQRT5 / (2 * h)
+        assert model.evaluate(np.array([0.0, 0.5, 1.0])).tolist() == pytest.approx([peak, 0.0, peak])
 
     def test_read_only_inputs_are_accepted(self):
         # The model freezes its sample array; evaluation must cope, and with

@@ -202,16 +202,24 @@ class TestLoadGrid:
         assert g.nodata == -9999.0
         assert g.values.tolist() == [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]
 
-    @pytest.mark.parametrize("body", ["1 0 -9999\n0.25 1 0\n", "1 0 -9999\n0.25 1 1_0\n"], ids=["numpy", "loop"])
-    def test_parsed_array_is_handed_over_uncopied(self, tmp_path, monkeypatch, body):
+    @pytest.mark.parametrize(
+        "body, step",
+        [
+            ("1 0 -9999\n0 1 0\n", "_stride_body"),
+            ("1 0 -9999\n0.25 1 0\n", "_parse_body"),
+            ("1 0 -9999\n0.25 1 1_0\n", "_parse_body"),
+        ],
+        ids=["stride", "numpy", "loop"],
+    )
+    def test_parsed_array_is_handed_over_uncopied(self, tmp_path, monkeypatch, body, step):
         parsed = []
 
         def keep(*args):
             parsed.append(parse(*args))
             return parsed[-1]
 
-        parse = raster._parse_body
-        monkeypatch.setattr(raster, "_parse_body", keep)
+        parse = getattr(raster, step)
+        monkeypatch.setattr(raster, step, keep)
         p = tmp_path / "g.asc"
         p.write_text(CANONICAL.split("1 0 -9999")[0] + body)
         g = load_grid(p)
@@ -294,6 +302,22 @@ class TestLoadGrid:
     def test_malformed_body_names_its_line(self, tmp_path, body, message):
         p = tmp_path / "g.asc"
         p.write_text(CANONICAL[: CANONICAL.index("1 0 -9999")] + body)
+        with pytest.raises(GridFormatError) as err:
+            load_grid(p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (CANONICAL.replace("1 0 -9999", "0 \u00e9 -9999"), "line 7: non-ASCII byte 0xc3"),
+            (CANONICAL.replace("xllcorner 100", "xllcorner 1\u00b700"), "line 3: non-ASCII byte 0xc2"),
+            ("\r\n".join(CANONICAL.split("\n")).replace("0.25", "\u00bd"), "line 8: non-ASCII byte 0xc2"),
+        ],
+        ids=["body", "header", "crlf"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, text, message):
+        p = tmp_path / "g.asc"
+        p.write_bytes(text.encode("utf-8"))
         with pytest.raises(GridFormatError) as err:
             load_grid(p)
         assert str(err.value) == message

@@ -1,10 +1,12 @@
 """Property tests for the input formats, the classify stage and the tally.
 
-`load_grid` parses well-formed bodies with numpy's C reader and falls back to
-a per-line loop for everything else. These tests pin it, over generated
-files, to the plain per-token parser it replaced, and pin the writer's round
-trip. `report.read_csv` parses CSV text a block of rows at a time; it is
-pinned to the per-row reader it replaced. The classify tests pin the linear
+`load_grid` decodes single-digit bodies by stride, parses other well-formed
+bodies with numpy's C reader and falls back to a per-line loop for everything
+else. These tests pin it, over generated files, to the plain per-token parser
+it replaced, pin the stride decode to the general path over generated digit
+grids and their near misses, and pin the writer's round trip.
+`report.read_csv` parses CSV text a block of rows at a time; it is pinned to
+the per-row reader it replaced. The classify tests pin the linear
 top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
 tally to the cells live in both maps. The predictive values of any tally lie
 in [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
@@ -38,7 +40,7 @@ from mapbayes import (
     to_binary,
     write_grid,
 )
-from mapbayes import report
+from mapbayes import raster, report
 from mapbayes.confusion import AgreementRates
 
 HEADER_LINES = 6
@@ -152,6 +154,172 @@ def test_well_formed_bodies_parse_bitwise_equal(grid_path, data):
     grid_path.write_text(header + "".join(" ".join(r) + "\n" for r in rows))
     expected = reference_load_values(grid_path, ncols, nrows)
     assert load_grid(grid_path).values.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Stride decode and encode against the general path
+# ---------------------------------------------------------------------------
+
+
+def general_outcome(path, ncols, nrows):
+    """What the general path gives for the body: `_parse_body`'s values or its error."""
+    with open(path, "r", encoding="ascii") as fh:
+        body = fh.read().split("\n")[HEADER_LINES:]
+    while body and body[-1] == "":
+        body.pop()
+    try:
+        if len(body) != nrows:
+            found = len(body)
+            raise GridFormatError(f"expected {nrows} rows of values, found {found}", line=HEADER_LINES + found + 1)
+        return raster._parse_body(body, ncols)
+    except GridFormatError as exc:
+        return exc
+
+
+def load_outcome(path):
+    """`load_grid`'s values or its error, and whether the stride decode took the body."""
+    strided = []
+
+    def stride(*args):
+        strided.append(stride_body(*args))
+        return strided[-1]
+
+    stride_body = raster._stride_body
+    with mock.patch.object(raster, "_stride_body", stride):
+        try:
+            got = load_grid(path).values
+        except GridFormatError as exc:
+            got = exc
+    return got, bool(strided) and strided[0] is not None
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, GridFormatError):
+        assert isinstance(got, GridFormatError), got
+        assert (str(got), got.line) == (str(expected), expected.line)
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bitwise, NaN payloads included
+
+
+#: Nodata texts: the usual sentinel, short and long ones, one that is a digit,
+#: one inside which a digit token could hide, and NaN spellings.
+NODATA_TEXTS = ["-9999", "-1", "255", "5", "10", "nan", "-nan", "NaN", "1e3", "-0"]
+
+digit_shapes = st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(st.integers(1, 6), st.integers(1, 6))
+
+
+@st.composite
+def digit_grids(draw):
+    """Single-digit tokens in canonical layout, some of them the nodata text."""
+    nrows, ncols = draw(digit_shapes)
+    nodata = draw(st.sampled_from(NODATA_TEXTS))
+    with_nodata = draw(st.booleans())
+    cell = st.integers(0, 9).map(str) | (st.just(nodata) if with_nodata else st.nothing())
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return nrows, ncols, nodata, rows
+
+
+def grid_text(nrows, ncols, nodata, body):
+    return f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 30\nNODATA_value {nodata}\n" + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_grids())
+def test_digit_grids_load_by_stride_bit_equal_to_the_general_path(grid_path, case):
+    nrows, ncols, nodata, rows = case
+    grid_path.write_text(grid_text(nrows, ncols, nodata, "".join(" ".join(r) + "\n" for r in rows)))
+    got, strided = load_outcome(grid_path)
+    assert strided
+    assert_same_outcome(got, general_outcome(grid_path, ncols, nrows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_grids())
+def test_digit_grids_round_trip_byte_stable(grid_path, case):
+    nrows, ncols, nodata, rows = case
+    values = np.array([[float(t) for t in r] for r in rows])
+    first, second = grid_path, grid_path.with_name("h.asc")
+    write_grid(Grid(values, nodata=float(nodata)), first)
+    write_grid(load_grid(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    body = first.read_text().split("\n")[HEADER_LINES:-1]
+    assert [line.split(" ") for line in body] == [[f"{v:.6g}" for v in row] for row in values.tolist()]
+
+
+#: Values next to the digits 0-9 that must not be written by stride.
+NOT_DIGITS = [-0.0, math.nan, math.inf, 0.5, 9.5, 10.0, -1.0, 1e-300, 8.999999999999998]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, digit_shapes, elements=st.integers(0, 9).map(float) | st.sampled_from(NOT_DIGITS)))
+def test_stride_text_is_format_floats_or_declines(values):
+    text = raster._stride_text(values)
+    if all(v in range(10) and math.copysign(1.0, v) > 0 for v in values.ravel().tolist()):
+        assert text is not None
+        assert text.tobytes() == raster._format_body(values)
+    else:
+        assert text is None
+
+
+#: One mutation of the body "1 0 1\n0 -9999 0\n" (nodata -9999) per case.
+NEAR_MISSES = {
+    "double-space": "1  0 1\n0 -9999 0\n",
+    "trailing-space": "1 0 1 \n0 -9999 0\n",
+    "crlf": "1 0 1\r\n0 -9999 0\r\n",
+    "tab": "1\t0 1\n0 -9999 0\n",
+    "leading-space": " 1 0 1\n0 -9999 0\n",
+    "no-final-newline": "1 0 1\n0 -9999 0",
+    "blank-lines-after": "1 0 1\n0 -9999 0\n\n\n",
+    "stray-n": "1 n 1\n0 -9999 0\n",
+    "stray-n-no-nodata": "1 n 1\n0 1 0\n",
+    "stray-dash": "1 - 1\n0 -9999 0\n",
+    "stray-x": "1 0 x\n0 -9999 0\n",
+    "byte-after-9": "1 : 1\n0 -9999 0\n",
+    "byte-before-0": "1 / 1\n0 -9999 0\n",
+    "two-digits": "1 01 1\n0 -9999 0\n",
+    "minus-zero": "1 -0 1\n0 -9999 0\n",
+    "nodata-spelled-otherwise": "1 0 1\n0 -9999.0 0\n",
+    "nodata-inside-a-token": "1 0 1\n0 -99990 0\n",
+    "nodata-twice-in-a-token": "1 0 1\n0 -9999-9999 0\n",
+    "long-row": "1 0 1 1\n0 -9999 0\n",
+    "short-row": "1 0\n0 -9999 0\n",
+    "missing-row": "1 0 1\n",
+    "extra-row": "1 0 1\n0 -9999 0\n1 1 1\n",
+    "blank-row": "1 0 1\n\n0 -9999 0\n",
+}
+
+
+@pytest.mark.parametrize("body", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_near_misses_give_the_general_outcome(grid_path, body):
+    grid_path.write_bytes(grid_text(2, 3, "-9999", body).encode("ascii"))
+    assert_same_outcome(load_outcome(grid_path)[0], general_outcome(grid_path, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "nodata, body",
+    [("-9999", "0 n\n"), ("-9999", "n -9999\n"), ("nan", "0 nan\n"), ("nan", "n 0\n"), ("-9999", "0 -9999.0\n")],
+)
+def test_nodata_marking_hides_no_token(grid_path, nodata, body):
+    # A body "0 n" must say 'n' is not a number, nodata text or not.
+    grid_path.write_text(grid_text(1, 2, nodata, body))
+    expected = general_outcome(grid_path, 2, 1)
+    assert_same_outcome(load_outcome(grid_path)[0], expected)
+    if "n" in body.split():
+        assert str(expected) == "line 7: non-numeric value 'n'"
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_grids(), st.data())
+def test_mutated_digit_grids_give_the_general_outcome(grid_path, case, data):
+    nrows, ncols, nodata, rows = case
+    text = "".join(" ".join(r) + "\n" for r in rows)
+    at = data.draw(st.integers(0, len(text)))
+    edit = data.draw(st.sampled_from([" ", "\t", "\r", "\n", "n", "-", "x", "0", ":", "/", ".", "e", "", nodata]))
+    cut = data.draw(st.integers(0, 2))
+    grid_path.write_bytes(grid_text(nrows, ncols, nodata, text[:at] + edit + text[at + cut:]).encode("ascii"))
+    assert_same_outcome(load_outcome(grid_path)[0], general_outcome(grid_path, ncols, nrows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from mapbayes import Grid, RunRecord, SynthConfig, generate_pair, load_grid, threshold_scores, write_grid
 from mapbayes import report
-from mapbayes.raster import format_floats
+from mapbayes.raster import GridFormatError, format_floats
 from mapbayes.bayes import Convention
 from mapbayes.convergence import DEFAULT_ALPHA_GRID
 from mapbayes.report import (
@@ -104,6 +104,7 @@ class TestOneRuleOneFunction:
             ("value threshold needs a cut in [0, 1]", ("raster.py", "check_cut")),
             ("samples must be finite", ("kde.py", "_finite")),
             ("alpha must be in [0, 1]", ("convergence.py", "__post_init__")),
+            ("is reserved for the scope of all runs", ("report.py", "group_label")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -557,6 +558,7 @@ class TestRunJob:
                 "box_id": "9",
                 "cycle": "3",
                 "error": "prediction origin_x 30.0 != observation origin_x 0.0: the rasters do not line up",
+                "error_type": "ValueError",
             }
         ]
         assert json.loads((out_dir / "summary.json").read_text())["n_assessed"] == 12
@@ -643,14 +645,17 @@ class TestSharedObservedMaps:
         broken.write_text("\n".join(lines))
         errors = []
         for inp in inputs[3:]:
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(GridFormatError) as err:
                 assess_pair(inp, ThresholdPolicy("quantity_obs"), Convention.PAPER)
             errors.append(str(err.value))
         assert errors[0].startswith("line 9: non-numeric value 'x")
 
         manifest = run_job(shared_map_job(inputs, tmp_path / "out"))
         assert manifest["failures"] == [
-            {"sim": str(inp.sim), "box_id": "1", "cycle": str(inp.cycle), "error": error}
+            {
+                "sim": str(inp.sim), "box_id": "1", "cycle": str(inp.cycle),
+                "error": error, "error_type": "GridFormatError",
+            }
             for inp, error in zip(inputs[3:], errors)
         ]
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_assessed"] == 3
@@ -668,6 +673,12 @@ class TestAnalyzeScopes:
         assert "dominance.csv" in names
         assert {"all", "A", "B", "C"} <= set(summaries)
         assert summaries["all"]["selected_alpha"] == 0.25
+
+    def test_a_group_named_all_is_refused_before_anything_is_written(self, tmp_path):
+        runs = [RunRecord(i, "all" if i % 2 else "B", 1, 0.1 * (i % 9), 0.5) for i in range(80)]
+        with pytest.raises(ValueError, match="group label 'all' is reserved for the scope of all runs"):
+            analyze_scopes(runs, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_each_density_is_evaluated_on_the_grid_once(self, tmp_path, monkeypatch):
         from mapbayes import SynthConfig, generate_run_table

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
-from .convergence import DEFAULT_ALPHA_GRID, RunTable
+from .convergence import DEFAULT_ALPHA_GRID
 from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
@@ -30,11 +30,12 @@ from .report import (
     analyze_scopes,
     assess_pair,
     column_rows,
-    group_label,
     load_job,
     read_csv,
+    read_runs_csv,
     read_settings,
     run_job,
+    unit_value,
     write_csv,
     write_json,
     write_runs_csv,
@@ -215,7 +216,7 @@ def cmd_sweep(args) -> int:
 def cmd_kde(args) -> int:
     settings = _settings(args)
     bandwidth = settings.get("bandwidth")
-    labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": _sample_value}))
+    labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": unit_value}))
     fits = {}
     for label in ("pos", "neg"):
         try:
@@ -235,7 +236,7 @@ def cmd_kde(args) -> int:
 def cmd_converge(args) -> int:
     settings = _settings(args, "out")
     out = settings["out"]
-    runs = _read_runs(args.runs)
+    runs = read_runs_csv(args.runs)
     out.mkdir(parents=True, exist_ok=True)
     _, scope_summaries = analyze_scopes(
         runs,
@@ -318,23 +319,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_runs(path: Path) -> RunTable:
-    columns = {"box_id": int, "group": group_label, "cycle": int, "ppv": float, "npv": float}
-    return RunTable(*read_csv(path, columns, check=RunTable))
-
-
 def _sample_label(text: str) -> str:
     label = text.lower()
     if label not in ("pos", "neg"):
         raise ValueError(f"sample label must be pos or neg, got {text!r}")
     return label
-
-
-def _sample_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"sample value must be in [0, 1], got {text!r}")
-    return value
 
 
 def _emit_csv(out: Path | None, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

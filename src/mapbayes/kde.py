@@ -52,6 +52,10 @@ _EDGE = np.array([SQRT5, np.nextafter(-SQRT5, -np.inf)])
 #: Relative gap in joint density within which two crossings count as tied.
 _TIE_RTOL = 1e-9
 
+#: The smallest bandwidth: below the smallest normal float the peak density,
+#: K(0) / h, is no longer safely finite.
+_MIN_BANDWIDTH = sys.float_info.min
+
 
 class _BinSums(NamedTuple):
     """Per-bin re-centred prefix sums over a model's sorted samples."""
@@ -105,15 +109,17 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     h = 0.9 * spread * x.size ** (-1.0 / 5.0)
-    if h < sys.float_info.min:
+    if h < _MIN_BANDWIDTH:
         raise ValueError(f"degenerate bandwidth {h!r}: the samples are all but identical; pass an explicit bandwidth")
     return h
 
 
 def check_bandwidth(bandwidth: float) -> float:
-    """`bandwidth` if it is positive and finite; otherwise a `ValueError`."""
+    """`bandwidth` if it is finite and at least `_MIN_BANDWIDTH`; otherwise a `ValueError`."""
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if bandwidth < _MIN_BANDWIDTH:
+        raise ValueError(f"bandwidth must be at least the smallest normal float {_MIN_BANDWIDTH!r}, got {bandwidth!r}")
     return bandwidth
 
 

@@ -8,7 +8,6 @@ six significant digits and newline endings, and reload byte-identically.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -17,8 +16,6 @@ from typing import Any, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
-
-log = logging.getLogger(__name__)
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int8]

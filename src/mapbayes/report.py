@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -128,6 +129,22 @@ def group_label(label: str) -> str:
     return label
 
 
+def unit_value(text: str) -> float:
+    """The number `text` spells if it lies in [0, 1]: a predictive value or a KDE sample."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"value must be in [0, 1], got {text!r}")
+    return value
+
+
+def int64_id(text: str) -> int:
+    """The integer `text` spells if it fits in int64: a box id or a cycle."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"id must fit in a 64-bit integer, got {text!r}")
+    return value
+
+
 def input_kind(kind: str) -> str:
     """`kind` if it is an input kind ("binary" or "score")."""
     if kind not in ("binary", "score"):
@@ -195,7 +212,8 @@ def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
     base = Path(path).parent
     columns = {
-        "kind": input_kind, "sim": str, "obs": str, "exclusion": str, "box_id": int, "group": group_label, "cycle": int
+        "kind": input_kind, "sim": str, "obs": str, "exclusion": str,
+        "box_id": int64_id, "group": group_label, "cycle": int64_id,
     }
     return tuple(
         JobInput(kind, base / sim, base / obs, base / excl if excl else None, box_id, group, cycle)
@@ -663,61 +681,45 @@ def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]
 # ---------------------------------------------------------------------------
 
 
-#: Rows that `read_csv` holds as text and parses at a time, and `column_rows` formats at a time.
+#: Rows that `read_csv` parses at a time, and `column_rows` formats at a time.
 _BLOCK_ROWS = 4096
 
 
-def read_csv(
-    path: str | Path, columns: Mapping[str, Callable[[str], Any]], check: Callable[..., Any] | None = None
-) -> tuple[list[Any], ...]:
+def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> tuple[list[Any], ...]:
     """The requested columns of a CSV file with a header line, parsed.
 
-    `columns` maps each column to read to its parser; the columns come back
-    as lists in that order. Fields are stripped and blank lines skipped;
-    other columns, and any column order, are accepted. Rows are parsed a
-    block at a time; `check`, when given, is called with each block's
-    parsed columns and refuses a row by raising `ValueError`.
+    `columns` maps each column to read to its parser, which holds the
+    column's rules and refuses a value by raising `ValueError`; the columns
+    come back as lists in that order. Fields are stripped and blank lines
+    skipped; other columns, and any column order, are accepted. Rows are
+    parsed a block at a time, column by column; on any fault one pass row
+    by row names the first one in the file.
 
     Raises:
         ValueError: Naming the path: a missing column, a row whose field
             count differs from the header's (with its line), a value its
-            parser refuses (with its line and column), a row `check`
-            refuses (with its line), or no rows at all.
+            parser refuses (with its line and column), or no rows at all.
     """
     out: tuple[list[Any], ...] = tuple([] for _ in columns)
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    lines: list[int] = []
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            rows = (row for row in csv.reader(fh) if "".join(row).strip())
+            header = [f.strip() for f in next(rows, [])]
+            spec = [(header.index(name), parse) for name, parse in columns.items()]
+            while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+                if set(map(len, block)) != {len(header)}:
+                    raise ValueError("a row's field count differs from the header's")
+                for col, (i, parse) in zip(out, spec):
+                    col.extend(map(parse, map(str.strip, map(itemgetter(i), block))))
+                del block  # freed before the next one is read: one block of text at a time
+        if out and out[0]:
+            return out
+    except ValueError:
+        pass
 
-    def parse_block() -> None:
-        if not rows:
-            return
-        fields = list(zip(*rows))
-        try:
-            block = [list(map(parse, map(str.strip, fields[i]))) for _, i, parse in spec]
-            if check is not None:
-                check(*block)
-        except ValueError:
-            # Walk the block in file order to name the first refused value or row.
-            for row, line in zip(rows, lines):
-                values = []
-                for name, i, parse in spec:
-                    try:
-                        values.append(parse(row[i].strip()))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: line {line}, column {name!r}: {exc}") from None
-                if check is None:
-                    continue
-                try:
-                    check(*([v] for v in values))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line}: {exc}") from None
-            raise
-        for col, part in zip(out, block):
-            col.extend(part)
-        rows.clear()
-        lines.clear()
-
+    # Row by row: the first fault in file order is raised with its line.
+    out = tuple([] for _ in columns)
+    header = None
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -728,17 +730,16 @@ def read_csv(
                 missing = [name for name in columns if name not in header]
                 if missing:
                     raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
-                spec = [(name, header.index(name), parse) for name, parse in columns.items()]
-            elif len(row) != len(header):
-                parse_block()  # an earlier refused value or row comes first
+                spec = [(header.index(name), parse) for name, parse in columns.items()]
+                continue
+            if len(row) != len(header):
                 found, expected = len(row), len(header)
                 raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-            else:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    parse_block()
-    parse_block()
+            for col, name, (i, parse) in zip(out, columns, spec):
+                try:
+                    col.append(parse(row[i].strip()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
     if not (out and out[0]):
         raise ValueError(f"{path} lists no inputs")
     return out
@@ -760,10 +761,19 @@ def column_rows(*columns: NDArray[Any]) -> Iterator[tuple[Any, ...]]:
         yield from zip(*(format_floats(b) if col.dtype.kind == "f" else b for col, b in zip(columns, block)))
 
 
+#: The columns of runs.csv and their parsers.
+_RUNS_CSV = {"box_id": int64_id, "group": group_label, "cycle": int64_id, "ppv": unit_value, "npv": unit_value}
+
+
+def read_runs_csv(path: str | Path) -> RunTable:
+    """The run table of a runs.csv file, as `write_runs_csv` writes it."""
+    return RunTable(*read_csv(path, _RUNS_CSV))
+
+
 def write_runs_csv(path: Path, runs: Runs) -> Path:
     t = RunTable.of(runs)
     rows = column_rows(t.box_id, t.group, t.cycle, t.ppv, t.npv)
-    return write_csv(path, ("box_id", "group", "cycle", "ppv", "npv"), rows)
+    return write_csv(path, tuple(_RUNS_CSV), rows)
 
 
 def _round_floats(obj: Any) -> Any:

@@ -105,21 +105,16 @@ def generate_run_table(
     jitter = cfg.score_noise / 3.0
     ordered_cycles = sorted(set(int(c) for c in cycles))
 
+    # One row per (box, cycle), box-major: the order the runs are drawn in.
+    boxes, n_cycles = np.arange(n_boxes), len(ordered_cycles)
+    box_offset = np.where(boxes % 3 == 0, -2.0 * spread, spread).repeat(n_cycles)
+    scales = np.tile([jitter * rank**-0.5 for rank in range(1, n_cycles + 1)], n_boxes)
+    eps = rng.normal(0.0, scales) if jitter > 0 else 0.0
+    diff = np.clip(cfg.planted_offset + box_offset + eps, -0.98, 0.98)
+    ppv, npv = (0.5 + diff / 2.0).tolist(), (0.5 - diff / 2.0).tolist()
     group_bounds = np.linspace(0, n_boxes, 4).astype(int)  # thirds: A | B | C
-    records: list[RunRecord] = []
-    for i in range(n_boxes):
-        box_offset = -2.0 * spread if i % 3 == 0 else spread
-        group = "ABC"[int(np.searchsorted(group_bounds[1:3], i, side="right"))]
-        for rank, cycle in enumerate(ordered_cycles, start=1):
-            eps = rng.normal(0.0, jitter * rank ** -0.5) if jitter > 0 else 0.0
-            diff = float(np.clip(cfg.planted_offset + box_offset + eps, -0.98, 0.98))
-            records.append(
-                RunRecord(
-                    box_id=i,
-                    group=group,
-                    cycle=cycle,
-                    ppv=0.5 + diff / 2.0,
-                    npv=0.5 - diff / 2.0,
-                )
-            )
-    return records
+    groups = ["ABC"[g] for g in np.searchsorted(group_bounds[1:3], boxes, side="right").tolist()]
+    return [
+        RunRecord(box_id=i, group=groups[i], cycle=cycle, ppv=p, npv=n)
+        for i, cycle, p, n in zip(boxes.repeat(n_cycles).tolist(), ordered_cycles * n_boxes, ppv, npv)
+    ]

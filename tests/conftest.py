@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mapbayes import SynthConfig, generate_pair, threshold_scores, write_grid
+
+# The same examples on every run, and no replay of failures found on earlier
+# runs: a tier-1 result depends on the code alone (hypothesis's "ci" settings).
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 SQRT5 = math.sqrt(5.0)
 

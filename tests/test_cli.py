@@ -24,9 +24,9 @@ from mapbayes import (
     tile_region,
     write_grid,
 )
-from mapbayes.cli import _read_runs, main
+from mapbayes.cli import main
 from mapbayes.raster import format_float
-from mapbayes.report import write_runs_csv
+from mapbayes.report import read_runs_csv, write_runs_csv
 
 from conftest import mirrored_samples, write_input_files
 
@@ -287,9 +287,19 @@ class TestKde:
         out_dir = tmp_path / "kout"
         expect_failure(["kde", "--samples", str(path), "--out", str(out_dir)])
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: line 2, column 'value': sample value must be in [0, 1], got '40'\n"
+        assert captured.err == f"error: {path}: line 2, column 'value': value must be in [0, 1], got '40'\n"
         assert captured.out == ""
         assert not (out_dir / "kde.csv").exists()
+
+    def test_a_subnormal_bandwidth_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text("label,value\npos,0\npos,1\nneg,0\nneg,1\n")
+        out_dir = tmp_path / "kout"
+        expect_failure(["kde", "--samples", str(path), "--out", str(out_dir), "--bandwidth", "5e-310"])
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --bandwidth: bandwidth must be at least the smallest normal float")
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_no_crossing_writes_no_kde_csv(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"
@@ -348,6 +358,15 @@ class TestConverge:
         assert err == f"error: --bandwidth: bandwidth must be positive and finite, got {float(bandwidth)}\n"
         assert not out_dir.exists()
 
+    def test_a_subnormal_bandwidth_is_a_usage_error(self, runs_csv, tmp_path, capsys):
+        # Below the smallest normal float the peak density K(0) / h is no longer safely finite.
+        out_dir = tmp_path / "conv"
+        expect_failure(["converge", "--runs", runs_csv, "--out", str(out_dir), "--bandwidth", "5e-310"])
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bandwidth: bandwidth must be at least the smallest normal float")
+        assert err.endswith("got 5e-310\n")
+        assert not out_dir.exists()
+
     def test_empty_runs_file(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("box_id,group,cycle,ppv,npv\n")
@@ -359,8 +378,12 @@ class TestConverge:
             ("box_id,group,cycle,ppv\n1,A,1,0.5\n", "missing columns ['npv']"),
             ("box_id,group,cycle,ppv,npv\n1,A,1,0.5,0.5\n2,A,1,0.5\n", "line 3 has 4 fields, the header has 5"),
             ("box_id,group,cycle,ppv,npv\nx,A,1,0.5,0.5\n", "line 2, column 'box_id': invalid literal for int()"),
+            (
+                "box_id,group,cycle,ppv,npv\n1,A,1,0.5,0.5\n1,A,-9223372036854775809,0.5,0.5\n",
+                "line 3, column 'cycle': id must fit in a 64-bit integer, got '-9223372036854775809'",
+            ),
         ],
-        ids=["missing-column", "short-row", "bad-box-id"],
+        ids=["missing-column", "short-row", "bad-box-id", "cycle-beyond-int64"],
     )
     def test_malformed_runs_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "runs.csv"
@@ -374,7 +397,8 @@ class TestConverge:
         path.write_text("box_id,group,cycle,ppv,npv\n2,A,1,0.5,0.5\n\n1,A,1,0.5,1.5\n")
         expect_failure(["converge", "--runs", str(path), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
-        assert err == f"error: {path}: line 4: run 1@1: predictive values outside [0, 1] (ppv=0.5, npv=1.5)\n"
+        assert err == f"error: {path}: line 4, column 'npv': value must be in [0, 1], got '1.5'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_a_group_named_all_is_a_usage_error(self, tmp_path, capsys):
         # It would replace the scope of all runs in every output keyed by scope.
@@ -406,7 +430,7 @@ class TestConverge:
     def test_written_runs_read_back(self, tmp_path_factory, runs):
         path = tmp_path_factory.mktemp("runs") / "runs.csv"
         write_runs_csv(path, runs)
-        table = _read_runs(path)
+        table = read_runs_csv(path)
         assert table.box_id.tolist() == [r.box_id for r in runs]
         assert table.group.tolist() == [r.group for r in runs]
         assert table.cycle.tolist() == [r.cycle for r in runs]
@@ -581,6 +605,29 @@ class TestReport:
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == (
             f"error: {config_path}: bandwidth: bandwidth must be positive and finite, got inf\n"
+        )
+        assert not out_dir.exists()
+
+    def test_a_subnormal_bandwidth_in_config_is_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        config_path.write_text(config_path.read_text() + "bandwidth = 5e-310\n")
+        expect_failure(["report", "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: bandwidth: bandwidth must be at least the smallest normal float")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("column", ["box_id", "cycle"])
+    def test_an_id_beyond_int64_is_refused_before_any_work(self, job_tree, capsys, column):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        header, first, *rest = manifest.read_text().splitlines()
+        fields = dict(zip(header.split(","), first.split(",")))
+        fields[column] = "100000000000000000000"
+        manifest.write_text("\n".join([header, first, *rest, ",".join(fields.values())]) + "\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 14, column {column!r}: "
+            "id must fit in a 64-bit integer, got '100000000000000000000'\n"
         )
         assert not out_dir.exists()
 

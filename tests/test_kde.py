@@ -6,6 +6,7 @@ evaluation, `conftest.reference_density`, plus scipy root refinement).
 """
 
 import math
+import sys
 import tracemalloc
 from statistics import NormalDist
 
@@ -122,9 +123,15 @@ class TestKdeModel:
         expected = np.array([ref(float(x)) for x in xs])
         np.testing.assert_allclose(model.evaluate(xs), expected, rtol=0, atol=1e-12)
 
-    def test_a_subnormal_bandwidth_evaluates_without_overflow(self):
+    def test_a_subnormal_bandwidth_is_refused(self):
+        # Below the smallest normal float the peak density, K(0) / h, is no longer safely finite.
+        for h in (4e-309, 5e-310, 5e-324):
+            with pytest.raises(ValueError, match=rf"bandwidth must be at least the smallest normal float .*, got {h!r}"):
+                KdeModel(samples=np.array([0.0, 1.0]), bandwidth=h)
+
+    def test_the_smallest_normal_bandwidth_evaluates_without_overflow(self):
         # A far sample's z overflows to inf; that reads as outside the kernel, not as a warning.
-        h = 4e-309
+        h = sys.float_info.min
         model = KdeModel(samples=np.array([0.0, 1.0]), bandwidth=h)
         peak = 0.75 / SQRT5 / (2 * h)
         assert model.evaluate(np.array([0.0, 0.5, 1.0])).tolist() == pytest.approx([peak, 0.0, peak])

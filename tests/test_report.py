@@ -105,6 +105,8 @@ class TestOneRuleOneFunction:
             ("samples must be finite", ("kde.py", "_finite")),
             ("alpha must be in [0, 1]", ("convergence.py", "__post_init__")),
             ("is reserved for the scope of all runs", ("report.py", "group_label")),
+            ("value must be in [0, 1]", ("report.py", "unit_value")),
+            ("must fit in a 64-bit integer", ("report.py", "int64_id")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -332,13 +334,38 @@ class TestReadInputsManifest:
             read_inputs_manifest(p)
 
 
+class TestColumnParsers:
+    @pytest.mark.parametrize("text, value", [("0", 0.0), ("-0.0", -0.0), ("1", 1.0), ("1e-300", 1e-300)])
+    def test_unit_value_takes_a_number_in_the_unit_interval(self, text, value):
+        assert report.unit_value(text) == value
+
+    @pytest.mark.parametrize("text", ["1.5", "-1e-300", "nan", "inf", "40"])
+    def test_unit_value_refuses_a_number_outside_it(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"value must be in [0, 1], got {text!r}")):
+            report.unit_value(text)
+
+    @pytest.mark.parametrize("text", ["0", "-9223372036854775808", "9223372036854775807"])
+    def test_int64_id_takes_an_int64(self, text):
+        assert report.int64_id(text) == int(text)
+        assert np.array([report.int64_id(text)]).dtype == np.int64
+
+    @pytest.mark.parametrize("text", ["9223372036854775808", "-9223372036854775809", "100000000000000000000"])
+    def test_int64_id_refuses_an_integer_beyond_it(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"id must fit in a 64-bit integer, got {text!r}")):
+            report.int64_id(text)
+
+
+def at_most_half(text):
+    value = float(text)
+    if value > 0.5:
+        raise ValueError(f"ppv above 0.5: {value}")
+    return value
+
+
 class TestReadCsv:
     COLUMNS = {"box_id": int, "group": str, "ppv": float}
-
-    @staticmethod
-    def at_most_half(box_id, group, ppv):
-        if max(ppv) > 0.5:
-            raise ValueError(f"ppv above 0.5: {max(ppv)}")
+    #: Columns whose ppv parser refuses a value that `float` takes.
+    REFUSING = {"box_id": int, "group": str, "ppv": at_most_half}
 
     def test_blank_lines_extra_columns_and_any_order(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -369,16 +396,16 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text('box_id,group,ppv\n1,A,0.5\n2,"B\nC",0.25\n\n3,A,0.75\n4,A,0.5\n')
         with pytest.raises(ValueError) as exc:
-            report.read_csv(p, self.COLUMNS, check=self.at_most_half)
-        assert str(exc.value) == f"{p}: line 6: ppv above 0.5: 0.75"
+            report.read_csv(p, self.REFUSING)
+        assert str(exc.value) == f"{p}: line 6, column 'ppv': ppv above 0.5: 0.75"
         p.write_text("box_id,group,ppv\n1,A,0.5\n3,A,0.25\n")
-        assert report.read_csv(p, self.COLUMNS, check=self.at_most_half) == ([1, 3], ["A", "A"], [0.5, 0.25])
+        assert report.read_csv(p, self.REFUSING) == ([1, 3], ["A", "A"], [0.5, 0.25])
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (["1,A,0.75", "x,A,0.5", "1,A"], "line 2: ppv above 0.5: 0.75"),
+            (["1,A,0.75", "x,A,0.5", "1,A"], "line 2, column 'ppv': ppv above 0.5: 0.75"),
             (["1,A,0.5", "x,A,0.75", "1,A"], "line 3, column 'box_id'"),
             (["1,A,0.5", "2,A,0.5", "1,A"], "line 4 has 2 fields, the header has 3"),
         ],
@@ -389,7 +416,7 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text("box_id,group,ppv\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
-            report.read_csv(p, self.COLUMNS, check=self.at_most_half)
+            report.read_csv(p, self.REFUSING)
 
 
 class TestColumnRows:

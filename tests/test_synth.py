@@ -5,12 +5,14 @@ import pytest
 
 from mapbayes import (
     EXCLUDED,
+    RunRecord,
     SynthConfig,
     build_confusion,
     generate_pair,
     generate_run_table,
     threshold_scores,
 )
+from mapbayes.synth import _rng
 
 
 class TestSynthConfig:
@@ -114,8 +116,43 @@ class TestGenerateRunTable:
         b = generate_run_table(SynthConfig(seed=13, planted_offset=0.5))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "cfg, n_boxes, cycles",
+        [
+            (SynthConfig(seed=0), 30, tuple(range(1, 13))),
+            (SynthConfig(seed=3, planted_offset=0.5), 1, (4,)),
+            (SynthConfig(seed=5, score_noise=0.9, planted_offset=1.0), 2, (9, 2, 9, 5)),
+            (SynthConfig(seed=7, score_noise=0.0, planted_offset=0.25), 7, (3, 1, 3, 2)),
+        ],
+    )
+    def test_columns_give_the_records_of_the_per_run_loop(self, cfg, n_boxes, cycles):
+        # The values are drawn as whole columns; the per-run loop they replace is the reference.
+        got = generate_run_table(cfg, n_boxes=n_boxes, cycles=cycles)
+        expected = per_run_loop(cfg, n_boxes, cycles)
+        assert got == expected
+        fields = ("box_id", "group", "cycle", "ppv", "npv")
+        assert [[type(getattr(r, f)) for f in fields] for r in got] == [[int, str, int, float, float]] * len(got)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_boxes"):
             generate_run_table(SynthConfig(), n_boxes=0)
         with pytest.raises(ValueError, match="cycle"):
             generate_run_table(SynthConfig(), cycles=())
+
+
+def per_run_loop(cfg, n_boxes, cycles):
+    """`generate_run_table` as one scalar draw per run: the reference for its column form."""
+    rng = _rng(cfg, "runs")
+    spread = min(0.5, cfg.score_noise * 5.0 / 3.0)
+    jitter = cfg.score_noise / 3.0
+    ordered_cycles = sorted(set(int(c) for c in cycles))
+    group_bounds = np.linspace(0, n_boxes, 4).astype(int)
+    records = []
+    for i in range(n_boxes):
+        box_offset = -2.0 * spread if i % 3 == 0 else spread
+        group = "ABC"[int(np.searchsorted(group_bounds[1:3], i, side="right"))]
+        for rank, cycle in enumerate(ordered_cycles, start=1):
+            eps = rng.normal(0.0, jitter * rank**-0.5) if jitter > 0 else 0.0
+            diff = float(np.clip(cfg.planted_offset + box_offset + eps, -0.98, 0.98))
+            records.append(RunRecord(box_id=i, group=group, cycle=cycle, ppv=0.5 + diff / 2.0, npv=0.5 - diff / 2.0))
+    return records

@@ -29,7 +29,7 @@ from .convergence import (
     GROUP_FINAL,
     ConvergenceForm,
     DominanceTable,
-    FitResult,
+    FitGrid,
     PPCurve,
     RunRecord,
     RunTable,

@@ -201,14 +201,14 @@ def cmd_sweep(args) -> int:
         )
     else:
         raise ValueError("give --sens/--tn-rate, or a raster pair")
-    if args.prevalences:
-        grid = [float(t) for t in args.prevalences.split(",")]
-    else:
-        grid = [round(i * 0.01, 2) for i in range(101)]
-    rows = [
-        (*format_floats((pv.prevalence, pv.ppv, pv.npv)), convention.value)
-        for pv in prevalence_sweep(rates, grid, convention)
-    ]
+    grid = [round(i * 0.01, 2) for i in range(101)]
+    try:
+        if args.prevalences:
+            grid = [float(t) for t in args.prevalences.split(",")]
+        sweep = prevalence_sweep(rates, grid, convention)
+    except ValueError as exc:
+        raise ValueError(f"--prevalences: {exc}") from None
+    rows = [(*format_floats((pv.prevalence, pv.ppv, pv.npv)), convention.value) for pv in sweep]
     _emit_csv(settings.get("out"), "sweep.csv", ("prevalence", "ppv", "npv", "convention"), rows)
     return 0
 

@@ -60,13 +60,20 @@ class AgreementRates:
     `tn_rate` is TN / (TN + FP): the true-negative rate. Standard usage calls
     this quantity specificity; some reporting traditions label the same number
     "1 - Specificity". It is stored once here and `specificity_std` aliases it
-    under the standard name. Undefined rates (zero marginal) are None.
+    under the standard name. Undefined rates (zero marginal) are None; a
+    defined rate outside [0, 1], or NaN, is refused, naming its field.
     """
 
     sensitivity: float | None
     tn_rate: float | None
     prevalence_observed: float
     pcm: float
+
+    def __post_init__(self):
+        for name in ("sensitivity", "tn_rate", "prevalence_observed", "pcm"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a rate in [0, 1], got {value}")
 
     @property
     def specificity_std(self) -> float | None:

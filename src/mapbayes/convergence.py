@@ -66,8 +66,12 @@ class ConvergenceForm:
 
 
 def asymmetric_family(alpha_grid: Iterable[float] = DEFAULT_ALPHA_GRID) -> list[ConvergenceForm]:
-    """Asymmetric-normal forms over an offset grid."""
-    return [ConvergenceForm("asymmetric_normal", float(a)) for a in alpha_grid]
+    """Asymmetric-normal forms over an offset grid; two offsets may not share a label."""
+    forms: dict[str, ConvergenceForm] = {}
+    for form in (ConvergenceForm("asymmetric_normal", float(a)) for a in alpha_grid):
+        if forms.setdefault(form.label, form) is not form:
+            raise ValueError(f"offsets {forms[form.label].alpha!r} and {form.alpha!r} share the label {form.label}")
+    return list(forms.values())
 
 
 def convergence_factor(ppv: float, npv: float, form: ConvergenceForm) -> float:
@@ -198,7 +202,7 @@ def fit_normal_ml(values: Sequence[float] | NDArray[np.float64]) -> tuple[float,
     """Closed-form ML normal fit: (mean, population standard deviation).
 
     The scale uses the N divisor (the likelihood maximizer), not N-1.
-    Identical values give scale 0.0 - degenerate; FitResult refuses it.
+    Identical values give scale 0.0 - degenerate; `FitGrid` refuses it.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
@@ -206,35 +210,41 @@ def fit_normal_ml(values: Sequence[float] | NDArray[np.float64]) -> tuple[float,
     return float(np.mean(x)), float(np.std(x, ddof=0))
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Normal summary of one form's factor values within one group (`values`, when kept)."""
+@dataclass(frozen=True, eq=False)
+class FitGrid:
+    """ML normal fits of every form's factor values in every robustness group.
 
-    form: ConvergenceForm
-    group: str
-    mu: float
-    sigma: float
-    values: NDArray[np.float64] | None = field(default=None, compare=False, repr=False)
+    `mu[f, g]` and `sigma[f, g]` summarize form `forms[f]` in group
+    `groups[g]`, and `values[f][g]` holds the factor values they summarize
+    (empty when not kept). A scale that is not positive is refused, in group
+    order: the values were identical and the fit is degenerate.
+    """
+
+    forms: tuple[ConvergenceForm, ...]
+    groups: tuple[str, ...]
+    mu: NDArray[np.float64]
+    sigma: NDArray[np.float64]
+    values: tuple[tuple[NDArray[np.float64], ...], ...] = ()
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(
-                f"degenerate fit for {self.form.label} in {self.group}: scale {self.sigma} (identical values?)"
-            )
+        bad = np.argwhere(~(self.sigma.T > 0.0))
+        if bad.size:
+            g, f = bad[0]
+            label, group, scale = self.forms[f].label, self.groups[g], self.sigma[f, g]
+            raise ValueError(f"degenerate fit for {label} in {group}: scale {scale} (identical values?)")
 
 
-def fit_by_form(groups: Mapping[str, Runs], forms: Sequence[ConvergenceForm]) -> list[FitResult]:
-    """ML normal fits for every (group, form) pair."""
-    fits = []
+def fit_by_form(groups: Mapping[str, Runs], forms: Sequence[ConvergenceForm]) -> FitGrid:
+    """ML normal fits of every form in every group, with the factor values they summarize."""
+    values: list[list[NDArray[np.float64]]] = [[] for _ in forms]
     for group, runs in groups.items():
         diff = RunTable.of(runs).diff
         if not diff.size:
             raise ValueError(f"robustness group {group!r} is empty")
-        for form in forms:
-            values = _factor_array(diff, form)
-            mu, sigma = fit_normal_ml(values)
-            fits.append(FitResult(form=form, group=group, mu=mu, sigma=sigma, values=values))
-    return fits
+        for form, row in zip(forms, values):
+            row.append(_factor_array(diff, form))
+    fits = np.array([[fit_normal_ml(v) for v in row] for row in values]).reshape(len(forms), len(groups), 2)
+    return FitGrid(tuple(forms), tuple(groups), fits[..., 0], fits[..., 1], tuple(map(tuple, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,127 +252,60 @@ def fit_by_form(groups: Mapping[str, Runs], forms: Sequence[ConvergenceForm]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceTable:
     """Pairwise scores, sub-criteria, and the selected form.
 
-    score[(label, m, k)] = (0.5 - mu_m)/sigma_m - (0.5 - mu_k)/sigma_k for
-    that form, antisymmetric in the group pair. Sub-criteria per form:
-    location |0.5 - mu| per group, scale sigma per group, and robustness =
-    the largest |score| over group pairs. A form is the uniform dominator
+    Arrays are indexed by form, then group, as in the `FitGrid` compared.
+    With z = (0.5 - mu) / sigma, scores[f, m, k] = z[f, m] - z[f, k],
+    antisymmetric in the group pair. Sub-criteria per form: location
+    |0.5 - mu| per group, scale (the grid's sigma) per group, and robustness
+    = the largest |score| over group pairs. A form is the uniform dominator
     when no rival beats it on any sub-criterion in any group; without one,
-    `selected` falls back to the best mean location and `uniform_dominator`
-    is False.
+    `selected` (an index into `forms`) falls back to the best mean location
+    and `uniform_dominator` is False.
     """
 
     forms: tuple[ConvergenceForm, ...]
-    groups: tuple[str, ...]
-    scores: Mapping[tuple[str, str, str], float]
-    location: Mapping[tuple[str, str], float]
-    scale: Mapping[tuple[str, str], float]
-    robustness: Mapping[str, float]
-    ranking: tuple[str, ...] = field(default=())
-    selected: str = ""
-    uniform_dominator: bool = False
-
-    def form_by_label(self, label: str) -> ConvergenceForm:
-        for f in self.forms:
-            if f.label == label:
-                return f
-        raise KeyError(label)
+    scores: NDArray[np.float64]
+    location: NDArray[np.float64]
+    robustness: NDArray[np.float64]
+    ranking: tuple[str, ...]
+    selected: int
+    uniform_dominator: bool
 
     @property
     def selected_form(self) -> ConvergenceForm:
-        return self.form_by_label(self.selected)
+        return self.forms[self.selected]
 
 
-def dominance_table(fits: Sequence[FitResult]) -> DominanceTable:
+def dominance_table(grid: FitGrid) -> DominanceTable:
     """Compare fitted forms across robustness groups and pick one.
 
-    Requires at least two groups and exactly one fit per (form, group).
-    The selected form dominates on all three sub-criteria when such a form
-    exists; otherwise forms are ranked by location criterion averaged over
-    groups (ties by label) and the best is selected with the
-    uniform-dominator flag off.
+    Requires at least two groups and one form. The selected form dominates
+    on all three sub-criteria when such a form exists; otherwise forms are
+    ranked by location criterion averaged over groups (ties by label) and
+    the best is selected with the uniform-dominator flag off.
     """
-    by_key: dict[tuple[str, str], FitResult] = {}
-    forms: list[ConvergenceForm] = []
-    groups: list[str] = []
-    for f in fits:
-        key = (f.form.label, f.group)
-        if key in by_key:
-            raise ValueError(f"duplicate fit for form {key[0]} in group {key[1]}")
-        by_key[key] = f
-        if f.form.label not in [x.label for x in forms]:
-            forms.append(f.form)
-        if f.group not in groups:
-            groups.append(f.group)
-    if len(groups) < 2:
+    if len(grid.groups) < 2:
         raise ValueError("dominance comparison needs at least two robustness groups")
-    for form in forms:
-        for g in groups:
-            if (form.label, g) not in by_key:
-                raise ValueError(f"missing fit for form {form.label} in group {g}")
-
-    def zscore(label: str, group: str) -> float:
-        fit = by_key[(label, group)]
-        return (0.5 - fit.mu) / fit.sigma
-
-    scores: dict[tuple[str, str, str], float] = {}
-    location: dict[tuple[str, str], float] = {}
-    scale: dict[tuple[str, str], float] = {}
-    robustness: dict[str, float] = {}
-    for form in forms:
-        lbl = form.label
-        for g in groups:
-            fit = by_key[(lbl, g)]
-            location[(lbl, g)] = abs(0.5 - fit.mu)
-            scale[(lbl, g)] = fit.sigma
-        pair_mags = []
-        for m in groups:
-            for k in groups:
-                if m == k:
-                    continue
-                s = zscore(lbl, m) - zscore(lbl, k)
-                scores[(lbl, m, k)] = s
-                pair_mags.append(abs(s))
-        robustness[lbl] = max(pair_mags)
-
-    labels = [f.label for f in forms]
-
-    def dominates_all(lbl: str) -> bool:
-        for other in labels:
-            if other == lbl:
-                continue
-            loc_ok = all(location[(lbl, g)] <= location[(other, g)] for g in groups)
-            scl_ok = all(scale[(lbl, g)] <= scale[(other, g)] for g in groups)
-            rob_ok = robustness[lbl] <= robustness[other]
-            if not (loc_ok and scl_ok and rob_ok):
-                return False
-        return True
-
-    dominators = [lbl for lbl in labels if dominates_all(lbl)]
-
-    def mean_location(lbl: str) -> float:
-        return sum(location[(lbl, g)] for g in groups) / len(groups)
-
-    ranking = tuple(sorted(labels, key=lambda lbl: (mean_location(lbl), lbl)))
-    if len(dominators) == 1:
-        selected, uniform = dominators[0], True
-    else:
-        selected, uniform = ranking[0], False
-
-    return DominanceTable(
-        forms=tuple(forms),
-        groups=tuple(groups),
-        scores=scores,
-        location=location,
-        scale=scale,
-        robustness=robustness,
-        ranking=ranking,
-        selected=selected,
-        uniform_dominator=uniform,
-    )
+    if not grid.forms:
+        raise ValueError("dominance comparison needs at least one form")
+    location = np.abs(0.5 - grid.mu)
+    z = (0.5 - grid.mu) / grid.sigma
+    # Rounding is monotone and symmetric, so max - min is the largest |z_m - z_k| bit for bit.
+    robustness = z.max(1) - z.min(1)
+    # no_worse[f, r]: form f is no worse than form r on every sub-criterion in every group.
+    no_worse = (location[:, None] <= location).all(2) & (grid.sigma[:, None] <= grid.sigma).all(2)
+    no_worse &= robustness[:, None] <= robustness
+    dominators = np.flatnonzero(no_worse.all(1))
+    mean_location = location.mean(1)
+    labels = [f.label for f in grid.forms]
+    order = sorted(range(len(labels)), key=lambda f: (mean_location[f], labels[f]))
+    ranking = tuple(labels[f] for f in order)
+    uniform = dominators.size == 1
+    selected = int(dominators[0]) if uniform else order[0]
+    return DominanceTable(grid.forms, z[:, :, None] - z[:, None, :], location, robustness, ranking, selected, uniform)
 
 
 # ---------------------------------------------------------------------------

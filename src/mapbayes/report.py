@@ -599,35 +599,36 @@ def analyze_scopes(
         entry.update(_kde_analysis(scope, batch, bandwidth, out_dir, files))
         try:
             groups = split_robustness(batch, final_cycle)
-            fits = fit_by_form(groups, forms)
-            table = dominance_table(fits)
+            grid = fit_by_form(groups, forms)
+            table = dominance_table(grid)
         except ValueError as exc:
             entry["convergence_error"] = str(exc)
             summaries[scope] = entry
             continue
-        fits_rows += [(scope, f.group, f.form.label, *format_floats((f.form.alpha, f.mu, f.sigma))) for f in fits]
-        ordered_groups = list(table.groups)
-        for form in table.forms:
-            lbl = form.label
-            row = {"scope": scope, "form": lbl, "alpha": format_float(form.alpha)}
-            for m in ordered_groups:
-                for k in ordered_groups:
+        fits_rows += [
+            (scope, group, form.label, *format_floats((form.alpha, grid.mu[f, g], grid.sigma[f, g])))
+            for g, group in enumerate(grid.groups)
+            for f, form in enumerate(grid.forms)
+        ]
+        for f, form in enumerate(grid.forms):
+            row = {"scope": scope, "form": form.label, "alpha": format_float(form.alpha)}
+            for m, group_m in enumerate(grid.groups):
+                for k, group_k in enumerate(grid.groups):
                     if m != k:
-                        row[f"score_{m}_vs_{k}"] = format_float(table.scores[(lbl, m, k)])
-            for g in ordered_groups:
-                row[f"location_{g}"] = format_float(table.location[(lbl, g)])
-                row[f"scale_{g}"] = format_float(table.scale[(lbl, g)])
-            row["robustness"] = format_float(table.robustness[lbl])
-            row["selected"] = "1" if lbl == table.selected else "0"
+                        row[f"score_{group_m}_vs_{group_k}"] = format_float(table.scores[f, m, k])
+            for g, group in enumerate(grid.groups):
+                row[f"location_{group}"] = format_float(table.location[f, g])
+                row[f"scale_{group}"] = format_float(grid.sigma[f, g])
+            row["robustness"] = format_float(table.robustness[f])
+            row["selected"] = "1" if f == table.selected else "0"
             dom_rows.append(row)
 
-        selected = table.selected_form
-        entry["selected_alpha"] = selected.alpha
+        entry["selected_alpha"] = table.selected_form.alpha
         entry["uniform_dominator"] = table.uniform_dominator
         if not table.uniform_dominator:
             entry["selection_note"] = "no uniform dominator; ranked by location criterion"
-        fit_all = next(f for f in fits if f.form.label == selected.label and f.group == table.groups[0])
-        curve = pp_curve(fit_all.values, fit_all.mu, fit_all.sigma)
+        best = table.selected
+        curve = pp_curve(grid.values[best][0], grid.mu[best, 0], grid.sigma[best, 0])
         pp_rows = column_rows(curve.p, curve.fitted)
         files.append(write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows))
         entry["pp_prevalence_estimate"] = curve.prevalence_estimate
@@ -696,9 +697,10 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
     by row names the first one in the file.
 
     Raises:
-        ValueError: Naming the path: a missing column, a row whose field
-            count differs from the header's (with its line), a value its
-            parser refuses (with its line and column), or no rows at all.
+        ValueError: Naming the path: a byte that is not UTF-8 (with its
+            line), a missing column, a row whose field count differs from
+            the header's (with its line), a value its parser refuses (with
+            its line and column), or no rows at all.
     """
     out: tuple[list[Any], ...] = tuple([] for _ in columns)
     try:
@@ -717,7 +719,15 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
     except ValueError:
         pass
 
-    # Row by row: the first fault in file order is raised with its line.
+    # Row by row: the first fault in file order is raised with its line. A byte
+    # that is not UTF-8 is named first, since the text reader decodes ahead of the rows.
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    del data
     out = tuple([] for _ in columns)
     header = None
     with Path(path).open(newline="", encoding="utf-8") as fh:

@@ -209,6 +209,37 @@ class TestSweep:
         )
 
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            (["--sens", "1.5", "--tn-rate", "0.7"], "sensitivity must be a rate in [0, 1], got 1.5"),
+            (["--sens", "nan", "--tn-rate", "0.7"], "sensitivity must be a rate in [0, 1], got nan"),
+            (["--sens", "0.8", "--tn-rate", "-0.1"], "tn_rate must be a rate in [0, 1], got -0.1"),
+            (["--sens", "0.8", "--tn-rate", "inf"], "tn_rate must be a rate in [0, 1], got inf"),
+        ],
+    )
+    def test_a_rate_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, rates, message):
+        out_dir = tmp_path / "sout"
+        expect_failure(["sweep", *rates, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", "")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.1,x", "could not convert string to float: 'x'"),
+            ("0.1,1.5", "prevalence must be in [0, 1], got 1.5"),
+            ("nan", "prevalence must be in [0, 1], got nan"),
+        ],
+    )
+    def test_a_bad_prevalence_names_the_flag(self, tmp_path, capsys, text, message):
+        out_dir = tmp_path / "sout"
+        expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--prevalences", text, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: --prevalences: {message}\n", "")
+        assert not out_dir.exists()
+
     def test_rates_with_a_threshold_is_a_usage_error(self, capsys):
         expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--threshold", "quantity:obs"])
         assert capsys.readouterr().err == (
@@ -290,6 +321,15 @@ class TestKde:
         assert captured.err == f"error: {path}: line 2, column 'value': value must be in [0, 1], got '40'\n"
         assert captured.out == ""
         assert not (out_dir / "kde.csv").exists()
+
+    def test_a_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"label,value\npos,0.4\npos,0.5\nneg,0.\xff\nneg,0.6\n")
+        out_dir = tmp_path / "kout"
+        expect_failure(["kde", "--samples", str(path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {path}: line 4: byte 0xff is not UTF-8\n", "")
+        assert not out_dir.exists()
 
     def test_a_subnormal_bandwidth_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"
@@ -399,6 +439,27 @@ class TestConverge:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 4, column 'npv': value must be in [0, 1], got '1.5'\n"
         assert not (tmp_path / "x").exists()
+
+    def test_a_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(b"box_id,group,cycle,ppv,npv\n1,A,1,0.5,0.5\n2,\xffA,1,0.5,0.5\n")
+        out_dir = tmp_path / "x"
+        expect_failure(["converge", "--runs", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().err == f"error: {path}: line 3: byte 0xff is not UTF-8\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0,0.5,0", "offsets 0.0 and 0.0 share the label asymmetric_a0"),
+            ("0.1,0.1000001", "offsets 0.1 and 0.1000001 share the label asymmetric_a0.1"),
+        ],
+    )
+    def test_offsets_that_share_a_label_are_a_usage_error(self, runs_csv, tmp_path, capsys, grid, message):
+        out_dir = tmp_path / "x"
+        expect_failure(["converge", "--runs", runs_csv, "--out", str(out_dir), "--alpha-grid", grid])
+        assert capsys.readouterr().err == f"error: --alpha-grid: {message}\n"
+        assert not out_dir.exists()
 
     def test_a_group_named_all_is_a_usage_error(self, tmp_path, capsys):
         # It would replace the scope of all runs in every output keyed by scope.
@@ -677,6 +738,26 @@ class TestReport:
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == (
             f"error: {manifest}: line 2, column 'group': group label 'all' is reserved for the scope of all runs\n"
+        )
+        assert not out_dir.exists()
+
+    def test_a_byte_that_is_not_utf8_in_the_inputs_names_the_file_and_line(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_bytes().splitlines()
+        fields = lines[2].split(b",")
+        lines[2] = b",".join(fields[:5] + [b"\xe9"] + fields[6:])
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == f"error: {manifest}: line 3: byte 0xe9 is not UTF-8\n"
+        assert not out_dir.exists()
+
+    def test_offsets_that_share_a_label_in_config_are_a_usage_error(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        config_path.write_text(config_path.read_text() + "alpha_grid = 0, 0.5, 0\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: alpha_grid: offsets 0.0 and 0.0 share the label asymmetric_a0\n"
         )
         assert not out_dir.exists()
 

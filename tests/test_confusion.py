@@ -4,6 +4,9 @@ The reference counter is an independent per-cell Python loop so the
 vectorized tally is checked against first principles.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,17 @@ class TestAgreementRates:
                 assert rate is None or 0.0 <= rate <= 1.0
             assert 0.0 <= r.prevalence_observed <= 1.0
             assert 0.0 <= r.pcm <= 1.0
+
+    @pytest.mark.parametrize("field", ["sensitivity", "tn_rate", "prevalence_observed", "pcm"])
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
+    def test_a_rate_outside_the_unit_interval_is_refused(self, field, value):
+        given = {"sensitivity": 0.8, "tn_rate": 0.9, "prevalence_observed": 0.5, "pcm": 0.85, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a rate in [0, 1], got {value}")):
+            AgreementRates(**given)
+
+    def test_the_interval_ends_and_undefined_rates_are_kept(self):
+        r = AgreementRates(sensitivity=None, tn_rate=1.0, prevalence_observed=0.0, pcm=1.0)
+        assert (r.sensitivity, r.tn_rate, r.prevalence_observed, r.pcm) == (None, 1.0, 0.0, 1.0)
 
 
 class TestPerfectAgreementGap:

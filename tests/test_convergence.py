@@ -2,17 +2,20 @@
 probability curves, and timelines."""
 
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapbayes import (
     DEFAULT_ALPHA_GRID,
     GROUP_ALL,
     GROUP_FINAL,
     ConvergenceForm,
-    FitResult,
+    FitGrid,
     RunRecord,
     RunTable,
     asymmetric_family,
@@ -59,6 +62,15 @@ class TestConvergenceForm:
         fam = asymmetric_family()
         assert [f.alpha for f in fam] == list(DEFAULT_ALPHA_GRID)
         assert all(f.kind == "asymmetric_normal" for f in fam)
+
+    @pytest.mark.parametrize(
+        "grid, first, second, label",
+        [((0, 0.5, 0), 0.0, 0.0, "asymmetric_a0"), ((0.1, 0.1000001), 0.1, 0.1000001, "asymmetric_a0.1")],
+    )
+    def test_offsets_that_share_a_label_are_refused(self, grid, first, second, label):
+        message = f"offsets {first!r} and {second!r} share the label {label}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            asymmetric_family(grid)
 
 
 class TestConvergenceFactor:
@@ -282,11 +294,12 @@ class TestFitByForm:
         ]
         groups = split_robustness(runs)
         forms = asymmetric_family((0.0, 0.5))
-        fits = fit_by_form(groups, forms)
-        assert len(fits) == 4
-        assert {(f.group, f.form.label) for f in fits} == {
-            (g, f.label) for g in groups for f in forms
-        }
+        grid = fit_by_form(groups, forms)
+        assert (grid.forms, grid.groups) == (tuple(forms), tuple(groups))
+        assert grid.mu.shape == grid.sigma.shape == (2, 2)
+        for f, form in enumerate(forms):
+            for g, group in enumerate(groups):
+                assert (grid.mu[f, g], grid.sigma[f, g]) == fit_normal_ml(factor_values(groups[group], form))
 
     def test_identical_factor_values_are_degenerate(self):
         runs = [run(box_id=i, ppv=0.6, npv=0.4) for i in range(5)]
@@ -302,35 +315,109 @@ class TestFitByForm:
         pv = rng.uniform(size=(16, 2)).tolist()
         runs = [run(box_id=k // 2, cycle=k % 2 + 1, ppv=pv[k][0], npv=pv[k][1]) for k in range(16)]
         groups = split_robustness(runs)
-        for fit in fit_by_form(groups, asymmetric_family((0.0, 0.5))):
-            assert np.array_equal(fit.values, factor_values(groups[fit.group], fit.form))
-            assert (fit.mu, fit.sigma) == fit_normal_ml(fit.values)
-        # The values take no part in equality.
-        assert FitResult(TRI, "g", 0.5, 0.1, values=np.ones(3)) == FitResult(TRI, "g", 0.5, 0.1)
+        grid = fit_by_form(groups, asymmetric_family((0.0, 0.5)))
+        for f, form in enumerate(grid.forms):
+            for g, group in enumerate(grid.groups):
+                values = grid.values[f][g]
+                assert np.array_equal(values, factor_values(groups[group], form))
+                assert (grid.mu[f, g], grid.sigma[f, g]) == fit_normal_ml(values)
 
     def test_fit_result_requires_positive_scale(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            FitResult(form=ConvergenceForm("triangular"), group="g", mu=0.5, sigma=0.0)
+        for scale in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"degenerate fit for triangular in h: scale {scale}"):
+                make_grid({(TRI, "g"): (0.5, 0.1), (TRI, "h"): (0.5, scale)})
 
 
-def make_fits(spec):
-    """spec: {(label-form, group): (mu, sigma)} -> list of FitResult."""
-    out = []
-    for (form, group), (mu, sigma) in spec.items():
-        out.append(FitResult(form=form, group=group, mu=mu, sigma=sigma))
-    return out
+def make_grid(spec):
+    """spec: {(form, group): (mu, sigma)}, every pair given -> FitGrid, forms and groups in first-seen order."""
+    forms = tuple(dict.fromkeys(form for form, _ in spec))
+    groups = tuple(dict.fromkeys(group for _, group in spec))
+    cells = np.array([[spec[(f, g)] for g in groups] for f in forms]).reshape(len(forms), len(groups), 2)
+    return FitGrid(forms, groups, cells[..., 0], cells[..., 1])
+
+
+def per_label_dominance(fits):
+    """The per-label dominance rule, one (form, group, mu, sigma) fit at a time: the reference for `dominance_table`."""
+    by_key = {}
+    forms, groups = [], []
+    for form, group, mu, sigma in fits:
+        by_key[(form.label, group)] = (mu, sigma)
+        if form.label not in [x.label for x in forms]:
+            forms.append(form)
+        if group not in groups:
+            groups.append(group)
+
+    def zscore(label, group):
+        mu, sigma = by_key[(label, group)]
+        return (0.5 - mu) / sigma
+
+    scores, location, scale, robustness = {}, {}, {}, {}
+    for form in forms:
+        lbl = form.label
+        for g in groups:
+            mu, sigma = by_key[(lbl, g)]
+            location[(lbl, g)] = abs(0.5 - mu)
+            scale[(lbl, g)] = sigma
+        pair_mags = []
+        for m in groups:
+            for k in groups:
+                if m == k:
+                    continue
+                s = zscore(lbl, m) - zscore(lbl, k)
+                scores[(lbl, m, k)] = s
+                pair_mags.append(abs(s))
+        robustness[lbl] = max(pair_mags)
+
+    labels = [f.label for f in forms]
+
+    def dominates_all(lbl):
+        for other in labels:
+            if other == lbl:
+                continue
+            loc_ok = all(location[(lbl, g)] <= location[(other, g)] for g in groups)
+            scl_ok = all(scale[(lbl, g)] <= scale[(other, g)] for g in groups)
+            rob_ok = robustness[lbl] <= robustness[other]
+            if not (loc_ok and scl_ok and rob_ok):
+                return False
+        return True
+
+    dominators = [lbl for lbl in labels if dominates_all(lbl)]
+
+    def mean_location(lbl):
+        return sum(location[(lbl, g)] for g in groups) / len(groups)
+
+    ranking = tuple(sorted(labels, key=lambda lbl: (mean_location(lbl), lbl)))
+    if len(dominators) == 1:
+        selected, uniform = dominators[0], True
+    else:
+        selected, uniform = ranking[0], False
+    return {
+        "scores": scores, "location": location, "robustness": robustness,
+        "ranking": ranking, "selected": selected, "uniform_dominator": uniform,
+    }
 
 
 TRI = ConvergenceForm("triangular")
 ADJ = ConvergenceForm("adjusted_normal")
 ASYM25 = ConvergenceForm("asymmetric_normal", 0.25)
+SIX_FORMS = (TRI, ADJ, ASYM25, *asymmetric_family((0.0, 0.5, 1.0)))
+FOUR_GROUPS = (GROUP_ALL, GROUP_FINAL, "early", "late")
+
+
+@st.composite
+def fit_grids(draw):
+    """Grids of 1-6 forms in any order and 2-4 groups, mu and sigma from small sets so that ties occur."""
+    forms = draw(st.permutations(SIX_FORMS))[: draw(st.integers(1, 6))]
+    groups = FOUR_GROUPS[: draw(st.integers(2, 4))]
+    cells = st.tuples(st.sampled_from((0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75)), st.sampled_from((0.05, 0.1, 0.25)))
+    return make_grid({(f, g): draw(cells) for f in forms for g in groups})
 
 
 class TestDominanceTable:
     def uniform_fixture(self):
         # ASYM25 is closest to the 0.5 balance point, tightest, and most
         # stable across groups - a uniform dominator by construction.
-        return make_fits(
+        return make_grid(
             {
                 (ASYM25, GROUP_ALL): (0.495, 0.05),
                 (ASYM25, GROUP_FINAL): (0.505, 0.05),
@@ -342,41 +429,34 @@ class TestDominanceTable:
         )
 
     def test_uniform_dominator_wins_all_three_criteria(self):
-        table = dominance_table(self.uniform_fixture())
-        assert table.selected == "asymmetric_a0.25"
+        grid = self.uniform_fixture()
+        table = dominance_table(grid)
+        assert table.selected == 0
+        assert table.selected_form is ASYM25
         assert table.uniform_dominator is True
-        assert table.selected_form.alpha == 0.25
         # Location criterion per group.
-        assert table.location[("asymmetric_a0.25", GROUP_ALL)] == pytest.approx(0.005)
-        assert table.location[("asymmetric_a0.25", GROUP_FINAL)] == pytest.approx(0.005)
-        for rival in ("triangular", "adjusted_normal"):
-            for g in (GROUP_ALL, GROUP_FINAL):
-                assert (
-                    table.location[("asymmetric_a0.25", g)] < table.location[(rival, g)]
-                )
-                assert table.scale[("asymmetric_a0.25", g)] < table.scale[(rival, g)]
-            assert table.robustness["asymmetric_a0.25"] < table.robustness[rival]
+        assert table.location[0] == pytest.approx([0.005, 0.005])
+        for rival in (1, 2):
+            assert (table.location[0] < table.location[rival]).all()
+            assert (grid.sigma[0] < grid.sigma[rival]).all()
+            assert table.robustness[0] < table.robustness[rival]
 
     def test_reference_score_values(self):
         table = dominance_table(self.uniform_fixture())
         # (0.5 - mu)/sigma per group: 0.1 and -0.1 for the winner.
-        assert table.scores[("asymmetric_a0.25", GROUP_ALL, GROUP_FINAL)] == pytest.approx(0.2)
-        assert table.scores[("triangular", GROUP_ALL, GROUP_FINAL)] == pytest.approx(0.5)
-        assert table.robustness["adjusted_normal"] == pytest.approx(
-            abs((0.5 - 0.55) / 0.08 - (0.5 - 0.46) / 0.09)
-        )
+        assert table.scores[0, 0, 1] == pytest.approx(0.2)
+        assert table.scores[1, 0, 1] == pytest.approx(0.5)
+        assert table.robustness[2] == pytest.approx(abs((0.5 - 0.55) / 0.08 - (0.5 - 0.46) / 0.09))
 
     def test_scores_are_antisymmetric(self):
         table = dominance_table(self.uniform_fixture())
-        for form in table.forms:
-            s_ab = table.scores[(form.label, GROUP_ALL, GROUP_FINAL)]
-            s_ba = table.scores[(form.label, GROUP_FINAL, GROUP_ALL)]
-            assert s_ab == pytest.approx(-s_ba, abs=1e-15)
+        assert table.scores.shape == (3, 2, 2)
+        assert np.array_equal(table.scores, -table.scores.transpose(0, 2, 1))
 
     def test_split_criteria_fall_back_to_location_ranking(self):
         # TRI wins location, ADJ wins scale and robustness: no uniform
         # dominator, so the mean-location ranking decides.
-        fits = make_fits(
+        grid = make_grid(
             {
                 (TRI, GROUP_ALL): (0.48, 0.10),
                 (TRI, GROUP_FINAL): (0.52, 0.10),
@@ -384,45 +464,54 @@ class TestDominanceTable:
                 (ADJ, GROUP_FINAL): (0.45, 0.05),
             }
         )
-        table = dominance_table(fits)
+        table = dominance_table(grid)
         assert table.uniform_dominator is False
         assert table.ranking == ("triangular", "adjusted_normal")
-        assert table.selected == "triangular"
+        assert table.selected_form is TRI
 
     def test_mean_location_ties_break_by_label(self):
-        fits = make_fits(
+        grid = make_grid(
             {
-                (ADJ, GROUP_ALL): (0.47, 0.05),
-                (ADJ, GROUP_FINAL): (0.53, 0.05),
                 (TRI, GROUP_ALL): (0.53, 0.04),
                 (TRI, GROUP_FINAL): (0.47, 0.04),
+                (ADJ, GROUP_ALL): (0.47, 0.05),
+                (ADJ, GROUP_FINAL): (0.53, 0.05),
             }
         )
-        table = dominance_table(fits)
+        table = dominance_table(grid)
         assert table.uniform_dominator is False
-        assert table.selected == "adjusted_normal"
-
-    def test_form_lookup(self):
-        table = dominance_table(self.uniform_fixture())
-        assert table.form_by_label("triangular") is TRI
-        with pytest.raises(KeyError):
-            table.form_by_label("nonesuch")
+        assert table.selected_form is ADJ
 
     def test_needs_two_groups(self):
-        fits = make_fits({(TRI, GROUP_ALL): (0.5, 0.1), (ADJ, GROUP_ALL): (0.4, 0.1)})
+        grid = make_grid({(TRI, GROUP_ALL): (0.5, 0.1), (ADJ, GROUP_ALL): (0.4, 0.1)})
         with pytest.raises(ValueError, match="two robustness groups"):
-            dominance_table(fits)
+            dominance_table(grid)
 
-    def test_duplicate_fit_rejected(self):
-        fits = self.uniform_fixture()
-        fits.append(FitResult(form=TRI, group=GROUP_ALL, mu=0.3, sigma=0.2))
-        with pytest.raises(ValueError, match="duplicate"):
-            dominance_table(fits)
+    def test_needs_a_form(self):
+        grid = FitGrid((), (GROUP_ALL, GROUP_FINAL), np.empty((0, 2)), np.empty((0, 2)))
+        with pytest.raises(ValueError, match="at least one form"):
+            dominance_table(grid)
 
-    def test_missing_combination_rejected(self):
-        fits = self.uniform_fixture()[:-1]
-        with pytest.raises(ValueError, match="missing fit"):
-            dominance_table(fits)
+    @settings(max_examples=1000, deadline=None)
+    @given(fit_grids())
+    def test_matches_the_per_label_rule(self, grid):
+        fits = [
+            (form, group, grid.mu[f, g].item(), grid.sigma[f, g].item())
+            for g, group in enumerate(grid.groups)
+            for f, form in enumerate(grid.forms)
+        ]
+        ref = per_label_dominance(fits)
+        table = dominance_table(grid)
+        assert table.selected_form.label == ref["selected"]
+        assert table.uniform_dominator is ref["uniform_dominator"]
+        assert table.ranking == ref["ranking"]
+        for f, form in enumerate(grid.forms):
+            assert table.robustness[f] == ref["robustness"][form.label]
+            for m, group_m in enumerate(grid.groups):
+                assert table.location[f, m] == ref["location"][(form.label, group_m)]
+                for k, group_k in enumerate(grid.groups):
+                    if m != k:
+                        assert table.scores[f, m, k] == ref["scores"][(form.label, group_m, group_k)]
 
 
 class TestPPCurve:

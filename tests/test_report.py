@@ -107,6 +107,8 @@ class TestOneRuleOneFunction:
             ("is reserved for the scope of all runs", ("report.py", "group_label")),
             ("value must be in [0, 1]", ("report.py", "unit_value")),
             ("must fit in a 64-bit integer", ("report.py", "int64_id")),
+            ("share the label", ("convergence.py", "asymmetric_family")),
+            ("must be a rate in [0, 1]", ("confusion.py", "__post_init__")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -716,7 +718,7 @@ class TestAnalyzeScopes:
 
         def counting_evaluate(model, x):
             if x is GRID:
-                grid_calls.append(id(model))
+                grid_calls.append(model)  # kept alive, so no later model can reuse its id
             return evaluate(model, x)
 
         monkeypatch.setattr(KdeModel, "evaluate", counting_evaluate)
@@ -727,7 +729,7 @@ class TestAnalyzeScopes:
         assert all("kde_prevalence" in summaries[s] for s in scopes)
         # Two densities (PPV and NPV) per scope, one evaluation at the grid each.
         assert len(grid_calls) == 2 * len(summaries)
-        assert len(set(grid_calls)) == len(grid_calls)
+        assert len(set(map(id, grid_calls))) == len(grid_calls)
 
     def test_the_p_p_curve_reuses_the_fitted_factor_values(self, tmp_path, monkeypatch):
         from mapbayes import SynthConfig, generate_run_table
@@ -736,9 +738,9 @@ class TestAnalyzeScopes:
         fit_by_form, pp_curve = report.fit_by_form, report.pp_curve
 
         def spy_fit(groups, forms):
-            fits = fit_by_form(groups, forms)
-            fitted.extend(f.values for f in fits)
-            return fits
+            grid = fit_by_form(groups, forms)
+            fitted.extend(v for row in grid.values for v in row)
+            return grid
 
         def spy_pp(values, mu, sigma):
             plotted.append(values)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -23,14 +24,16 @@ from .convergence import DEFAULT_ALPHA_GRID
 from .kde import GRID, balance_point, find_crossings, fit_kde
 from .raster import format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
+    _BAYES_HEADER,
+    _CONFUSION_HEADER,
     DEFAULT_THRESHOLD,
-    JobInput,
     PairAssessment,
     ThresholdPolicy,
     analyze_scopes,
     assess_pair,
     column_rows,
     load_job,
+    load_observed,
     read_csv,
     read_runs_csv,
     read_settings,
@@ -156,9 +159,7 @@ def _assess(args, convention: Convention) -> PairAssessment:
         raise ValueError("--threshold applies to --score only; a --sim raster is already classified")
     sim, kind = (args.sim, "binary") if args.sim is not None else (args.score, "score")
     threshold = DEFAULT_THRESHOLD if args.threshold is None else ThresholdPolicy.parse(args.threshold)
-    # A lone pair has no box, group or cycle; no output reads them.
-    inp = JobInput(kind, sim, args.obs, args.exclusion, box_id=0, group="A", cycle=0)
-    return assess_pair(inp, threshold, convention)
+    return assess_pair(kind, sim, load_observed(args.obs, args.exclusion), threshold, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +171,9 @@ def cmd_assess(args) -> int:
     settings = _settings(args)
     convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
     a = _assess(args, convention)
-    rates = format_floats((a.sensitivity, a.tn_rate, a.prevalence, a.pcm))
-    ratios = format_floats((a.ppv, a.npv, a.lr_pos, a.lr_neg, a.dor))
-    header = ("tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm", "convention")
-    header += ("ppv", "npv", "lr_pos", "lr_neg", "dor")
-    row = (a.tp, a.fp, a.fn, a.tn, *rates, convention.value, *ratios)
+    # confusion.csv's columns and bayes.csv's ratios, without box_id, cycle and a second prevalence.
+    header = (*_CONFUSION_HEADER[2:], "convention", *_BAYES_HEADER[4:])
+    row = (*astuple(a.matrix), *format_floats(astuple(a.rates)), convention.value, *format_floats(a.ratios()))
     if out is not None:
         _emit_csv(out, "assess.csv", header, [row])
     else:
@@ -193,12 +192,9 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--sens and --tn-rate go together, without a raster pair; got {' '.join(given)}")
         rates = AgreementRates(sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0)
     elif args.obs is not None:
-        a = _assess(args, convention)
-        if a.sensitivity is None or a.tn_rate is None:
+        rates = _assess(args, convention).rates
+        if rates.sensitivity is None or rates.tn_rate is None:
             raise ValueError("pair has an undefined rate; sweep needs both sensitivity and tn_rate")
-        rates = AgreementRates(
-            sensitivity=a.sensitivity, tn_rate=a.tn_rate, prevalence_observed=a.prevalence, pcm=a.pcm
-        )
     else:
         raise ValueError("give --sens/--tn-rate, or a raster pair")
     grid = [round(i * 0.01, 2) for i in range(101)]
@@ -255,11 +251,7 @@ def cmd_converge(args) -> int:
 def cmd_sample(args) -> int:
     settings = _settings(args)
     seed = settings.get("seed", 0)
-    change = load_grid(args.change)
-    exclusion = load_grid(args.exclusion)
-    change_b = to_binary(change, one_value=1.0, zero_value=0.0)
-    excl_b = to_binary(exclusion, one_value=1.0, zero_value=0.0)
-    boxes = tile_region(change_b, excl_b, args.box_cells)
+    boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
     pools = classify_pools(boxes)
     selected: dict[str, set[int]] = {}
     for label, pool in sorted(pools.items()):

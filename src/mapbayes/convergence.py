@@ -66,11 +66,13 @@ class ConvergenceForm:
 
 
 def asymmetric_family(alpha_grid: Iterable[float] = DEFAULT_ALPHA_GRID) -> list[ConvergenceForm]:
-    """Asymmetric-normal forms over an offset grid; two offsets may not share a label."""
+    """Asymmetric-normal forms over a non-empty offset grid; two offsets may not share a label."""
     forms: dict[str, ConvergenceForm] = {}
     for form in (ConvergenceForm("asymmetric_normal", float(a)) for a in alpha_grid):
         if forms.setdefault(form.label, form) is not form:
             raise ValueError(f"offsets {forms[form.label].alpha!r} and {form.alpha!r} share the label {form.label}")
+    if not forms:
+        raise ValueError("alpha grid is empty")
     return list(forms.values())
 
 

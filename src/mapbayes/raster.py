@@ -190,11 +190,11 @@ class BinaryGrid(_Raster):
     def classified_mask(self) -> NDArray[np.bool_]:
         return self.values != EXCLUDED
 
-    def as_grid(self, nodata: float = -9999.0) -> Grid:
-        """View as a value grid, excluded cells mapped to nodata."""
+    def as_grid(self) -> Grid:
+        """View as a value grid, excluded cells mapped to `Grid`'s default nodata."""
         vals = self.values.astype(np.float64)
-        vals[self.values == EXCLUDED] = nodata
-        return Grid(vals, self.cell_size, self.origin_x, self.origin_y, nodata)
+        vals[self.values == EXCLUDED] = Grid.nodata
+        return Grid(vals, self.cell_size, self.origin_x, self.origin_y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +225,11 @@ class ScoreGrid(_Raster):
                 raise ValueError("scores outside [0, 1] on non-excluded cells")
         object.__setattr__(self, "excluded", mask)
 
-    def as_grid(self, nodata: float = -9999.0) -> Grid:
+    def as_grid(self) -> Grid:
+        """View as a value grid, excluded cells mapped to `Grid`'s default nodata."""
         vals = self.values.copy()
-        vals[self.excluded] = nodata
-        return Grid(vals, self.cell_size, self.origin_x, self.origin_y, nodata)
+        vals[self.excluded] = Grid.nodata
+        return Grid(vals, self.cell_size, self.origin_x, self.origin_y)
 
 
 # ---------------------------------------------------------------------------
@@ -462,35 +463,25 @@ def _excluded_cells(grid: Grid, exclusion: Grid | None) -> NDArray[np.bool_]:
     return excluded
 
 
-def to_binary(
-    grid: Grid,
-    one_value: float,
-    zero_value: float,
-    exclusion: Grid | None = None,
-) -> BinaryGrid:
-    """Classify a value grid into a BinaryGrid.
+def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
+    """Classify a grid of 1.0 (event) and 0.0 (non-event) cells into a BinaryGrid.
 
     Cells that are nodata in `grid`, or nonzero in `exclusion` (its nodata
     cells count as exclusionary: suitability there is unknown), become
-    EXCLUDED. Every remaining cell must hold exactly `one_value` or
-    `zero_value`.
+    EXCLUDED. Every remaining cell must hold exactly 1.0 or 0.0.
 
     Raises:
-        ValueError: `one_value` equal to `zero_value`, an exclusion grid that
-            does not line up (see `check_aligned`), or an unexpected value
-            outside the exclusion (message names the flat cell index).
+        ValueError: An exclusion grid that does not line up (see
+            `check_aligned`), or an unexpected value outside the exclusion
+            (message names the flat cell index).
     """
-    if one_value == zero_value:
-        raise ValueError(f"one_value and zero_value must differ, both are {one_value!r}")
     excluded = _excluded_cells(grid, exclusion)
-    ones = grid.values == one_value
-    known = ones | (grid.values == zero_value) | excluded
+    ones = grid.values == 1.0
+    known = ones | (grid.values == 0.0) | excluded
     if not known.all():
         idx = int(np.flatnonzero(~known)[0])
-        raise ValueError(
-            f"unexpected value {grid.values.flat[idx]!r} at flat index {idx}: "
-            f"not {one_value!r}/{zero_value!r} and not excluded"
-        )
+        value = grid.values.flat[idx]
+        raise ValueError(f"unexpected value {value!r} at flat index {idx}: not 1.0/0.0 and not excluded")
     out = ones.astype(np.int8)
     np.putmask(out, excluded, EXCLUDED)
     out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -25,8 +26,10 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Seque
 import numpy as np
 from numpy.typing import NDArray
 
-from .bayes import Convention, diagnostic_odds_ratio, likelihood_ratios, predictive_values
-from .confusion import agreement_rates, build_confusion
+from .bayes import (
+    Convention, LikelihoodRatios, PredictiveValues, diagnostic_odds_ratio, likelihood_ratios, predictive_values,
+)
+from .confusion import AgreementRates, ConfusionMatrix, agreement_rates, build_confusion
 from .convergence import (
     DEFAULT_ALPHA_GRID,
     MIN_PP_POINTS,
@@ -171,9 +174,7 @@ class AssessmentJob:
         if self.bandwidth is not None:
             check_bandwidth(self.bandwidth)
         check_seed(self.seed)
-        if not self.alpha_grid:
-            raise ValueError("alpha grid is empty")
-        asymmetric_family(self.alpha_grid)  # refuses an offset outside [0, 1] before any work
+        asymmetric_family(self.alpha_grid)  # refuses an empty grid or an offset outside [0, 1] before any work
         missing = [
             str(p)
             for inp in self.inputs
@@ -193,7 +194,7 @@ def parse_config(path: str | Path) -> dict[str, str]:
     """Read a key = value config file ('#' starts a comment); a key may be set once."""
     out: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -238,9 +239,7 @@ def load_job(config_path: str | Path, overrides: Mapping[str, str | None] | None
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated offset list, each refused as `ConvergenceForm` would; empty text gives ()."""
-    if not text.strip():
-        return ()
+    """Parse a comma-separated offset list, refused as `asymmetric_family` would refuse it."""
     return tuple(form.alpha for form in asymmetric_family(float(t) for t in text.split(",")))
 
 
@@ -307,80 +306,59 @@ def read_settings(
 
 @dataclass(frozen=True)
 class PairAssessment:
-    """Everything computed for one input pair."""
+    """One pair's tallies, rates and Bayes ratios; `pv`, `lr` and `dor` are None if sensitivity or tn_rate is."""
 
-    input: JobInput
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    sensitivity: float | None
-    tn_rate: float | None
-    prevalence: float
-    pcm: float
-    ppv: float | None
-    npv: float | None
-    lr_pos: float | None
-    lr_neg: float | None
+    matrix: ConfusionMatrix
+    rates: AgreementRates
+    pv: PredictiveValues | None
+    lr: LikelihoodRatios | None
     dor: float | None
 
+    def ratios(self) -> tuple[float | None, ...]:
+        """(ppv, npv, lr_pos, lr_neg, dor), None where undefined."""
+        if self.pv is None or self.lr is None:
+            return (None,) * 5
+        return (self.pv.ppv, self.pv.npv, self.lr.lr_pos, self.lr.lr_neg, self.dor)
 
-def load_observed(inp: JobInput) -> tuple[Grid | None, BinaryGrid]:
-    """Load an input's exclusion map (None without one) and classify its observed map."""
-    exclusion = load_grid(inp.exclusion) if inp.exclusion is not None else None
-    return exclusion, to_binary(load_grid(inp.obs), one_value=1.0, zero_value=0.0, exclusion=exclusion)
+
+def load_observed(obs: Path, exclusion: Path | None) -> tuple[Grid | None, BinaryGrid]:
+    """Load an exclusion map (None without one) and classify the observed map under it."""
+    excl = load_grid(exclusion) if exclusion is not None else None
+    return excl, to_binary(load_grid(obs), exclusion=excl)
 
 
 def assess_pair(
-    inp: JobInput,
+    kind: str,
+    sim: Path,
+    observed: tuple[Grid | None, BinaryGrid],
     threshold: ThresholdPolicy,
     convention: Convention,
-    *,
-    observed: tuple[Grid | None, BinaryGrid] | None = None,
 ) -> PairAssessment:
-    """Load, binarize as needed, and compute all per-pair metrics.
+    """Load the prediction `sim`, binarize it as its `kind` needs, and compute all per-pair metrics.
 
-    PPV/NPV are evaluated at the pair's own observed prevalence. Likelihood
-    ratios and the DOR are None (not emitted) when a needed rate is
-    undefined. `observed` is `load_observed(inp)` when the caller already
-    has it (inputs that share an observed and exclusion map); otherwise it
-    is loaded here.
+    `observed` is `load_observed(obs, exclusion)`, which inputs that share
+    an observed and exclusion map share. PPV/NPV are evaluated at the pair's
+    own observed prevalence.
     """
-    exclusion, obs = observed if observed is not None else load_observed(inp)
-    if inp.kind == "binary":
-        sim = to_binary(load_grid(inp.sim), one_value=1.0, zero_value=0.0, exclusion=exclusion)
+    exclusion, obs = observed
+    if input_kind(kind) == "binary":
+        pred = to_binary(load_grid(sim), exclusion=exclusion)
     else:
-        scores = to_scores(load_grid(inp.sim), exclusion=exclusion)
+        scores = to_scores(load_grid(sim), exclusion=exclusion)
         if threshold.kind == "value":
-            sim = threshold_scores(scores, value=threshold.value)
+            pred = threshold_scores(scores, value=threshold.value)
         elif threshold.kind == "quantity":
-            sim = threshold_scores(scores, quantity=threshold.value)
+            pred = threshold_scores(scores, quantity=threshold.value)
         else:
-            sim = threshold_scores(scores, quantity=obs.n_ones)
+            pred = threshold_scores(scores, quantity=obs.n_ones)
 
-    matrix = build_confusion(sim, obs)
+    matrix = build_confusion(pred, obs)
     rates = agreement_rates(matrix)
-    pv = lr = dor = None
-    if rates.sensitivity is not None and rates.tn_rate is not None:
-        pv = predictive_values(rates, rates.prevalence_observed, convention)
-        lr = likelihood_ratios(rates, convention)
-        dor = diagnostic_odds_ratio(lr)
-    return PairAssessment(
-        input=inp,
-        tp=matrix.tp,
-        fp=matrix.fp,
-        fn=matrix.fn,
-        tn=matrix.tn,
-        sensitivity=rates.sensitivity,
-        tn_rate=rates.tn_rate,
-        prevalence=rates.prevalence_observed,
-        pcm=rates.pcm,
-        ppv=pv.ppv if pv else None,
-        npv=pv.npv if pv else None,
-        lr_pos=lr.lr_pos if lr else None,
-        lr_neg=lr.lr_neg if lr else None,
-        dor=dor,
-    )
+    if rates.sensitivity is None or rates.tn_rate is None:
+        return PairAssessment(matrix, rates, None, None, None)
+    pv = predictive_values(rates, rates.prevalence_observed, convention)
+    lr = likelihood_ratios(rates, convention)
+    return PairAssessment(matrix, rates, pv, lr, diagnostic_odds_ratio(lr))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +434,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     out_dir = Path(job.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    assessed: list[PairAssessment] = []
+    assessed: list[tuple[JobInput, PairAssessment]] = []
     failures: list[dict[str, str]] = []
 
     def fail(inp: JobInput, exc: Exception) -> None:
@@ -471,42 +449,38 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     # A box's observed and exclusion maps repeat over its cycles: they are
     # parsed once per run of consecutive inputs that share them, and dropped
     # when the run ends, so at most one run's maps are held at a time.
-    for _, shared in itertools.groupby(job.inputs, key=lambda inp: (inp.obs, inp.exclusion)):
+    for (obs, exclusion), shared in itertools.groupby(job.inputs, key=lambda inp: (inp.obs, inp.exclusion)):
         run = list(shared)
         try:
-            observed = load_observed(run[0])
+            observed = load_observed(obs, exclusion)
         except Exception as exc:
             for inp in run:
                 fail(inp, exc)
             continue
         for inp in run:
             try:
-                assessed.append(assess_pair(inp, job.threshold, job.convention, observed=observed))
+                assessed.append((inp, assess_pair(inp.kind, inp.sim, observed, job.threshold, job.convention)))
             except Exception as exc:
                 fail(inp, exc)
 
-    confusion = [
-        (a.input.box_id, a.input.cycle, a.tp, a.fp, a.fn, a.tn)
-        + tuple(format_floats((a.sensitivity, a.tn_rate, a.prevalence, a.pcm)))
-        for a in assessed
-    ]
+    # The fields of ConfusionMatrix and AgreementRates come in _CONFUSION_HEADER's order.
+    confusion = [(inp.box_id, inp.cycle, *astuple(a.matrix), *format_floats(astuple(a.rates))) for inp, a in assessed]
     bayes = [
-        (a.input.box_id, a.input.cycle, job.convention.value)
-        + tuple(format_floats((a.prevalence, a.ppv, a.npv, a.lr_pos, a.lr_neg, a.dor)))
-        for a in assessed
+        (inp.box_id, inp.cycle, job.convention.value, *format_floats((a.rates.prevalence_observed, *a.ratios())))
+        for inp, a in assessed
     ]
     files = [
         write_csv(out_dir / "confusion.csv", _CONFUSION_HEADER, confusion),
         write_csv(out_dir / "bayes.csv", _BAYES_HEADER, bayes),
     ]
 
-    scored = [a for a in assessed if a.ppv is not None and a.npv is not None]
+    scored = [(inp, a.pv) for inp, a in assessed if a.pv is not None and None not in (a.pv.ppv, a.pv.npv)]
     runs = RunTable(
-        [a.input.box_id for a in scored],
-        [a.input.group for a in scored],
-        [a.input.cycle for a in scored],
-        [a.ppv for a in scored],
-        [a.npv for a in scored],
+        [inp.box_id for inp, _ in scored],
+        [inp.group for inp, _ in scored],
+        [inp.cycle for inp, _ in scored],
+        [pv.ppv for _, pv in scored],
+        [pv.npv for _, pv in scored],
     )
     files.append(write_runs_csv(out_dir / "runs.csv", runs))
 
@@ -668,11 +642,11 @@ def _kde_analysis(
     return entry
 
 
-def _dor_by_group(assessed: Sequence[PairAssessment]) -> dict[str, float | None]:
+def _dor_by_group(assessed: Sequence[tuple[JobInput, PairAssessment]]) -> dict[str, float | None]:
     """Mean finite DOR per group, None for a group with none."""
     out: dict[str, float | None] = {}
-    for label in sorted({a.input.group for a in assessed}):
-        vals = [a.dor for a in assessed if a.input.group == label and a.dor is not None and math.isfinite(a.dor)]
+    for label in sorted({inp.group for inp, _ in assessed}):
+        vals = [a.dor for inp, a in assessed if inp.group == label and a.dor is not None and math.isfinite(a.dor)]
         out[label] = float(np.mean(vals)) if vals else None
     return out
 
@@ -697,10 +671,10 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
     by row names the first one in the file.
 
     Raises:
-        ValueError: Naming the path: a byte that is not UTF-8 (with its
-            line), a missing column, a row whose field count differs from
-            the header's (with its line), a value its parser refuses (with
-            its line and column), or no rows at all.
+        ValueError: Naming the path: a non-UTF-8 byte (with its line), a
+            missing column, a row whose field count differs from the
+            header's (with its line), a value its parser refuses (with its
+            line and column), or no rows at all.
     """
     out: tuple[list[Any], ...] = tuple([] for _ in columns)
     try:
@@ -719,40 +693,42 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
     except ValueError:
         pass
 
-    # Row by row: the first fault in file order is raised with its line. A byte
-    # that is not UTF-8 is named first, since the text reader decodes ahead of the rows.
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
-    del data
+    # Row by row: the first fault in file order is raised with its line. A non-UTF-8
+    # byte is named first, since the text reader decodes ahead of the rows.
     out = tuple([] for _ in columns)
     header = None
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not "".join(row).strip():
-                continue
-            if header is None:
-                header = [f.strip() for f in row]
-                missing = [name for name in columns if name not in header]
-                if missing:
-                    raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
-                spec = [(header.index(name), parse) for name, parse in columns.items()]
-                continue
-            if len(row) != len(header):
-                found, expected = len(row), len(header)
-                raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-            for col, name, (i, parse) in zip(out, columns, spec):
-                try:
-                    col.append(parse(row[i].strip()))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if header is None:
+            header = [f.strip() for f in row]
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+            spec = [(header.index(name), parse) for name, parse in columns.items()]
+            continue
+        if len(row) != len(header):
+            found, expected = len(row), len(header)
+            raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
+        for col, name, (i, parse) in zip(out, columns, spec):
+            try:
+                col.append(parse(row[i].strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
     if not (out and out[0]):
         raise ValueError(f"{path} lists no inputs")
     return out
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is refused, naming the path and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> Path:

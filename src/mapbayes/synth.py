@@ -7,6 +7,7 @@ end to end. No empirical claims ride on their particular noise shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,12 @@ class SynthConfig:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
         check_seed(self.seed)
-        if self.change_fraction < 0 or self.exclusion_fraction < 0:
-            raise ValueError("fractions must be non-negative")
+        for name in ("change_fraction", "exclusion_fraction", "score_noise"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.change_fraction + self.exclusion_fraction > 1.0:
             raise ValueError("change_fraction + exclusion_fraction must not exceed 1")
-        if self.score_noise < 0:
-            raise ValueError(f"score_noise must be non-negative, got {self.score_noise}")
         if not 0.0 <= self.planted_offset <= 1.0:
             raise ValueError(f"planted_offset must be in [0, 1], got {self.planted_offset}")
 

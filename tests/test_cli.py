@@ -624,6 +624,25 @@ class TestSynth:
     def test_requires_out(self):
         expect_failure(["synth"])
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--change-fraction", "nan"), ("--exclusion-fraction", "inf"), ("--score-noise", "nan")]
+    )
+    def test_a_non_finite_knob_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # A NaN noise would draw scores.asc as if it were 0 and runs.csv at the widest spread.
+        out_dir = tmp_path / "synth"
+        expect_failure(["synth", "--out", str(out_dir), flag, value])
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be non-negative and finite, got {value}\n"
+        assert not out_dir.exists()
+
+    def test_a_byte_that_is_not_utf8_in_the_config_names_the_file_and_line(self, tmp_path, capsys):
+        config_path = tmp_path / "synth.cfg"
+        config_path.write_bytes(b"rows = 20\nseed = \xff\n")
+        out_dir = tmp_path / "synth"
+        expect_failure(["synth", "--config", str(config_path), "--out", str(out_dir)])
+        assert capsys.readouterr().err == f"error: {config_path}: line 2: byte 0xff is not UTF-8\n"
+        assert not out_dir.exists()
+
 
 class TestReport:
     def test_runs_job_from_config(self, job_tree, capsys):

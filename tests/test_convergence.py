@@ -72,6 +72,11 @@ class TestConvergenceForm:
         with pytest.raises(ValueError, match=re.escape(message)):
             asymmetric_family(grid)
 
+    @pytest.mark.parametrize("grid", [(), [], iter(())])
+    def test_an_empty_grid_is_refused(self, grid):
+        with pytest.raises(ValueError, match="^alpha grid is empty$"):
+            asymmetric_family(grid)
+
 
 class TestConvergenceFactor:
     def test_reference_values(self):

@@ -135,7 +135,7 @@ class TestGridContainers:
         monkeypatch.setattr(raster, "_read_only", spy)
         s = to_scores(scores, exclusion=exclusion)
         held = [
-            to_binary(classes, 1.0, 0.0, exclusion=exclusion).values,
+            to_binary(classes, exclusion=exclusion).values,
             s.values,
             s.excluded,
             threshold_scores(s, value=0.5).values,
@@ -404,7 +404,7 @@ class TestWriteGrid:
 class TestToBinary:
     def test_basic_classification(self):
         g = Grid(np.array([[1.0, 0.0], [-9999.0, 1.0]]))
-        b = to_binary(g, one_value=1.0, zero_value=0.0)
+        b = to_binary(g)
         assert b.values.tolist() == [[1, 0], [EXCLUDED, 1]]
 
     def test_exclusion_grid_nonzero_and_nodata_both_exclude(self):
@@ -412,34 +412,24 @@ class TestToBinary:
         # Exclusion: cell 0 flagged, cell 2 is nodata in the exclusion layer
         # (unknown suitability counts as exclusionary), cell 1 stays live.
         excl = Grid(np.array([[1.0, 0.0, -9999.0]]))
-        b = to_binary(g, one_value=1.0, zero_value=0.0, exclusion=excl)
+        b = to_binary(g, exclusion=excl)
         assert b.values.tolist() == [[EXCLUDED, 0, EXCLUDED]]
 
     def test_stray_value_reports_flat_index(self):
         g = Grid(np.array([[1.0, 0.0], [0.5, 1.0]]))
-        with pytest.raises(ValueError, match="flat index 2"):
-            to_binary(g, one_value=1.0, zero_value=0.0)
+        with pytest.raises(ValueError, match="0.5.* at flat index 2: not 1.0/0.0 and not excluded$"):
+            to_binary(g)
 
     def test_stray_value_under_exclusion_is_fine(self):
         g = Grid(np.array([[1.0, 0.5]]))
         excl = Grid(np.array([[0.0, 1.0]]))
-        b = to_binary(g, one_value=1.0, zero_value=0.0, exclusion=excl)
+        b = to_binary(g, exclusion=excl)
         assert b.values.tolist() == [[1, EXCLUDED]]
-
-    def test_custom_class_values(self):
-        g = Grid(np.array([[2.0, 7.0]]))
-        b = to_binary(g, one_value=7.0, zero_value=2.0)
-        assert b.values.tolist() == [[0, 1]]
 
     def test_shape_mismatch(self):
         g = Grid(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="exclusion shape"):
-            to_binary(g, 1.0, 0.0, exclusion=Grid(np.zeros((2, 3))))
-
-    def test_equal_class_values_rejected(self):
-        # Every cell would match both classes.
-        with pytest.raises(ValueError, match="one_value and zero_value must differ, both are 1.0"):
-            to_binary(Grid(np.ones((2, 2))), one_value=1.0, zero_value=1.0)
+            to_binary(g, exclusion=Grid(np.zeros((2, 3))))
 
 
 class TestToScores:
@@ -557,7 +547,7 @@ class TestCheckAligned:
     @pytest.mark.parametrize("field, off, base", FIELDS)
     @pytest.mark.parametrize(
         "convert",
-        [lambda g, e: to_binary(g, 1.0, 0.0, exclusion=e), lambda g, e: to_scores(g, exclusion=e)],
+        [lambda g, e: to_binary(g, exclusion=e), lambda g, e: to_scores(g, exclusion=e)],
         ids=["to_binary", "to_scores"],
     )
     def test_misaligned_exclusion_is_named(self, convert, field, off, base):

@@ -1,21 +1,45 @@
 """Tests for job configuration, orchestration, and the written output tree."""
 
 import ast
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mapbayes import Grid, RunRecord, SynthConfig, generate_pair, load_grid, threshold_scores, write_grid
-from mapbayes import report
+from mapbayes import (
+    EXCLUDED,
+    BinaryGrid,
+    Grid,
+    RunRecord,
+    SynthConfig,
+    agreement_rates,
+    build_confusion,
+    diagnostic_odds_ratio,
+    generate_pair,
+    generate_run_table,
+    likelihood_ratios,
+    load_grid,
+    predictive_values,
+    threshold_scores,
+    write_grid,
+)
+from mapbayes import cli, report
 from mapbayes.raster import GridFormatError, format_floats
 from mapbayes.bayes import Convention
 from mapbayes.convergence import DEFAULT_ALPHA_GRID
 from mapbayes.report import (
+    DEFAULT_THRESHOLD,
     AssessmentJob,
     JobInput,
     ThresholdPolicy,
@@ -24,6 +48,7 @@ from mapbayes.report import (
     format_float,
     group_summaries,
     load_job,
+    load_observed,
     parse_alpha_grid,
     parse_config,
     read_inputs_manifest,
@@ -109,6 +134,8 @@ class TestOneRuleOneFunction:
             ("must fit in a 64-bit integer", ("report.py", "int64_id")),
             ("share the label", ("convergence.py", "asymmetric_family")),
             ("must be a rate in [0, 1]", ("confusion.py", "__post_init__")),
+            ("is not UTF-8", ("report.py", "read_utf8")),
+            ("alpha grid is empty", ("convergence.py", "asymmetric_family")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -195,7 +222,9 @@ class TestParseConfig:
 class TestParseAlphaGrid:
     def test_values(self):
         assert parse_alpha_grid("0, 0.25,0.5") == (0.0, 0.25, 0.5)
-        assert parse_alpha_grid("  ") == ()
+        # read_settings skips a blank value before any parser runs; here it is no offset.
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            parse_alpha_grid("  ")
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=re.escape("alpha must be in [0, 1], got 2.0")):
@@ -432,6 +461,11 @@ class TestColumnRows:
         assert list(report.column_rows(np.array([]))) == []
 
 
+def assess_input(inp, threshold, convention):
+    """`assess_pair` on a manifest row, its observed map loaded for it alone."""
+    return assess_pair(inp.kind, inp.sim, load_observed(inp.obs, inp.exclusion), threshold, convention)
+
+
 class TestAssessPair:
     def test_binary_and_thresholded_scores_agree(self, job_tree):
         # Box 0 is stored classified, boxes 1-2 as scores; re-assessing the
@@ -441,41 +475,119 @@ class TestAssessPair:
         job = load_job(config_path)
         policy = ThresholdPolicy("quantity_obs")
         for inp in job.inputs:
-            a = assess_pair(inp, policy, job.convention)
-            assert a.tp + a.fp + a.fn + a.tn > 0
-            assert a.prevalence == pytest.approx((a.tp + a.fn) / (a.tp + a.fp + a.fn + a.tn))
+            a = assess_input(inp, policy, job.convention)
+            m = a.matrix
+            assert m.grand_total > 0
+            assert a.rates.prevalence_observed == pytest.approx(m.observed_positives / m.grand_total)
             # Pinning the predicted count to the observed count forces the
             # two error types to balance.
-            assert a.fp == a.fn
+            assert m.fp == m.fn
 
     def test_exclusion_grid_shrinks_the_tally(self, tmp_path, job_tree):
         config_path, _ = job_tree
         job = load_job(config_path)
         inp = job.inputs[0]
-        base = assess_pair(inp, job.threshold, job.convention)
+        base = assess_input(inp, job.threshold, job.convention)
 
-        obs_grid = np.zeros((24, 24))
         excl_path = tmp_path / "excl.asc"
         mask = np.zeros((24, 24))
         mask[:12, :] = 1.0
         write_grid(Grid(mask), excl_path)
-        trimmed = assess_pair(
-            JobInput(
-                kind=inp.kind,
-                sim=inp.sim,
-                obs=inp.obs,
-                exclusion=excl_path,
-                box_id=inp.box_id,
-                group=inp.group,
-                cycle=inp.cycle,
-            ),
-            job.threshold,
-            job.convention,
-        )
-        assert trimmed.tp + trimmed.fp + trimmed.fn + trimmed.tn < (
-            base.tp + base.fp + base.fn + base.tn
-        )
-        del obs_grid
+        observed = load_observed(inp.obs, excl_path)
+        trimmed = assess_pair(inp.kind, inp.sim, observed, job.threshold, job.convention)
+        assert trimmed.matrix.grand_total < base.matrix.grand_total
+
+    def test_an_unknown_kind_is_refused_before_the_prediction_is_read(self, tmp_path):
+        observed = (None, BinaryGrid(np.array([[0, 1]])))
+        with pytest.raises(ValueError, match="input kind must be 'binary' or 'score', got 'scores'"):
+            assess_pair("scores", tmp_path / "missing.asc", observed, DEFAULT_THRESHOLD, Convention.PAPER)
+
+
+#: The `assess` subcommand's output fields, in order.
+ASSESS_HEADER = (
+    "tp", "fp", "fn", "tn", "sens", "tn_rate", "prevalence", "pcm", "convention",
+    "ppv", "npv", "lr_pos", "lr_neg", "dor",
+)
+
+
+def reference_rows(box_id, cycle, sim, obs, convention):
+    """The confusion.csv, bayes.csv and `assess` rows of a pair, built field by
+    field, as they were when `PairAssessment` held one scalar per field."""
+    matrix = build_confusion(sim, obs)
+    rates = agreement_rates(matrix)
+    pv = lr = dor = None
+    if rates.sensitivity is not None and rates.tn_rate is not None:
+        pv = predictive_values(rates, rates.prevalence_observed, convention)
+        lr = likelihood_ratios(rates, convention)
+        dor = diagnostic_odds_ratio(lr)
+    tp, fp, fn, tn = matrix.tp, matrix.fp, matrix.fn, matrix.tn
+    sensitivity, tn_rate, prevalence, pcm = rates.sensitivity, rates.tn_rate, rates.prevalence_observed, rates.pcm
+    ppv = pv.ppv if pv else None
+    npv = pv.npv if pv else None
+    lr_pos = lr.lr_pos if lr else None
+    lr_neg = lr.lr_neg if lr else None
+    confusion = (box_id, cycle, tp, fp, fn, tn) + tuple(format_floats((sensitivity, tn_rate, prevalence, pcm)))
+    bayes = (box_id, cycle, convention.value) + tuple(format_floats((prevalence, ppv, npv, lr_pos, lr_neg, dor)))
+    rates_text = format_floats((sensitivity, tn_rate, prevalence, pcm))
+    ratios_text = format_floats((ppv, npv, lr_pos, lr_neg, dor))
+    assess = (tp, fp, fn, tn, *rates_text, convention.value, *ratios_text)
+    return confusion, bayes, assess
+
+
+@st.composite
+def code_pair(draw):
+    """(prediction, observation) codes in {EXCLUDED, 0, 1} with a cell live in both."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    codes = st.sampled_from([EXCLUDED, 0, 1])
+    sim = draw(arrays(np.int8, shape, elements=codes))
+    obs = draw(arrays(np.int8, shape, elements=codes))
+    live = np.flatnonzero((sim != EXCLUDED) & (obs != EXCLUDED))
+    if not live.size:
+        idx = draw(st.integers(0, sim.size - 1))
+        sim.flat[idx] = draw(st.sampled_from([0, 1]))
+        obs.flat[idx] = draw(st.sampled_from([0, 1]))
+    return sim.tolist(), obs.tolist()
+
+
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(code_pair(), min_size=1, max_size=3), st.sampled_from(list(Convention)))
+# Sensitivity undefined: the observation holds no change.
+@example([([[1, 0], [0, EXCLUDED]], [[0, 0], [0, 0]])], Convention.PAPER)
+# A 0/0 PPV: nothing predicted, so s = 0 and t = 1 under the standard convention.
+@example([([[0, 0], [0, 0]], [[1, 0], [0, EXCLUDED]])], Convention.STANDARD)
+# A 0/0 NPV: every cell predicted wrong, so s = t = 0 under the paper convention.
+@example([([[0, 1]], [[1, 0]])], Convention.PAPER)
+def test_rows_match_the_field_by_field_reference(pairs, convention):
+    # confusion.csv, bayes.csv and `assess` build their rows from the result
+    # objects; each row must be == to the one the old scalar copies gave.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        inputs, expected = [], []
+        for box_id, (sim_codes, obs_codes) in enumerate(pairs):
+            sim, obs = BinaryGrid(np.array(sim_codes)), BinaryGrid(np.array(obs_codes))
+            sim_path, obs_path = root / f"sim_{box_id}.asc", root / f"obs_{box_id}.asc"
+            write_grid(sim, sim_path)
+            write_grid(obs, obs_path)
+            inputs.append(JobInput("binary", sim_path, obs_path, None, box_id, "A", 1))
+            expected.append(reference_rows(box_id, 1, sim, obs, convention))
+
+            argv = ["assess", "--sim", str(sim_path), "--obs", str(obs_path), "--convention", convention.value]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            assess = expected[-1][2]
+            assert out.getvalue().splitlines() == [f"{k} {v}" for k, v in zip(ASSESS_HEADER, assess)]
+
+        job = AssessmentJob(inputs=tuple(inputs), out_dir=root / "out", convention=convention)
+        assert run_job(job)["failures"] == []
+        confusion = [[str(v) for v in row] for row, _, _ in expected]
+        bayes = [[str(v) for v in row] for _, row, _ in expected]
+        assert read_rows(root / "out" / "confusion.csv") == confusion
+        assert read_rows(root / "out" / "bayes.csv") == bayes
 
 
 class TestGroupSummaries:
@@ -675,7 +787,7 @@ class TestSharedObservedMaps:
         errors = []
         for inp in inputs[3:]:
             with pytest.raises(GridFormatError) as err:
-                assess_pair(inp, ThresholdPolicy("quantity_obs"), Convention.PAPER)
+                assess_input(inp, ThresholdPolicy("quantity_obs"), Convention.PAPER)
             errors.append(str(err.value))
         assert errors[0].startswith("line 9: non-numeric value 'x")
 
@@ -707,6 +819,13 @@ class TestAnalyzeScopes:
         runs = [RunRecord(i, "all" if i % 2 else "B", 1, 0.1 * (i % 9), 0.5) for i in range(80)]
         with pytest.raises(ValueError, match="group label 'all' is reserved for the scope of all runs"):
             analyze_scopes(runs, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_alpha_grid_is_refused_before_anything_is_written(self, tmp_path):
+        # It would write a timeline.csv of cycles alone and fail every scope's comparison.
+        runs = generate_run_table(SynthConfig(seed=3))
+        with pytest.raises(ValueError, match="^alpha grid is empty$"):
+            analyze_scopes(runs, tmp_path, alpha_grid=())
         assert list(tmp_path.iterdir()) == []
 
     def test_each_density_is_evaluated_on_the_grid_once(self, tmp_path, monkeypatch):

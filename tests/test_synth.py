@@ -28,6 +28,12 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="planted_offset"):
             SynthConfig(planted_offset=1.5)
 
+    @pytest.mark.parametrize("field", ["change_fraction", "exclusion_fraction", "score_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_a_negative_or_non_finite_knob_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative and finite, got {value}$"):
+            SynthConfig(**{field: value})
+
 
 class TestGeneratePair:
     def test_exact_cell_budgets(self):

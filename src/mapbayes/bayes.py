@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .confusion import AgreementRates
+from .raster import check_unit
 
 
 class Convention(str, enum.Enum):
@@ -104,10 +105,8 @@ def predictive_values(
 
     A zero denominator (0/0) leaves that value None.
     """
-    if not 0.0 <= prevalence <= 1.0:
-        raise ValueError(f"prevalence must be in [0, 1], got {prevalence}")
+    p = check_unit("prevalence", prevalence)
     s, t = _require_rates(rates)
-    p = prevalence
     if convention == Convention.PAPER:
         ppv_num, ppv_extra = s * p, (1.0 - s) * (1.0 - p)
         npv_num, npv_extra = t * (1.0 - p), s * p

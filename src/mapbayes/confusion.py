@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryGrid, check_aligned
+from .raster import BinaryGrid, check_aligned, check_count, check_unit
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class ConfusionMatrix:
     tn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+        for name in ("tp", "fp", "fn", "tn"):
+            check_count(name, getattr(self, name))
 
     @property
     def predicted_positives(self) -> int:
@@ -71,9 +71,8 @@ class AgreementRates:
 
     def __post_init__(self):
         for name in ("sensitivity", "tn_rate", "prevalence_observed", "pcm"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a rate in [0, 1], got {value}")
+            if getattr(self, name) is not None:
+                check_unit(name, getattr(self, name))
 
     @property
     def specificity_std(self) -> float | None:

@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
+from .raster import check_positive, check_unit
+
 FORM_KINDS = ("triangular", "adjusted_normal", "asymmetric_normal")
 
 #: Offsets tried by default when selecting an asymmetric form.
@@ -53,8 +55,7 @@ class ConvergenceForm:
     def __post_init__(self):
         if self.kind not in FORM_KINDS:
             raise ValueError(f"unknown form kind {self.kind!r}; expected one of {FORM_KINDS}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        check_unit("alpha", self.alpha)
         if self.kind != "asymmetric_normal" and self.alpha != 0.0:
             raise ValueError(f"{self.kind} form takes no offset")
 
@@ -68,7 +69,7 @@ class ConvergenceForm:
 def asymmetric_family(alpha_grid: Iterable[float] = DEFAULT_ALPHA_GRID) -> list[ConvergenceForm]:
     """Asymmetric-normal forms over a non-empty offset grid; two offsets may not share a label."""
     forms: dict[str, ConvergenceForm] = {}
-    for form in (ConvergenceForm("asymmetric_normal", float(a)) for a in alpha_grid):
+    for form in (ConvergenceForm("asymmetric_normal", float(check_unit("alpha", a))) for a in alpha_grid):
         if forms.setdefault(form.label, form) is not form:
             raise ValueError(f"offsets {forms[form.label].alpha!r} and {form.alpha!r} share the label {form.label}")
     if not forms:
@@ -78,9 +79,8 @@ def asymmetric_family(alpha_grid: Iterable[float] = DEFAULT_ALPHA_GRID) -> list[
 
 def convergence_factor(ppv: float, npv: float, form: ConvergenceForm) -> float:
     """Factor value in [0, 1] for one (PPV, NPV) pair."""
-    if not (0.0 <= ppv <= 1.0 and 0.0 <= npv <= 1.0):
-        raise ValueError(f"predictive values must be in [0, 1], got ppv={ppv}, npv={npv}")
-    return float(_factor_array(np.asarray([ppv - npv]), form)[0])
+    diff = check_unit("ppv", ppv) - check_unit("npv", npv)
+    return float(_factor_array(np.asarray([diff]), form)[0])
 
 
 def _factor_array(diff: NDArray[np.float64], form: ConvergenceForm) -> NDArray[np.float64]:
@@ -344,13 +344,12 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
     crossings are coarse, which callers read from `PPCurve.n`.
 
     Raises:
-        ValueError: No values, or sigma <= 0.
+        ValueError: No values, or a sigma that is not positive and finite.
     """
     x = np.sort(np.asarray(values, dtype=np.float64))
     if x.size == 0:
         raise ValueError("cannot build a probability curve from zero values")
-    if not sigma > 0.0:
-        raise ValueError(f"scale must be positive, got {sigma}")
+    check_positive("sigma", sigma)
     n = x.size
     p = (np.arange(1, n + 1) - 0.5) / n
     z = (x - mu) / sigma

@@ -34,6 +34,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .raster import check_positive
+
 SQRT5 = math.sqrt(5.0)
 _EPA_C = 3.0 / (4.0 * SQRT5)
 
@@ -116,9 +118,7 @@ def silverman_bandwidth(samples: Sequence[float] | NDArray[np.float64]) -> float
 
 def check_bandwidth(bandwidth: float) -> float:
     """`bandwidth` if it is finite and at least `_MIN_BANDWIDTH`; otherwise a `ValueError`."""
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    if bandwidth < _MIN_BANDWIDTH:
+    if check_positive("bandwidth", bandwidth) < _MIN_BANDWIDTH:
         raise ValueError(f"bandwidth must be at least the smallest normal float {_MIN_BANDWIDTH!r}, got {bandwidth!r}")
     return bandwidth
 
@@ -134,7 +134,7 @@ class KdeModel:
         arr = np.sort(_finite(self.samples))
         if arr.size == 0:
             raise ValueError("cannot fit a density to zero samples")
-        check_bandwidth(self.bandwidth)
+        object.__setattr__(self, "bandwidth", float(check_bandwidth(self.bandwidth)))
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -234,9 +234,7 @@ class KdeModel:
 def fit_kde(samples: Sequence[float] | NDArray[np.float64], bandwidth: float | None = None) -> KdeModel:
     """Fit a KDE, choosing the bandwidth by Silverman's rule when omitted."""
     x = np.asarray(samples, dtype=np.float64)
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(x)
-    return KdeModel(samples=x, bandwidth=float(bandwidth))
+    return KdeModel(samples=x, bandwidth=silverman_bandwidth(x) if bandwidth is None else bandwidth)
 
 
 @dataclass(frozen=True)

@@ -85,9 +85,37 @@ def _read_only(values: Any, dtype: type) -> NDArray[Any]:
         lost = np.flatnonzero((arr != src) & (arr == arr))
         if lost.size:
             idx = int(lost[0])
-            raise ValueError(f"value {src.flat[idx]!r} at flat index {idx} changes when cast to {arr.dtype}")
+            raise ValueError(f"value {_plain(src.flat[idx])!r} at flat index {idx} changes when cast to {arr.dtype}")
     arr.setflags(write=False)
     return arr
+
+
+def _plain(x: Any) -> Any:
+    """`x` as a Python value, so that a message shows 0.5, not np.float64(0.5)."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def check_unit(name: str, x: Any) -> float:
+    """`x` if it is a real number in [0, 1], not a bool: a rate, a prevalence or an offset."""
+    # A float skips the slower isinstance test: `unit_value` calls this once per CSV cell.
+    if (type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))) and 0.0 <= x <= 1.0:
+        return x
+    raise ValueError(f"{name} must be in [0, 1], got {_plain(x)!r}")
+
+
+def check_positive(name: str, x: Any) -> float:
+    """`x` if it is a positive, finite real number, not a bool: a cell size, a bandwidth or a scale."""
+    if (type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))) and 0.0 < x < math.inf:
+        return x
+    raise ValueError(f"{name} must be positive and finite, got {_plain(x)!r}")
+
+
+def check_count(name: str, n: Any, least: int = 0) -> int:
+    """`n` if it is an integer of at least `least`, 0 or 1, not a bool: a seed, a quantity or a box count."""
+    if (type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))) and n >= least:
+        return n
+    rule = "must be a positive integer" if least else "must be a non-negative integer"
+    raise ValueError(f"{name} {rule}, got {_plain(n)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +137,7 @@ class _Raster:
                 cast (see `_read_only`), or values that are not a non-empty
                 2-D array.
         """
-        if not 0.0 < self.cell_size < math.inf:
-            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        check_positive("cell_size", self.cell_size)
         arr = _read_only(self.values, dtype)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"{type(self).__name__} values must be a non-empty 2-D array, got shape {arr.shape}")
@@ -248,66 +275,70 @@ def load_grid(path: str | Path) -> Grid:
         GridFormatError: A byte that is not ASCII, malformed header (ncols
             and nrows must be positive integers, cellsize positive and
             finite), bad row count or length, or a non-numeric token; the
-            message names the 1-based line number.
+            message names the path and the 1-based line number (`.line`).
     """
-    data = Path(path).read_bytes()
-    if b"\r" in data:  # "\r\n" and "\r" end a line too
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.isascii():
-        pos = int(np.argmax(np.frombuffer(data, np.uint8) >= 0x80))
-        raise GridFormatError(f"non-ASCII byte {data[pos]:#04x}", line=data.count(b"\n", 0, pos) + 1)
+    try:
+        data = Path(path).read_bytes()
+        if b"\r" in data:  # "\r\n" and "\r" end a line too
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.isascii():
+            pos = int(np.argmax(np.frombuffer(data, np.uint8) >= 0x80))
+            raise GridFormatError(f"non-ASCII byte {data[pos]:#04x}", line=data.count(b"\n", 0, pos) + 1)
 
-    header: dict[str, float] = {}
-    start = 0  # of the next line; past the end when the last line has been read
-    for i, key in enumerate(_HEADER_KEYS):
-        if start > len(data):
-            raise GridFormatError("missing header line", line=i + 1)
-        end = data.find(b"\n", start)
-        if end < 0:
-            end = len(data)
-        line = data[start:end].decode("ascii")
-        start = end + 1
-        parts = line.split()
-        if len(parts) != 2 or parts[0].lower() != key:
-            raise GridFormatError(f"expected '{key} <value>', got {line!r}", line=i + 1)
-        try:
-            header[key] = float(parts[1])
-        except ValueError:
-            raise GridFormatError(f"non-numeric {key}: {parts[1]!r}", line=i + 1) from None
-        if key in _HEADER_RULES:
-            rule, ok = _HEADER_RULES[key]
-            if not ok(header[key]):
-                raise GridFormatError(f"{key} must be {rule}, got {parts[1]!r}", line=i + 1)
-    nodata_text = parts[1]  # the last header line's value, as written
+        header: dict[str, float] = {}
+        start = 0  # of the next line; past the end when the last line has been read
+        for i, key in enumerate(_HEADER_KEYS):
+            if start > len(data):
+                raise GridFormatError("missing header line", line=i + 1)
+            end = data.find(b"\n", start)
+            if end < 0:
+                end = len(data)
+            line = data[start:end].decode("ascii")
+            start = end + 1
+            parts = line.split()
+            if len(parts) != 2 or parts[0].lower() != key:
+                raise GridFormatError(f"expected '{key} <value>', got {line!r}", line=i + 1)
+            try:
+                header[key] = float(parts[1])
+            except ValueError:
+                raise GridFormatError(f"non-numeric {key}: {parts[1]!r}", line=i + 1) from None
+            if key in _HEADER_RULES:
+                rule, ok = _HEADER_RULES[key]
+                if not ok(header[key]):
+                    raise GridFormatError(f"{key} must be {rule}, got {parts[1]!r}", line=i + 1)
+        nodata_text = parts[1]  # the last header line's value, as written
 
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+        ncols, nrows = int(header["ncols"]), int(header["nrows"])
 
-    # Tolerate trailing newlines (canonical files end with one "\n").
-    end = len(data)
-    while end > start and data[end - 1] == ord("\n"):
-        end -= 1
+        # Tolerate trailing newlines (canonical files end with one "\n").
+        end = len(data)
+        while end > start and data[end - 1] == ord("\n"):
+            end -= 1
 
-    # A body that the stride decode takes has exactly nrows rows.
-    values = _stride_body(data, start, end, nrows, ncols, nodata_text, header["nodata_value"])
-    if values is None:
-        # One copy of the text at a time, as before the stride decode.
-        text = str(memoryview(data)[start:end], "ascii")
-        del data
-        body = text.split("\n") if text else []
-        del text
-        if len(body) != nrows:
-            raise GridFormatError(
-                f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
-            )
-        values = _parse_body(body, ncols)
-    values.setflags(write=False)  # handed over to the Grid, which keeps it uncopied
-    return Grid(
-        values,
-        cell_size=header["cellsize"],
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        nodata=header["nodata_value"],
-    )
+        # A body that the stride decode takes has exactly nrows rows.
+        values = _stride_body(data, start, end, nrows, ncols, nodata_text, header["nodata_value"])
+        if values is None:
+            # One copy of the text at a time, as before the stride decode.
+            text = str(memoryview(data)[start:end], "ascii")
+            del data
+            body = text.split("\n") if text else []
+            del text
+            if len(body) != nrows:
+                raise GridFormatError(
+                    f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
+                )
+            values = _parse_body(body, ncols)
+        values.setflags(write=False)  # handed over to the Grid, which keeps it uncopied
+        return Grid(
+            values,
+            cell_size=header["cellsize"],
+            origin_x=header["xllcorner"],
+            origin_y=header["yllcorner"],
+            nodata=header["nodata_value"],
+        )
+    except GridFormatError as exc:
+        exc.args = (f"{path}: {exc}",)  # the line number stays in exc.line
+        raise
 
 
 def _stride_body(
@@ -449,7 +480,7 @@ def check_aligned(
         raise ValueError(f"{a_role} shape {a.shape} != {b_role} shape {b.shape}")
     tol = 1e-9 * max(a.cell_size, b.cell_size)
     for name in ("cell_size", "origin_x", "origin_y"):
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = _plain(getattr(a, name)), _plain(getattr(b, name))
         if not (abs(x - y) <= tol or x == y or (math.isnan(x) and math.isnan(y))):
             raise ValueError(f"{a_role} {name} {x!r} != {b_role} {name} {y!r}: the rasters do not line up")
 
@@ -480,7 +511,7 @@ def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
     known = ones | (grid.values == 0.0) | excluded
     if not known.all():
         idx = int(np.flatnonzero(~known)[0])
-        value = grid.values.flat[idx]
+        value = _plain(grid.values.flat[idx])
         raise ValueError(f"unexpected value {value!r} at flat index {idx}: not 1.0/0.0 and not excluded")
     out = ones.astype(np.int8)
     np.putmask(out, excluded, EXCLUDED)
@@ -495,20 +526,6 @@ def to_scores(grid: Grid, exclusion: Grid | None = None) -> ScoreGrid:
     vals.setflags(write=False)  # both handed over to the ScoreGrid uncopied
     excluded.setflags(write=False)
     return ScoreGrid(vals, excluded, grid.cell_size, grid.origin_x, grid.origin_y)
-
-
-def check_quantity(quantity: Any) -> int:
-    """`quantity` if it is a non-negative integer (a bool is not one); otherwise a `ValueError`."""
-    if isinstance(quantity, bool) or not isinstance(quantity, (int, np.integer)) or quantity < 0:
-        raise ValueError(f"quantity must be a non-negative integer, got {quantity!r}")
-    return quantity
-
-
-def check_cut(value: Any) -> float:
-    """`value` if it is a real number in [0, 1] (a bool is not one); otherwise a `ValueError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"value threshold needs a cut in [0, 1], got {value!r}")
-    return value
 
 
 def threshold_scores(
@@ -535,7 +552,7 @@ def threshold_scores(
 
     Raises:
         ValueError: Both or neither mode given, value refused by
-            `check_cut`, quantity refused by `check_quantity`, or quantity
+            `check_unit`, quantity refused by `check_count`, or quantity
             above the number of non-excluded cells.
     """
     if (value is None) == (quantity is None):
@@ -543,9 +560,9 @@ def threshold_scores(
 
     vals = scores.values
     if value is not None:
-        out = (vals >= check_cut(value)).astype(np.int8)
+        out = (vals >= check_unit("value", value)).astype(np.int8)
     else:
-        check_quantity(quantity)
+        check_count("quantity", quantity)
         live = ~scores.excluded
         live_vals = vals[live]
         n_live = live_vals.size

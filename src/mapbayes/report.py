@@ -44,10 +44,10 @@ from .convergence import (
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import (
-    BinaryGrid, Grid, check_cut, check_quantity, format_float, format_floats, load_grid, threshold_scores, to_binary,
+    BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_grid, threshold_scores, to_binary,
     to_scores,
 )
-from .sampling import POOL_THRESHOLDS, check_seed
+from .sampling import POOL_THRESHOLDS
 
 log = logging.getLogger(__name__)
 
@@ -77,9 +77,9 @@ class ThresholdPolicy:
         if self.kind not in ("value", "quantity", "quantity_obs"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if self.kind == "value":
-            check_cut(self.value)
+            check_unit("value", self.value)
         if self.kind == "quantity":
-            check_quantity(self.value)
+            check_count("quantity", self.value)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdPolicy":
@@ -134,10 +134,7 @@ def group_label(label: str) -> str:
 
 def unit_value(text: str) -> float:
     """The number `text` spells if it lies in [0, 1]: a predictive value or a KDE sample."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value must be in [0, 1], got {text!r}")
-    return value
+    return check_unit("value", float(text))
 
 
 def int64_id(text: str) -> int:
@@ -173,7 +170,7 @@ class AssessmentJob:
             raise ValueError("job has no inputs")
         if self.bandwidth is not None:
             check_bandwidth(self.bandwidth)
-        check_seed(self.seed)
+        check_count("seed", self.seed)
         asymmetric_family(self.alpha_grid)  # refuses an empty grid or an offset outside [0, 1] before any work
         missing = [
             str(p)
@@ -194,13 +191,13 @@ def parse_config(path: str | Path) -> dict[str, str]:
     """Read a key = value config file ('#' starts a comment); a key may be set once."""
     out: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower()
         if key in set_on:
             raise ValueError(f"{path}: key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
@@ -251,7 +248,7 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
     "convention": Convention.parse,
     "alpha_grid": parse_alpha_grid,
     "bandwidth": lambda v: check_bandwidth(float(v)),
-    "seed": lambda v: check_seed(int(v)),
+    "seed": lambda v: check_count("seed", int(v)),
     "final_cycle": int,
 }
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .raster import BinaryGrid, check_aligned
+from .raster import BinaryGrid, check_aligned, check_count
 
 #: Pool label -> minimum change-to-exclusion index for membership.
 POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
@@ -78,9 +78,7 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
             region dimension.
     """
     check_aligned(urban_change, "change", exclusion, "exclusion")
-    if box_cells < 1:
-        raise ValueError(f"box_cells must be positive, got {box_cells}")
-    side = math.isqrt(box_cells)
+    side = math.isqrt(check_count("box_cells", box_cells, 1))
     if side * side != box_cells:
         raise ValueError(f"box_cells must be a perfect square, got {box_cells}")
     rows, cols = urban_change.shape
@@ -114,7 +112,7 @@ def classify_pools(boxes: Sequence[SampleBox]) -> dict[str, list[SampleBox]]:
 
 def quantile_bin_sizes(pool_size: int, n_quantiles: int) -> list[int]:
     """Contiguous bin sizes: near-equal, differing by at most one, larger first."""
-    if pool_size < n_quantiles:
+    if check_count("pool_size", pool_size) < check_count("n_quantiles", n_quantiles, 1):
         raise ValueError(f"pool of {pool_size} boxes cannot fill {n_quantiles} quantile bins")
     base, extra = divmod(pool_size, n_quantiles)
     return [base + 1] * extra + [base] * (n_quantiles - extra)
@@ -137,11 +135,9 @@ def draw_quantile_sample(
     Returns:
         The drawn boxes in bin order (ascending percent urban change).
     """
-    if n_quantiles < 1:
-        raise ValueError(f"n_quantiles must be positive, got {n_quantiles}")
     sizes = quantile_bin_sizes(len(pool), n_quantiles)
     ordered = sorted(pool, key=lambda b: (b.pct_urban_change, b.box_id))
-    rng = np.random.default_rng(_substream(seed, label))
+    rng = np.random.default_rng(np.random.SeedSequence([check_count("seed", seed), *label.encode("utf-8")]))
     drawn: list[SampleBox] = []
     start = 0
     for size in sizes:
@@ -149,15 +145,3 @@ def draw_quantile_sample(
         drawn.append(ordered[pick])
         start += size
     return drawn
-
-
-def check_seed(seed: int) -> int:
-    """`seed` if it is non-negative; otherwise a `ValueError`."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _substream(seed: int, label: str) -> np.random.SeedSequence:
-    """Deterministic per-(seed, label) seed sequence."""
-    return np.random.SeedSequence([check_seed(seed), *label.encode("utf-8")])

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import RunRecord
-from .raster import EXCLUDED, BinaryGrid, ScoreGrid
-from .sampling import check_seed
+from .raster import EXCLUDED, BinaryGrid, ScoreGrid, check_count, check_unit
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,16 @@ class SynthConfig:
     planted_offset: float = 0.0
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-        check_seed(self.seed)
+        check_count("rows", self.rows, 1)
+        check_count("cols", self.cols, 1)
+        check_count("seed", self.seed)
         for name in ("change_fraction", "exclusion_fraction", "score_noise"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.change_fraction + self.exclusion_fraction > 1.0:
             raise ValueError("change_fraction + exclusion_fraction must not exceed 1")
-        if not 0.0 <= self.planted_offset <= 1.0:
-            raise ValueError(f"planted_offset must be in [0, 1], got {self.planted_offset}")
+        check_unit("planted_offset", self.planted_offset)
 
 
 def _rng(cfg: SynthConfig, stream: str) -> np.random.Generator:
@@ -97,8 +95,7 @@ def generate_run_table(
     PPV and NPV are placed symmetrically around 0.5 at each run's
     difference, clamped away from the ends.
     """
-    if n_boxes < 1:
-        raise ValueError(f"n_boxes must be positive, got {n_boxes}")
+    check_count("n_boxes", n_boxes, 1)
     if not cycles:
         raise ValueError("need at least one cycle")
     rng = _rng(cfg, "runs")

@@ -99,7 +99,7 @@ class TestAssess:
         bad = tmp_path / "bad.asc"
         bad.write_text("\n".join(text))
         expect_failure(["assess", "--sim", str(bad), "--obs", obs])
-        assert capsys.readouterr().err == "error: line 1: ncols must be a positive integer, got 'inf'\n"
+        assert capsys.readouterr().err == f"error: {bad}: line 1: ncols must be a positive integer, got 'inf'\n"
 
     def test_overstated_ncols_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.asc"
@@ -107,7 +107,7 @@ class TestAssess:
             "ncols 1000000000000\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 30\nNODATA_value -9999\n1 0 1\n"
         )
         expect_failure(["assess", "--sim", str(bad), "--obs", str(bad)])
-        assert capsys.readouterr().err == "error: line 7: expected 1000000000000 values, found 3\n"
+        assert capsys.readouterr().err == f"error: {bad}: line 7: expected 1000000000000 values, found 3\n"
 
     def test_misaligned_pair_is_a_usage_error(self, tmp_path, capsys):
         # Same values, different georeferencing: not a perfect match, an error.
@@ -122,7 +122,7 @@ class TestAssess:
     def test_unparsable_value_threshold_is_a_usage_error(self, score_pair, capsys):
         score, obs = score_pair
         expect_failure(["assess", "--score", score, "--obs", obs, "--threshold", "value:abc"])
-        assert capsys.readouterr().err == "error: value threshold needs a cut in [0, 1], got 'abc'\n"
+        assert capsys.readouterr().err == "error: value must be in [0, 1], got 'abc'\n"
 
     def test_threshold_with_a_classified_prediction_is_a_usage_error(self, raster_pair, capsys):
         # A --sim raster is never thresholded, so the flag would do nothing.
@@ -212,10 +212,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "rates, message",
         [
-            (["--sens", "1.5", "--tn-rate", "0.7"], "sensitivity must be a rate in [0, 1], got 1.5"),
-            (["--sens", "nan", "--tn-rate", "0.7"], "sensitivity must be a rate in [0, 1], got nan"),
-            (["--sens", "0.8", "--tn-rate", "-0.1"], "tn_rate must be a rate in [0, 1], got -0.1"),
-            (["--sens", "0.8", "--tn-rate", "inf"], "tn_rate must be a rate in [0, 1], got inf"),
+            (["--sens", "1.5", "--tn-rate", "0.7"], "sensitivity must be in [0, 1], got 1.5"),
+            (["--sens", "nan", "--tn-rate", "0.7"], "sensitivity must be in [0, 1], got nan"),
+            (["--sens", "0.8", "--tn-rate", "-0.1"], "tn_rate must be in [0, 1], got -0.1"),
+            (["--sens", "0.8", "--tn-rate", "inf"], "tn_rate must be in [0, 1], got inf"),
         ],
     )
     def test_a_rate_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, rates, message):
@@ -318,7 +318,7 @@ class TestKde:
         out_dir = tmp_path / "kout"
         expect_failure(["kde", "--samples", str(path), "--out", str(out_dir)])
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: line 2, column 'value': value must be in [0, 1], got '40'\n"
+        assert captured.err == f"error: {path}: line 2, column 'value': value must be in [0, 1], got 40.0\n"
         assert captured.out == ""
         assert not (out_dir / "kde.csv").exists()
 
@@ -437,7 +437,7 @@ class TestConverge:
         path.write_text("box_id,group,cycle,ppv,npv\n2,A,1,0.5,0.5\n\n1,A,1,0.5,1.5\n")
         expect_failure(["converge", "--runs", str(path), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
-        assert err == f"error: {path}: line 4, column 'npv': value must be in [0, 1], got '1.5'\n"
+        assert err == f"error: {path}: line 4, column 'npv': value must be in [0, 1], got 1.5\n"
         assert not (tmp_path / "x").exists()
 
     def test_a_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
@@ -572,7 +572,7 @@ class TestSample:
         # 10 quantiles exceed every pool, so no draw would reach the seed.
         argv = ["sample", "--change", change, "--exclusion", excl, "--box-cells", "4", "--n-quantiles", "10"]
         expect_failure(argv + ["--seed", "-1"])
-        assert capsys.readouterr().err == "error: --seed: seed must be non-negative, got -1\n"
+        assert capsys.readouterr().err == "error: --seed: seed must be a non-negative integer, got -1\n"
 
     def test_deterministic(self, region, capsys):
         first = self.run_sample(region, capsys)

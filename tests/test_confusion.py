@@ -210,7 +210,7 @@ class TestAgreementRates:
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
     def test_a_rate_outside_the_unit_interval_is_refused(self, field, value):
         given = {"sensitivity": 0.8, "tn_rate": 0.9, "prevalence_observed": 0.5, "pcm": 0.85, field: value}
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a rate in [0, 1], got {value}")):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be in [0, 1], got {value}")):
             AgreementRates(**given)
 
     def test_the_interval_ends_and_undefined_rates_are_kept(self):

@@ -115,7 +115,7 @@ class TestConvergenceFactor:
             assert convergence_factor(ppv, npv, adj) == convergence_factor(ppv, npv, asym0)
 
     def test_rejects_out_of_range_inputs(self):
-        with pytest.raises(ValueError, match="predictive values"):
+        with pytest.raises(ValueError, match=re.escape("ppv must be in [0, 1], got 1.2")):
             convergence_factor(1.2, 0.5, ConvergenceForm("triangular"))
 
     def test_factor_values_matches_scalar_evaluation(self):
@@ -579,7 +579,7 @@ class TestPPCurve:
     def test_errors(self):
         with pytest.raises(ValueError, match="zero values"):
             pp_curve([], 0.5, 0.1)
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got 0.0"):
             pp_curve([0.1, 0.9], 0.5, 0.0)
 
 

@@ -1,5 +1,6 @@
 """Tests for ASCII grid I/O, binary/score conversion, and thresholding."""
 
+import math
 import re
 
 import numpy as np
@@ -304,7 +305,7 @@ class TestLoadGrid:
         p.write_text(CANONICAL[: CANONICAL.index("1 0 -9999")] + body)
         with pytest.raises(GridFormatError) as err:
             load_grid(p)
-        assert str(err.value) == message
+        assert str(err.value) == f"{p}: {message}"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -320,7 +321,7 @@ class TestLoadGrid:
         p.write_bytes(text.encode("utf-8"))
         with pytest.raises(GridFormatError) as err:
             load_grid(p)
-        assert str(err.value) == message
+        assert str(err.value) == f"{p}: {message}"
 
     def test_overstated_ncols_is_a_format_error(self, tmp_path):
         # The row is checked against ncols before any array is allocated.
@@ -330,7 +331,7 @@ class TestLoadGrid:
         p.write_text("\n".join(lines[:7]) + "\n")
         with pytest.raises(GridFormatError) as err:
             load_grid(p)
-        assert str(err.value) == "line 7: expected 1000000000000 values, found 3"
+        assert str(err.value) == f"{p}: line 7: expected 1000000000000 values, found 3"
 
     def test_tabs_crlf_and_underscore_digits_parse(self, tmp_path):
         p = tmp_path / "g.asc"
@@ -362,14 +363,16 @@ class TestLoadGrid:
         lines[line - 1] = text
         p.write_text("\n".join(lines))
         key, value = text.split()
-        with pytest.raises(GridFormatError, match=f"^line {line}: {key} must be a positive integer, got '{value}'$"):
+        message = f"{p}: line {line}: {key} must be a positive integer, got '{value}'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(p)
 
     @pytest.mark.parametrize("value", ["-30", "0", "nan", "inf"])
     def test_cellsize_must_be_positive_and_finite(self, tmp_path, value):
         p = tmp_path / "g.asc"
         p.write_text(CANONICAL.replace("cellsize 30", f"cellsize {value}"))
-        with pytest.raises(GridFormatError, match=f"^line 5: cellsize must be positive and finite, got '{value}'$"):
+        message = f"{p}: line 5: cellsize must be positive and finite, got '{value}'"
+        with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
             load_grid(p)
 
     def test_nan_nodata_sentinel_matches_nan_cells(self, tmp_path):
@@ -464,7 +467,7 @@ class TestThresholdScores:
     def test_value_outside_the_unit_interval_is_refused(self, value):
         # Such a cut would give an all-0 or all-1 map without a word.
         s = ScoreGrid(np.array([[0.2, 0.9]]))
-        with pytest.raises(ValueError, match=re.escape(f"value threshold needs a cut in [0, 1], got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"value must be in [0, 1], got {value!r}")):
             threshold_scores(s, value=value)
 
     def test_value_mode_keeps_exclusions(self):
@@ -570,3 +573,63 @@ class TestCheckAligned:
         check_aligned(a, "a", Grid(np.zeros((1, 1)), origin_x=np.nan), "b")
         with pytest.raises(ValueError, match="origin_x nan != b origin_x 0.0"):
             check_aligned(a, "a", Grid(np.zeros((1, 1))), "b")
+
+
+class TestDomainRules:
+    @pytest.mark.parametrize(
+        "rule, value",
+        [
+            (raster.check_unit, 0.0),
+            (raster.check_unit, 1),
+            (raster.check_unit, np.float32(0.25)),
+            (raster.check_positive, 5e-324),
+            (raster.check_positive, 3),
+            (raster.check_positive, np.float64(1e308)),
+            (raster.check_count, 0),
+            (raster.check_count, np.int64(7)),
+        ],
+        ids=repr,
+    )
+    def test_a_value_in_the_domain_comes_back_as_it_is(self, rule, value):
+        assert rule("x", value) is value
+
+    @pytest.mark.parametrize("value", [True, np.True_, math.nan, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("rule", [raster.check_unit, raster.check_positive, raster.check_count])
+    def test_bools_nan_and_non_numbers_are_refused(self, rule, value):
+        with pytest.raises(ValueError, match=r"^x must be .*, got "):
+            rule("x", value)
+
+    def test_a_count_of_at_least_one_is_a_positive_integer(self):
+        assert raster.check_count("n", 1, least=1) == 1
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
+            raster.check_count("n", 0, least=1)
+        with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got -1$"):
+            raster.check_count("n", -1)
+
+
+class TestMessagesShowPythonValues:
+    @pytest.mark.parametrize(
+        "call, shown",
+        [
+            (lambda: to_binary(Grid(np.array([[0.5]]))), "unexpected value 0.5 at flat index 0"),
+            (lambda: BinaryGrid(np.array([[0.5]])), "value 0.5 at flat index 0 changes when cast to int8"),
+            (
+                lambda: check_aligned(
+                    Grid(np.zeros((1, 1)), cell_size=np.float64(30.0)), "a",
+                    Grid(np.zeros((1, 1)), cell_size=np.float32(90.0)), "b",
+                ),
+                "a cell_size 30.0 != b cell_size 90.0",
+            ),
+            (lambda: raster.check_unit("x", np.float64(1.5)), "x must be in [0, 1], got 1.5"),
+            (lambda: raster.check_positive("x", np.float32(-1.0)), "x must be positive and finite, got -1.0"),
+            (lambda: raster.check_count("x", np.float64(2.0)), "x must be a non-negative integer, got 2.0"),
+            (lambda: raster.check_count("x", np.int8(-3)), "x must be a non-negative integer, got -3"),
+        ],
+        ids=["to_binary", "lossy-cast", "check_aligned", "check_unit", "check_positive", "float-count", "int8-count"],
+    )
+    def test_a_numpy_scalar_prints_as_a_python_value(self, call, shown):
+        # Not np.float64(0.5): the message reaches report failure rows and the CLI's error line.
+        with pytest.raises(ValueError) as err:
+            call()
+        assert shown in str(err.value)
+        assert "np." not in str(err.value)

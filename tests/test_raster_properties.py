@@ -135,7 +135,7 @@ def test_load_grid_matches_per_token_reference(grid_path, case):
     except GridFormatError as exc:
         with pytest.raises(GridFormatError) as err:
             load_grid(grid_path)
-        assert str(err.value) == str(exc)
+        assert str(err.value) == f"{grid_path}: {exc}"
         assert err.value.line == exc.line
     else:
         got = load_grid(grid_path).values
@@ -162,7 +162,7 @@ def test_well_formed_bodies_parse_bitwise_equal(grid_path, data):
 
 
 def general_outcome(path, ncols, nrows):
-    """What the general path gives for the body: `_parse_body`'s values or its error."""
+    """What the general path gives for the body: `_parse_body`'s values, or its error named as `load_grid` names it."""
     with open(path, "r", encoding="ascii") as fh:
         body = fh.read().split("\n")[HEADER_LINES:]
     while body and body[-1] == "":
@@ -173,6 +173,7 @@ def general_outcome(path, ncols, nrows):
             raise GridFormatError(f"expected {nrows} rows of values, found {found}", line=HEADER_LINES + found + 1)
         return raster._parse_body(body, ncols)
     except GridFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
         return exc
 
 
@@ -307,7 +308,7 @@ def test_nodata_marking_hides_no_token(grid_path, nodata, body):
     expected = general_outcome(grid_path, 2, 1)
     assert_same_outcome(load_outcome(grid_path)[0], expected)
     if "n" in body.split():
-        assert str(expected) == "line 7: non-numeric value 'n'"
+        assert str(expected) == f"{grid_path}: line 7: non-numeric value 'n'"
 
 
 @settings(max_examples=300, deadline=None)

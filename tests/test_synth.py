@@ -17,7 +17,7 @@ from mapbayes.synth import _rng
 
 class TestSynthConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="rows must be a positive integer, got 0"):
             SynthConfig(rows=0)
         with pytest.raises(ValueError, match="seed"):
             SynthConfig(seed=-1)

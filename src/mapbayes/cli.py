@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: assess, sweep, kde, converge, sample, synth, report. Every
-subcommand takes --config, a key = value file; `SHARED_SETTINGS` lists the
-shared settings (seed, out, convention, alpha_grid, bandwidth) each one
-reads, as flags or config keys; `report.read_settings` parses both.
+subcommand takes --config, a key = value file. `SETTINGS` is the one table
+of settings: each has one parser, for its flag's text and its config key's
+alike, and its flag's help. `READS` gives the settings each subcommand
+reads; each is both a flag and a config key, and the flag wins.
+`read_settings` reads them, and `load_job` builds a `report` job from them.
 """
 
 from __future__ import annotations
@@ -14,29 +16,30 @@ import logging
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bayes import Convention, prevalence_sweep
 from .confusion import AgreementRates
-from .convergence import DEFAULT_ALPHA_GRID
-from .kde import GRID, balance_point, find_crossings, fit_kde
-from .raster import format_float, format_floats, load_grid, to_binary, write_grid
+from .convergence import asymmetric_family
+from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
+from .raster import check_count, format_float, format_floats, load_grid, to_binary, write_grid
 from .report import (
     _BAYES_HEADER,
     _CONFUSION_HEADER,
     DEFAULT_THRESHOLD,
+    AssessmentJob,
     PairAssessment,
     ThresholdPolicy,
     analyze_scopes,
     assess_pair,
     column_rows,
-    load_job,
     load_observed,
     read_csv,
+    read_inputs_manifest,
     read_runs_csv,
-    read_settings,
+    read_utf8,
     run_job,
     unit_value,
     write_csv,
@@ -59,30 +62,117 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"error: {exc}\n")
 
 
-#: The shared settings each subcommand reads. Each one may come from its
-#: flag or from the --config file, and the flag wins; a subcommand gets no
-#: flag and accepts no config key for a setting it does not read. `report`
-#: hands its flags to `load_job`, which also reads the job keys (inputs,
-#: threshold, final_cycle) from the config file.
-SHARED_SETTINGS: dict[str, tuple[str, ...]] = {
-    "assess": ("out", "convention"),
-    "sweep": ("out", "convention"),
-    "kde": ("out", "bandwidth"),
-    "converge": ("out", "alpha_grid", "bandwidth"),
-    "sample": ("out", "seed"),
-    "synth": ("out", "seed"),
-    "report": ("out", "convention", "alpha_grid", "bandwidth", "seed"),
+# ---------------------------------------------------------------------------
+# Settings: one table, read from flags and the --config file alike
+# ---------------------------------------------------------------------------
+
+
+def parse_alpha_grid(text: str) -> tuple[float, ...]:
+    """Parse a comma-separated offset list, refused as `asymmetric_family` would refuse it."""
+    return tuple(form.alpha for form in asymmetric_family(float(t) for t in text.split(",")))
+
+
+#: Each setting's parser, for its flag's text and its config key's alike, and its flag's help.
+SETTINGS: dict[str, tuple[Callable[[str], Any], str]] = {
+    "inputs": (Path, "inputs CSV: kind, sim, obs, exclusion, box_id, group, cycle"),
+    "out": (Path, "output directory"),
+    "threshold": (ThresholdPolicy.parse, "score cut: value:<t>, quantity:<n> or quantity:obs (default value:0.5)"),
+    "convention": (Convention.parse, "formula convention: paper or standard (default paper)"),
+    "alpha_grid": (parse_alpha_grid, "comma-separated offsets in [0,1] for the asymmetric family"),
+    "bandwidth": (lambda v: check_bandwidth(float(v)), "positive KDE bandwidth (default: Silverman's rule)"),
+    "seed": (lambda v: check_count("seed", int(v)), "non-negative RNG seed (default 0); report only records it"),
+    "final_cycle": (int, "first cycle of the converged tail (default: last cycle)"),
 }
 
-#: argparse options of each shared setting's flag; `read_settings` parses its text.
-_FLAGS: dict[str, dict[str, Any]] = {
-    "out": {"help": "output directory"},
-    "convention": {"choices": ["paper", "standard"], "help": "formula convention (default paper)"},
-    "alpha_grid": {"help": "comma-separated offsets in [0,1] for the asymmetric family"},
-    "bandwidth": {"help": "positive KDE bandwidth (default: Silverman's rule)"},
-    "seed": {"help": "non-negative RNG seed (default 0)"},
+#: The settings each subcommand reads, each as a flag and as a config key;
+#: a subcommand gets no flag and accepts no config key for any other.
+READS: dict[str, tuple[str, ...]] = {
+    "assess": ("out", "threshold", "convention"),
+    "sweep": ("out", "threshold", "convention"),
+    "kde": ("out", "bandwidth"),
+    "converge": ("out", "alpha_grid", "bandwidth", "final_cycle"),
+    "sample": ("out", "seed"),
+    "synth": ("out", "seed"),
+    "report": tuple(SETTINGS),
 }
-_REPORT_SEED_HELP = "provenance only: echoed into manifest.json settings, feeds no computation (default 0)"
+
+
+def parse_config(path: str | Path) -> dict[str, str]:
+    """Read a key = value config file ('#' starts a comment); a key may be set once."""
+    out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
+    for lineno, raw in enumerate(read_utf8(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
+        key = key.strip().lower()
+        if key in set_on:
+            raise ValueError(f"{path}: key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
+        set_on[key] = lineno
+        out[key] = value.strip()
+    return out
+
+
+def _source(key: str, config: str | Path | None, flags: Mapping[str, str | None]) -> str:
+    """Where setting `key` is read from: its flag if given, else the config file's key."""
+    return f"{config}: {key}" if flags.get(key) is None else "--" + key.replace("_", "-")
+
+
+def read_settings(
+    config: str | Path | None, flags: Mapping[str, str | None], command: str, required: Collection[str] = ()
+) -> dict[str, Any]:
+    """The settings `command` reads, parsed from their flags and the `config` file.
+
+    `flags` maps a setting to its flag text, None when the flag is not
+    given; other entries are ignored. A flag wins over the config file, and
+    an empty value leaves the setting unset and out of the result. A
+    relative `inputs` or `out` path from the config file resolves against
+    the file's directory; one from a flag, against the working directory.
+
+    Raises:
+        ValueError: The config file sets a key `command` does not read, a
+            value is refused (naming its source, see `_source`), or a
+            `required` setting is unset.
+    """
+    text = parse_config(config) if config is not None else {}
+    unread = sorted(set(text) - set(READS[command]))
+    if unread:
+        raise ValueError(f"{config}: config keys not read by {command}: {unread}")
+    settings: dict[str, Any] = {}
+    for key in READS[command]:
+        flag = flags.get(key)
+        value = text.get(key, "") if flag is None else flag
+        if not value.strip():
+            continue
+        if flag is None and key in ("inputs", "out"):
+            value = Path(config).parent / value
+        try:
+            settings[key] = SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{_source(key, config, flags)}: {exc}") from None
+    for key in required:
+        if key not in settings:
+            raise ValueError(f"{command} must set '{key}'")
+    return settings
+
+
+def load_job(config: str | Path | None, flags: Mapping[str, str | None] | None = None) -> AssessmentJob:
+    """Build a `report` job from its flags (none by default) and config file.
+
+    inputs (the CSV manifest's path) and out must be set; threshold may be
+    set only when the manifest lists a score raster. The seed is only
+    recorded in manifest.json: a report job draws no random numbers.
+    """
+    flags = flags or {}
+    settings = read_settings(config, flags, "report", required=("inputs", "out"))
+    inputs = read_inputs_manifest(settings.pop("inputs"))
+    job = AssessmentJob(inputs=inputs, out_dir=settings.pop("out"), **settings)
+    if "threshold" in settings and all(inp.kind != "score" for inp in inputs):
+        raise ValueError(f"{_source('threshold', config, flags)}: the inputs list no score raster to threshold")
+    return job
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,11 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help: str, func) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, help="key = value config file; flags override it")
-        for key in SHARED_SETTINGS[name]:
-            spec = _FLAGS[key]
-            if (name, key) == ("report", "seed"):
-                spec = {**spec, "help": _REPORT_SEED_HELP}
-            p.add_argument("--" + key.replace("_", "-"), **spec)
+        for key in READS[name]:
+            p.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key][1])
         p.set_defaults(func=func)
         return p
 
@@ -116,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("converge", "convergence-factor fits, dominance, selection", cmd_converge)
     p.add_argument("--runs", type=Path, required=True, help="CSV with box_id, group, cycle, ppv, npv")
-    p.add_argument("--final-cycle", type=int, help="first cycle of the converged tail (default: last cycle)")
 
     p = add("sample", "tile a region, pool boxes, draw quantile samples", cmd_sample)
     p.add_argument("--change", type=Path, required=True, help="binary change raster")
@@ -134,31 +220,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", type=int, default=30)
     p.add_argument("--cycles", type=int, default=12, help="number of cycles in the run table")
 
-    add("report", "run a full assessment job from a config file", cmd_report)
+    add("report", "run a full assessment job over an inputs manifest", cmd_report)
     return parser
 
 
 def _add_pair_arguments(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--sim", type=Path, required=False, help="predicted binary raster")
-    p.add_argument("--score", type=Path, required=False, help="predicted score raster (needs --threshold)")
+    p.add_argument("--score", type=Path, required=False, help="predicted score raster, cut by the threshold")
     p.add_argument("--obs", type=Path, required=required, help="observed binary raster")
     p.add_argument("--exclusion", type=Path, help="exclusionary raster (nonzero = excluded)")
-    p.add_argument("--threshold", help="for --score: value:<t>, quantity:<n>, or quantity:obs (default value:0.5)")
 
 
 def _settings(args, *required: str) -> dict[str, Any]:
-    """The subcommand's shared settings, parsed from its flags and --config."""
-    return read_settings(args.config, vars(args), args.command, SHARED_SETTINGS[args.command], required)
+    """The subcommand's settings, parsed from its flags and --config."""
+    return read_settings(args.config, vars(args), args.command, required)
 
 
-def _assess(args, convention: Convention) -> PairAssessment:
+def _threshold(args, settings: Mapping[str, Any]) -> ThresholdPolicy:
+    """The policy that cuts the --score raster; a threshold with no --score raster to cut is refused."""
+    if args.score is None and "threshold" in settings:
+        raise ValueError(f"{_source('threshold', args.config, vars(args))}: there is no --score raster to threshold")
+    return settings.get("threshold", DEFAULT_THRESHOLD)
+
+
+def _assess(args, threshold: ThresholdPolicy, convention: Convention) -> PairAssessment:
     """Assess the pair that --sim or --score and --obs name."""
     if (args.sim is None) == (args.score is None):
         raise ValueError("give exactly one of --sim (binary) or --score")
-    if args.sim is not None and args.threshold is not None:
-        raise ValueError("--threshold applies to --score only; a --sim raster is already classified")
     sim, kind = (args.sim, "binary") if args.sim is not None else (args.score, "score")
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else ThresholdPolicy.parse(args.threshold)
     return assess_pair(kind, sim, load_observed(args.obs, args.exclusion), threshold, convention)
 
 
@@ -170,7 +259,7 @@ def _assess(args, convention: Convention) -> PairAssessment:
 def cmd_assess(args) -> int:
     settings = _settings(args)
     convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
-    a = _assess(args, convention)
+    a = _assess(args, _threshold(args, settings), convention)
     # confusion.csv's columns and bayes.csv's ratios, without box_id, cycle and a second prevalence.
     header = (*_CONFUSION_HEADER[2:], "convention", *_BAYES_HEADER[4:])
     row = (*astuple(a.matrix), *format_floats(astuple(a.rates)), convention.value, *format_floats(a.ratios()))
@@ -185,14 +274,15 @@ def cmd_assess(args) -> int:
 def cmd_sweep(args) -> int:
     settings = _settings(args)
     convention = settings.get("convention", Convention.PAPER)
+    threshold = _threshold(args, settings)
     if args.sens is not None or args.tn_rate is not None:
-        flags = ("sens", "tn_rate", "sim", "score", "obs", "exclusion", "threshold")
+        flags = ("sens", "tn_rate", "sim", "score", "obs", "exclusion")
         given = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None]
         if given != ["--sens", "--tn-rate"]:
             raise ValueError(f"--sens and --tn-rate go together, without a raster pair; got {' '.join(given)}")
         rates = AgreementRates(sensitivity=args.sens, tn_rate=args.tn_rate, prevalence_observed=0.0, pcm=0.0)
     elif args.obs is not None:
-        rates = _assess(args, convention).rates
+        rates = _assess(args, threshold, convention).rates
         if rates.sensitivity is None or rates.tn_rate is None:
             raise ValueError("pair has an undefined rate; sweep needs both sensitivity and tn_rate")
     else:
@@ -211,12 +301,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_kde(args) -> int:
     settings = _settings(args)
-    bandwidth = settings.get("bandwidth")
     labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": unit_value}))
     fits = {}
     for label in ("pos", "neg"):
         try:
-            fits[label] = fit_kde(values[labels == label], bandwidth)
+            fits[label] = fit_kde(values[labels == label], settings.get("bandwidth"))
         except ValueError as exc:
             raise ValueError(f"{args.samples}: label {label!r}: {exc}") from None
     f_pos, f_neg = fits["pos"], fits["neg"]
@@ -231,16 +320,10 @@ def cmd_kde(args) -> int:
 
 def cmd_converge(args) -> int:
     settings = _settings(args, "out")
-    out = settings["out"]
+    out = settings.pop("out")
     runs = read_runs_csv(args.runs)
     out.mkdir(parents=True, exist_ok=True)
-    _, scope_summaries = analyze_scopes(
-        runs,
-        out,
-        alpha_grid=settings.get("alpha_grid", DEFAULT_ALPHA_GRID),
-        bandwidth=settings.get("bandwidth"),
-        final_cycle=args.final_cycle,
-    )
+    _, scope_summaries = analyze_scopes(runs, out, **settings)  # alpha_grid, bandwidth and final_cycle
     write_json(out / "summary.json", {"scopes": scope_summaries})
     for scope in sorted(scope_summaries):
         sel = scope_summaries[scope].get("selected_alpha")
@@ -250,13 +333,12 @@ def cmd_converge(args) -> int:
 
 def cmd_sample(args) -> int:
     settings = _settings(args)
-    seed = settings.get("seed", 0)
     boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
     pools = classify_pools(boxes)
     selected: dict[str, set[int]] = {}
     for label, pool in sorted(pools.items()):
         if len(pool) >= args.n_quantiles:
-            drawn = draw_quantile_sample(pool, args.n_quantiles, seed=seed, label=label)
+            drawn = draw_quantile_sample(pool, args.n_quantiles, seed=settings.get("seed", 0), label=label)
             selected[label] = {b.box_id for b in drawn}
         else:
             log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
@@ -274,15 +356,10 @@ def cmd_sample(args) -> int:
 
 def cmd_synth(args) -> int:
     settings = _settings(args, "out")
-    out = settings["out"]
+    out = settings.pop("out")
     cfg = SynthConfig(
-        rows=args.rows,
-        cols=args.cols,
-        seed=settings.get("seed", 0),
-        change_fraction=args.change_fraction,
-        exclusion_fraction=args.exclusion_fraction,
-        score_noise=args.score_noise,
-        planted_offset=args.planted_offset,
+        args.rows, args.cols, change_fraction=args.change_fraction, exclusion_fraction=args.exclusion_fraction,
+        score_noise=args.score_noise, planted_offset=args.planted_offset, **settings,  # seed
     )
     out.mkdir(parents=True, exist_ok=True)
     obs, scores = generate_pair(cfg)
@@ -295,14 +372,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.config is None:
-        raise ValueError("report needs --config")
     job = load_job(args.config, vars(args))
-    manifest = run_job(job)
+    failures = run_job(job)["failures"]
     print(job.out_dir)
-    n_fail = len(manifest["failures"])
-    if n_fail:
-        print(f"failed_inputs {n_fail}", file=sys.stderr)
+    if failures:
+        print(f"failed_inputs {len(failures)}", file=sys.stderr)
     return 0
 
 

@@ -344,11 +344,12 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
     crossings are coarse, which callers read from `PPCurve.n`.
 
     Raises:
-        ValueError: No values, or a sigma that is not positive and finite.
+        ValueError: No values, a mu outside [0, 1], or a sigma that is not positive and finite.
     """
     x = np.sort(np.asarray(values, dtype=np.float64))
     if x.size == 0:
         raise ValueError("cannot build a probability curve from zero values")
+    check_unit("mu", mu)
     check_positive("sigma", sigma)
     n = x.size
     p = (np.arange(1, n + 1) - 0.5) / n

@@ -110,6 +110,13 @@ def check_positive(name: str, x: Any) -> float:
     raise ValueError(f"{name} must be positive and finite, got {_plain(x)!r}")
 
 
+def check_nonnegative(name: str, x: Any) -> float:
+    """`x` if it is a non-negative, finite real number, not a bool: a box share or a synthetic fraction."""
+    if (type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))) and 0.0 <= x < math.inf:
+        return x
+    raise ValueError(f"{name} must be non-negative and finite, got {_plain(x)!r}")
+
+
 def check_count(name: str, n: Any, least: int = 0) -> int:
     """`n` if it is an integer of at least `least`, 0 or 1, not a bool: a seed, a quantity or a box count."""
     if (type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))) and n >= least:

@@ -1,7 +1,8 @@
-"""Batch assessment jobs: config parsing, orchestration, stable outputs.
+"""Batch assessment jobs: job description, orchestration, table I/O, stable outputs.
 
 A job lists raster pairs (with box/group/cycle metadata), a threshold
-policy, and analysis settings. `run_job` assesses every pair, pools the
+policy, and analysis settings; `cli.load_job` builds one from the `report`
+subcommand's settings. `run_job` assesses every pair, pools the
 results into per-group density and convergence analyses, and writes a
 deterministic output tree - CSVs, a summary JSON, and a manifest with a
 content hash per file. Floats are written with six significant digits
@@ -21,7 +22,7 @@ import math
 from dataclasses import astuple, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -182,30 +183,6 @@ class AssessmentJob:
             raise ValueError(f"job references missing files: {', '.join(sorted(set(missing)))}")
 
 
-# ---------------------------------------------------------------------------
-# Settings (config file and flags) + inputs manifest
-# ---------------------------------------------------------------------------
-
-
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Read a key = value config file ('#' starts a comment); a key may be set once."""
-    out: dict[str, str] = {}
-    set_on: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip().lower()
-        if key in set_on:
-            raise ValueError(f"{path}: key {key!r} is set twice, on lines {set_on[key]} and {lineno}")
-        set_on[key] = lineno
-        out[key] = value.strip()
-    return out
-
-
 def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
     """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
     base = Path(path).parent
@@ -217,83 +194,6 @@ def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
         JobInput(kind, base / sim, base / obs, base / excl if excl else None, box_id, group, cycle)
         for kind, sim, obs, excl, box_id, group, cycle in zip(*read_csv(path, columns))
     )
-
-
-def load_job(config_path: str | Path, overrides: Mapping[str, str | None] | None = None) -> AssessmentJob:
-    """Build a job from a config file and flag values, read by `read_settings`.
-
-    inputs (the CSV manifest's path) and out must be set; threshold may be
-    set only when the manifest lists a score raster. The seed is
-    provenance only: it is echoed into the settings of manifest.json and
-    feeds no computation.
-    """
-    settings = read_settings(config_path, overrides or {}, required=("inputs", "out"))
-    inputs = read_inputs_manifest(settings.pop("inputs"))
-    job = AssessmentJob(inputs=inputs, out_dir=settings.pop("out"), **settings)
-    if "threshold" in settings and all(inp.kind != "score" for inp in inputs):
-        raise ValueError(f"{config_path}: threshold: the inputs list no score raster to threshold")
-    return job
-
-
-def parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated offset list, refused as `asymmetric_family` would refuse it."""
-    return tuple(form.alpha for form in asymmetric_family(float(t) for t in text.split(",")))
-
-
-#: The parser of each setting, for config-file text and flag text alike.
-_PARSERS: dict[str, Callable[[str], Any]] = {
-    "inputs": Path,
-    "out": Path,
-    "threshold": ThresholdPolicy.parse,
-    "convention": Convention.parse,
-    "alpha_grid": parse_alpha_grid,
-    "bandwidth": lambda v: check_bandwidth(float(v)),
-    "seed": lambda v: check_count("seed", int(v)),
-    "final_cycle": int,
-}
-
-
-def read_settings(
-    config: str | Path | None,
-    flags: Mapping[str, str | None],
-    command: str = "report",
-    keys: Collection[str] = _PARSERS,
-    required: Collection[str] = (),
-) -> dict[str, Any]:
-    """The settings `keys` that `command` reads, parsed; `report` reads them all.
-
-    `flags` maps a setting to its flag text, None when the flag is not
-    given; other entries are ignored. A flag wins over the `config` file,
-    and an empty value leaves the setting unset and out of the result. A relative `inputs` or `out` path from the config
-    file resolves against the file's directory; one from a flag stays
-    relative to the working directory.
-
-    Raises:
-        ValueError: The config file sets a key `command` does not read, a
-            value is refused (naming the file and key, or the flag), or a
-            `required` setting is unset.
-    """
-    text = parse_config(config) if config is not None else {}
-    unread = sorted(set(text) - set(keys))
-    if unread:
-        raise ValueError(f"{config}: config keys not read by {command}: {unread}")
-    settings: dict[str, Any] = {}
-    for key in keys:
-        flag = flags.get(key)
-        value = text.get(key, "") if flag is None else flag
-        if not value.strip():
-            continue
-        if flag is None and key in ("inputs", "out"):
-            value = Path(config).parent / value
-        try:
-            settings[key] = _PARSERS[key](value)
-        except ValueError as exc:
-            where = f"{config}: {key}" if flag is None else "--" + key.replace("_", "-")
-            raise ValueError(f"{where}: {exc}") from None
-    for key in required:
-        if key not in settings:
-            raise ValueError(f"{command} must set '{key}'")
-    return settings
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .raster import BinaryGrid, check_aligned, check_count
+from .raster import BinaryGrid, check_aligned, check_count, check_nonnegative
 
 #: Pool label -> minimum change-to-exclusion index for membership.
 POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
@@ -50,8 +50,8 @@ def change_exclusion_index(pct_urban_change: float, pct_exclusionary: float) -> 
     Degenerate denominators: +inf when there is change but no exclusionary
     land; 0.0 when the box has neither.
     """
-    if pct_urban_change < 0.0 or pct_exclusionary < 0.0:
-        raise ValueError("percentages must be non-negative")
+    check_nonnegative("pct_urban_change", pct_urban_change)
+    check_nonnegative("pct_exclusionary", pct_exclusionary)
     if pct_exclusionary == 0.0:
         return math.inf if pct_urban_change > 0.0 else 0.0
     return pct_urban_change / pct_exclusionary

@@ -7,13 +7,12 @@ end to end. No empirical claims ride on their particular noise shapes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convergence import RunRecord
-from .raster import EXCLUDED, BinaryGrid, ScoreGrid, check_count, check_unit
+from .raster import EXCLUDED, BinaryGrid, ScoreGrid, check_count, check_nonnegative, check_unit
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,7 @@ class SynthConfig:
         check_count("cols", self.cols, 1)
         check_count("seed", self.seed)
         for name in ("change_fraction", "exclusion_fraction", "score_noise"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+            check_nonnegative(name, getattr(self, name))
         if self.change_fraction + self.exclusion_fraction > 1.0:
             raise ValueError("change_fraction + exclusion_fraction must not exceed 1")
         check_unit("planted_offset", self.planted_offset)

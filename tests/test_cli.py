@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +25,12 @@ from mapbayes import (
     tile_region,
     write_grid,
 )
+from mapbayes import cli
 from mapbayes.cli import main
 from mapbayes.raster import format_float
 from mapbayes.report import read_runs_csv, write_runs_csv
 
-from conftest import mirrored_samples, write_input_files
+from conftest import build_job_tree, mirrored_samples, write_input_files
 
 
 def expect_failure(argv):
@@ -122,15 +124,13 @@ class TestAssess:
     def test_unparsable_value_threshold_is_a_usage_error(self, score_pair, capsys):
         score, obs = score_pair
         expect_failure(["assess", "--score", score, "--obs", obs, "--threshold", "value:abc"])
-        assert capsys.readouterr().err == "error: value must be in [0, 1], got 'abc'\n"
+        assert capsys.readouterr().err == "error: --threshold: value must be in [0, 1], got 'abc'\n"
 
     def test_threshold_with_a_classified_prediction_is_a_usage_error(self, raster_pair, capsys):
         # A --sim raster is never thresholded, so the flag would do nothing.
         sim, obs = raster_pair
         expect_failure(["assess", "--sim", sim, "--obs", obs, "--threshold", "value:0.9"])
-        assert capsys.readouterr().err == (
-            "error: --threshold applies to --score only; a --sim raster is already classified\n"
-        )
+        assert capsys.readouterr().err == "error: --threshold: there is no --score raster to threshold\n"
 
     def test_score_without_threshold_cuts_at_one_half(self, score_pair, capsys):
         score, obs = score_pair
@@ -242,9 +242,7 @@ class TestSweep:
 
     def test_rates_with_a_threshold_is_a_usage_error(self, capsys):
         expect_failure(["sweep", "--sens", "0.8", "--tn-rate", "0.7", "--threshold", "quantity:obs"])
-        assert capsys.readouterr().err == (
-            "error: --sens and --tn-rate go together, without a raster pair; got --sens --tn-rate --threshold\n"
-        )
+        assert capsys.readouterr().err == "error: --threshold: there is no --score raster to threshold\n"
 
 
 class TestKde:
@@ -814,6 +812,7 @@ REQUIRED_ARGS = {
     "converge": ["--runs", "runs.csv"],
     "sample": ["--change", "change.asc", "--exclusion", "excl.asc"],
     "synth": [],
+    "report": [],
 }
 
 
@@ -886,3 +885,135 @@ class TestSharedSettings:
         assert main(base + ["--seed", "5", "--out", str(tmp_path / "c")]) == 0
         runs = [(tmp_path / d / "runs.csv").read_text() for d in "abc"]
         assert runs[0] == runs[1] != runs[2]
+
+
+#: Per setting but the two paths, which parse any text: a text that parses
+#: to a value other than the default, one that its parser refuses, and the
+#: parser's message.
+SETTING_VALUES = {
+    "threshold": ("quantity:obs", "bogus", "cannot parse threshold policy 'bogus'"),
+    "convention": ("standard", "bayes", "unknown convention 'bayes'; expected 'paper' or 'standard'"),
+    "alpha_grid": ("0,0.5", "0.5,2", "alpha must be in [0, 1], got 2.0"),
+    "bandwidth": ("0.05", "0", "bandwidth must be positive and finite, got 0.0"),
+    "seed": ("3", "-1", "seed must be a non-negative integer, got -1"),
+    "final_cycle": ("1", "x", "invalid literal for int() with base 10: 'x'"),
+}
+READ_PAIRS = [(command, key) for command, keys in cli.READS.items() for key in keys]
+UNREAD_PAIRS = [(command, key) for command, keys in cli.READS.items() for key in cli.SETTINGS if key not in keys]
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """Each subcommand's arguments besides its settings, over small inputs built once."""
+    root = tmp_path_factory.mktemp("inputs")
+    config_path, _ = build_job_tree(root)
+    manifest = str(root / "data" / "inputs.csv")
+    score, obs = (str(root / "data" / name) for name in ("score_b1_c1.asc", "obs_b1_c1.asc"))
+    samples = root / "samples.csv"
+    pos = np.random.default_rng(11).uniform(0.25, 0.45, size=40)
+    samples.write_text("label,value\n" + "".join(f"pos,{v!r}\nneg,{1.0 - v!r}\n" for v in pos.tolist()))
+    runs = root / "runs.csv"
+    write_runs_csv(runs, generate_run_table(SynthConfig(seed=3, planted_offset=0.25)))
+    rng = np.random.default_rng(4)
+    for name in ("change", "excl"):
+        write_grid(Grid((rng.random((20, 20)) < 0.3).astype(float)), root / f"{name}.asc")
+    return {
+        "assess": ["--score", score, "--obs", obs],
+        "sweep": ["--score", score, "--obs", obs, "--prevalences", "0.2,0.5"],
+        "kde": ["--samples", str(samples)],
+        "converge": ["--runs", str(runs)],
+        "sample": ["--change", str(root / "change.asc"), "--exclusion", str(root / "excl.asc"),
+                   "--box-cells", "4", "--n-quantiles", "3"],
+        "synth": ["--rows", "8", "--cols", "8", "--boxes", "2", "--cycles", "2"],
+        "report": ["--inputs", manifest],
+    }
+
+
+class TestSettingsTable:
+    """Each setting a subcommand reads is a flag and a config key with one parser."""
+
+    @staticmethod
+    def run(argv, out_dir, capsys):
+        """(stdout, {file name: bytes} of `out_dir`) of a successful run from a clean `out_dir`."""
+        shutil.rmtree(out_dir, ignore_errors=True)
+        assert main(argv) == 0
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+        return capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("command, key", READ_PAIRS, ids=[f"{c}-{k}" for c, k in READ_PAIRS])
+    def test_the_flag_and_the_config_key_give_the_same_result(self, command, key, command_inputs, tmp_path, capsys):
+        flag, cfg, out_dir = "--" + key.replace("_", "-"), tmp_path / "job.cfg", tmp_path / "out"
+        base = command_inputs[command]
+        if key == "inputs":
+            value, base = base[1], base[2:]
+        elif key == "out":
+            value = str(out_dir)
+        else:
+            value = SETTING_VALUES[key][0]
+        if key != "out":
+            base = base + ["--out", str(out_dir)]
+        cfg.write_text(f"{key} = {value}\n")
+        by_flag = self.run([command, *base, flag, value], out_dir, capsys)
+        assert self.run([command, *base, "--config", str(cfg)], out_dir, capsys) == by_flag
+        if key not in ("inputs", "out"):
+            # A setting accepted and then left unread would give the default result.
+            assert self.run([command, *base], out_dir, capsys) != by_flag
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, k in READ_PAIRS if k in SETTING_VALUES],
+        ids=[f"{c}-{k}" for c, k in READ_PAIRS if k in SETTING_VALUES],
+    )
+    def test_a_bad_value_names_the_flag_or_the_config_key(self, command, key, command_inputs, tmp_path, capsys):
+        flag, cfg, out_dir = "--" + key.replace("_", "-"), tmp_path / "job.cfg", tmp_path / "out"
+        base, (_, bad, message) = [*command_inputs[command], "--out", str(out_dir)], SETTING_VALUES[key]
+        cfg.write_text(f"{key} = {bad}\n")
+        expect_failure([command, *base, flag, bad])
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+        expect_failure([command, *base, "--config", str(cfg)])
+        assert capsys.readouterr().err == f"error: {cfg}: {key}: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, key", UNREAD_PAIRS, ids=[f"{c}-{k}" for c, k in UNREAD_PAIRS])
+    def test_a_setting_the_subcommand_does_not_read_is_refused(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        expect_failure([command, *REQUIRED_ARGS[command], "--config", str(cfg)])
+        assert capsys.readouterr().err == f"error: {cfg}: config keys not read by {command}: [{key!r}]\n"
+        expect_failure([command, *REQUIRED_ARGS[command], "--" + key.replace("_", "-"), "1"])
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["assess", "--sim", "SIM", "--obs", "OBS"], ["sweep", "--sens", "0.8", "--tn-rate", "0.7"]],
+        ids=["assess-sim", "sweep-rates"],
+    )
+    def test_a_threshold_with_no_score_raster_is_refused_from_either_source(self, argv, raster_pair, tmp_path, capsys):
+        sim, obs = raster_pair
+        argv = [{"SIM": sim, "OBS": obs}.get(a, a) for a in argv]
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("threshold = quantity:obs\n")
+        expect_failure([*argv, "--config", str(cfg)])
+        assert capsys.readouterr().err == f"error: {cfg}: threshold: there is no --score raster to threshold\n"
+        expect_failure([*argv, "--threshold", "quantity:obs"])
+        assert capsys.readouterr().err == "error: --threshold: there is no --score raster to threshold\n"
+
+    def test_a_report_threshold_flag_with_no_score_input_names_the_flag(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(line for line in lines if not line.startswith("score,")) + "\n")
+        config_path.write_text(f"inputs = {manifest}\nout = {out_dir}\n")
+        expect_failure(["report", "--config", str(config_path), "--threshold", "value:0.3"])
+        assert capsys.readouterr().err == "error: --threshold: the inputs list no score raster to threshold\n"
+        assert not out_dir.exists()
+
+    def test_report_reaches_load_job_through_the_cli_module(self, job_tree, monkeypatch, capsys):
+        # perfbench times the job set-up by wrapping mapbayes.cli.load_job; a
+        # call that bypassed the module attribute would leave that span empty.
+        config_path, _ = job_tree
+        calls = []
+        load_job = cli.load_job
+        monkeypatch.setattr(cli, "load_job", lambda *args: calls.append(args) or load_job(*args))
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert [config for config, _ in calls] == [config_path]

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapbayes import Grid, write_grid
-from mapbayes.report import load_job, run_job
+from mapbayes.cli import load_job
+from mapbayes.report import run_job
 
 SHAPE = (6, 6)
 #: Row corruptions, and what they apply to.

@@ -51,8 +51,8 @@ POSITIVE = Domain(2.0, NON_FINITE | BOOLS | st.floats(max_value=0.0) | st.intege
 COUNT = Domain(4, NON_FINITE | BOOLS | NOT_INTEGERS | st.integers(max_value=-1))
 #: A positive integer: `raster.check_count(..., least=1)`.
 COUNT1 = Domain(4, COUNT.outside | st.just(0))
-#: `SynthConfig`'s non-negative, finite knobs, which take a bool as 0 or 1.
-NON_NEGATIVE = Domain(0.1, NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | st.integers(max_value=-1))
+#: A non-negative, finite real number: `raster.check_nonnegative`.
+NON_NEGATIVE = Domain(0.1, NON_FINITE | BOOLS | st.floats(max_value=0.0, exclude_max=True) | st.integers(max_value=-1))
 #: A predictive value of a run record, checked as a `RunTable` row is; a
 #: float column takes a bool as 0 or 1.
 ROW = Domain(0.5, NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0, exclude_min=True))
@@ -81,7 +81,7 @@ TABLE = {
         {"box_id": None, "cycle": None, "ppv": ROW, "npv": ROW},
     ),
     "split_robustness": (dict(runs=[mapbayes.RunRecord(0, "A", 1, 0.6, 0.4)]), {"final_cycle": None}),
-    "pp_curve": (dict(values=[0.2, 0.4, 0.6], mu=0.4, sigma=0.2), {"mu": None, "sigma": POSITIVE}),
+    "pp_curve": (dict(values=[0.2, 0.4, 0.6], mu=0.4, sigma=0.2), {"mu": UNIT, "sigma": POSITIVE}),
     "KdeModel": (dict(samples=np.array([0.2, 0.5])), {"bandwidth": POSITIVE}),
     "fit_kde": (dict(samples=[0.2, 0.5, 0.7]), {"bandwidth": POSITIVE}),
     "epanechnikov": ({}, {"z": None}),
@@ -92,10 +92,9 @@ TABLE = {
     "BinaryGrid": (dict(values=np.zeros((2, 2))), {"cell_size": POSITIVE, "origin_x": None, "origin_y": None}),
     "ScoreGrid": (dict(values=np.zeros((2, 2))), {"cell_size": POSITIVE, "origin_x": None, "origin_y": None}),
     "threshold_scores": (dict(scores=SCORES), {"value": UNIT, "quantity": COUNT}),
-    # Box shares, refused below 0 by a message that names neither; NaN
-    # passes. A gap still open: no rule of the three fits a share above 1.
+    # Box shares, which may exceed 1 in a caller's own boxes.
     "change_exclusion_index": (dict(pct_urban_change=0.2, pct_exclusionary=0.4), {
-        "pct_urban_change": None, "pct_exclusionary": None,
+        "pct_urban_change": NON_NEGATIVE, "pct_exclusionary": NON_NEGATIVE,
     }),
     "tile_region": (dict(urban_change=REGION, exclusion=REGION), {"box_cells": COUNT1}),
     "quantile_bin_sizes": (dict(pool_size=10, n_quantiles=3), {"pool_size": COUNT, "n_quantiles": COUNT1}),
@@ -181,6 +180,10 @@ def out_of_domain(case):
 @example(probe=("fit_kde", "bandwidth", True))
 @example(probe=("Grid", "cell_size", True))
 @example(probe=("pp_curve", "sigma", math.inf))
+@example(probe=("pp_curve", "mu", math.nan))
+@example(probe=("change_exclusion_index", "pct_urban_change", math.nan))
+@example(probe=("change_exclusion_index", "pct_exclusionary", -0.5))
+@example(probe=("SynthConfig", "score_noise", True))
 @example(probe=("quantile_bin_sizes", "n_quantiles", 0))
 @example(probe=("generate_run_table", "n_boxes", 2.5))
 @example(probe=("draw_quantile_sample", "n_quantiles", 2.5))

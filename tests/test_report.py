@@ -37,6 +37,7 @@ from mapbayes import (
 from mapbayes import cli, report
 from mapbayes.raster import GridFormatError, format_floats
 from mapbayes.bayes import Convention
+from mapbayes.cli import load_job, parse_alpha_grid, parse_config
 from mapbayes.convergence import DEFAULT_ALPHA_GRID
 from mapbayes.report import (
     DEFAULT_THRESHOLD,
@@ -47,10 +48,7 @@ from mapbayes.report import (
     assess_pair,
     format_float,
     group_summaries,
-    load_job,
     load_observed,
-    parse_alpha_grid,
-    parse_config,
     read_inputs_manifest,
     run_job,
     write_json,
@@ -118,6 +116,17 @@ class TestOneReaderOneWriter:
         assert functions_spelling(r"csv\.(writer|DictWriter)\(") == writers
 
 
+class TestOneSettingsTable:
+    @pytest.mark.parametrize("pattern", [r"\bThresholdPolicy\.parse\b", r"\bConvention\.parse\b"])
+    def test_a_setting_parser_is_named_only_in_the_settings_table(self, pattern):
+        # A second call would parse one setting's flag and config key two ways.
+        assert functions_spelling(pattern) == {("cli.py", None)}
+        text = Path(cli.__file__).read_text(encoding="utf-8")
+        (table,) = [n for n in ast.parse(text).body if isinstance(n, ast.AnnAssign) and n.target.id == "SETTINGS"]
+        lines = [i for i, line in enumerate(text.splitlines(), start=1) if re.search(pattern, line)]
+        assert lines and all(table.lineno <= i <= table.end_lineno for i in lines)
+
+
 class TestOneRuleOneFunction:
     @pytest.mark.parametrize(
         "message, place",
@@ -140,6 +149,8 @@ class TestOneRuleOneFunction:
             ("must be positive and finite", ("raster.py", "check_positive")),
             ("must be a non-negative integer", ("raster.py", "check_count")),
             ("must be a positive integer", ("raster.py", "check_count")),
+            ("must be non-negative and finite", ("raster.py", "check_nonnegative")),
+            ("percentages must be non-negative", ()),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -267,7 +278,7 @@ class TestLoadJob:
 
     def test_overrides_win(self, job_tree):
         config_path, _ = job_tree
-        job = load_job(config_path, overrides={"convention": "standard", "alpha_grid": "0,0.5"})
+        job = load_job(config_path, flags={"convention": "standard", "alpha_grid": "0,0.5"})
         assert job.convention.value == "standard"
         assert job.alpha_grid == (0.0, 0.5)
 
@@ -299,7 +310,7 @@ class TestLoadJob:
         config_path.write_text(config_path.read_text().replace(f"out = {tmp_path / 'out'}", "out = results"))
         monkeypatch.chdir(tmp_path / "data")
         assert load_job(config_path).out_dir == tmp_path / "results"
-        assert load_job(config_path, overrides={"out": "flagged"}).out_dir == Path("flagged")
+        assert load_job(config_path, flags={"out": "flagged"}).out_dir == Path("flagged")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -327,7 +338,7 @@ class TestLoadJob:
 
     def test_config_is_parsed_by_the_settings_reader_alone(self):
         # A second reader of config files would drift from its key check, parsers and path rule.
-        assert functions_spelling(r"(?<!def )\bparse_config\(") == {("report.py", "read_settings")}
+        assert functions_spelling(r"(?<!def )\bparse_config\(") == {("cli.py", "read_settings")}
 
     def test_alpha_grid_out_of_range_is_refused_before_any_work(self, job_tree):
         # Not by run_job, after confusion.csv, bayes.csv and runs.csv are written.
@@ -684,7 +695,7 @@ class TestRunJob:
         config_path, out_dir = job_tree
         run_job(load_job(config_path))
         second_out = tmp_path / "second"
-        run_job(load_job(config_path, overrides={"out": str(second_out)}))
+        run_job(load_job(config_path, flags={"out": str(second_out)}))
         for p in sorted(out_dir.iterdir()):
             assert (second_out / p.name).read_bytes() == p.read_bytes(), p.name
 

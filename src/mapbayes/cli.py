@@ -210,15 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-cells", type=int, default=6889, help="cells per square box (default 6889 = 83x83)")
     p.add_argument("--n-quantiles", type=int, default=DEFAULT_QUANTILES)
 
+    # A flag left out takes the library's default: SynthConfig's, or generate_run_table's.
     p = add("synth", "write synthetic rasters and a planted run table", cmd_synth)
-    p.add_argument("--rows", type=int, default=60)
-    p.add_argument("--cols", type=int, default=60)
-    p.add_argument("--change-fraction", type=float, default=0.15)
-    p.add_argument("--exclusion-fraction", type=float, default=0.2)
-    p.add_argument("--score-noise", type=float, default=0.3)
-    p.add_argument("--planted-offset", type=float, default=0.0)
-    p.add_argument("--boxes", type=int, default=30)
-    p.add_argument("--cycles", type=int, default=12, help="number of cycles in the run table")
+    for flag in ("--rows", "--cols"):
+        p.add_argument(flag, type=int)
+    for flag in ("--change-fraction", "--exclusion-fraction", "--score-noise", "--planted-offset"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--boxes", type=int, dest="n_boxes")
+    p.add_argument("--cycles", type=int, help="the run table's cycles are 1 to this number")
 
     add("report", "run a full assessment job over an inputs manifest", cmd_report)
     return parser
@@ -322,7 +321,6 @@ def cmd_converge(args) -> int:
     settings = _settings(args, "out")
     out = settings.pop("out")
     runs = read_runs_csv(args.runs)
-    out.mkdir(parents=True, exist_ok=True)
     _, scope_summaries = analyze_scopes(runs, out, **settings)  # alpha_grid, bandwidth and final_cycle
     write_json(out / "summary.json", {"scopes": scope_summaries})
     for scope in sorted(scope_summaries):
@@ -333,12 +331,13 @@ def cmd_converge(args) -> int:
 
 def cmd_sample(args) -> int:
     settings = _settings(args)
+    out = settings.pop("out", None)
     boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
     pools = classify_pools(boxes)
     selected: dict[str, set[int]] = {}
     for label, pool in sorted(pools.items()):
         if len(pool) >= args.n_quantiles:
-            drawn = draw_quantile_sample(pool, args.n_quantiles, seed=settings.get("seed", 0), label=label)
+            drawn = draw_quantile_sample(pool, args.n_quantiles, label=label, **settings)  # seed
             selected[label] = {b.box_id for b in drawn}
         else:
             log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
@@ -350,22 +349,23 @@ def cmd_sample(args) -> int:
         stats = format_floats((b.pct_urban_change, b.pct_exclusionary, b.index))
         rows.append((b.box_id, b.row0, b.col0, *stats, in_pools, chosen))
     header = ("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")
-    _emit_csv(settings.get("out"), "sample.csv", header, rows)
+    _emit_csv(out, "sample.csv", header, rows)
     return 0
 
 
 def cmd_synth(args) -> int:
     settings = _settings(args, "out")
     out = settings.pop("out")
-    cfg = SynthConfig(
-        args.rows, args.cols, change_fraction=args.change_fraction, exclusion_fraction=args.exclusion_fraction,
-        score_noise=args.score_noise, planted_offset=args.planted_offset, **settings,  # seed
-    )
+    knobs = ("rows", "cols", "change_fraction", "exclusion_fraction", "score_noise", "planted_offset")
+    cfg = SynthConfig(**_given(args, knobs), **settings)  # seed
+    table = _given(args, ("n_boxes",))
+    if args.cycles is not None:
+        table["cycles"] = tuple(range(1, args.cycles + 1))
     out.mkdir(parents=True, exist_ok=True)
     obs, scores = generate_pair(cfg)
     write_grid(obs, out / "obs.asc")
     write_grid(scores, out / "scores.asc")
-    runs = generate_run_table(cfg, n_boxes=args.boxes, cycles=tuple(range(1, args.cycles + 1)))
+    runs = generate_run_table(cfg, **table)
     write_runs_csv(out / "runs.csv", runs)
     print(out)
     return 0
@@ -383,6 +383,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _given(args, names: Iterable[str]) -> dict[str, Any]:
+    """The flags among `names` that were given, by name; one left out takes the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _sample_label(text: str) -> str:

@@ -195,6 +195,16 @@ def split_robustness(runs: Runs, final_cycle: int | None = None) -> dict[str, Ru
     return {GROUP_ALL: table, GROUP_FINAL: final}
 
 
+def check_final_cycle(final_cycle: int | None, cycles: Sequence[int] | NDArray[np.int64]) -> int | None:
+    """`final_cycle` unless it is at or below the first of `cycles`, where the converged tail would
+    hold every run and compare the runs with themselves, or past the last, where it would hold none."""
+    cycles = np.asarray(cycles)
+    if final_cycle is None or (cycles.size and cycles.min() < final_cycle <= cycles.max()):
+        return final_cycle
+    span = f"cycles {cycles.min()} to {cycles.max()}" if cycles.size else "no cycles"
+    raise ValueError(f"final_cycle must be above the first cycle and at most the last ({span}), got {final_cycle}")
+
+
 # ---------------------------------------------------------------------------
 # Maximum-likelihood normal summaries
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import logging
 import math
 from dataclasses import astuple, dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -37,6 +35,7 @@ from .convergence import (
     Runs,
     RunTable,
     asymmetric_family,
+    check_final_cycle,
     dominance_table,
     factor_timeline,
     fit_by_form,
@@ -48,7 +47,6 @@ from .raster import (
     BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_grid, threshold_scores, to_binary,
     to_scores,
 )
-from .sampling import POOL_THRESHOLDS
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +122,7 @@ class JobInput:
 
     def __post_init__(self):
         input_kind(self.kind)
+        group_label(self.group)
 
 
 def group_label(label: str) -> str:
@@ -173,6 +172,7 @@ class AssessmentJob:
             check_bandwidth(self.bandwidth)
         check_count("seed", self.seed)
         asymmetric_family(self.alpha_grid)  # refuses an empty grid or an offset outside [0, 1] before any work
+        check_final_cycle(self.final_cycle, [inp.cycle for inp in self.inputs])
         missing = [
             str(p)
             for inp in self.inputs
@@ -266,24 +266,17 @@ def assess_pair(
 def group_summaries(records: Runs) -> dict[str, dict[str, Any]]:
     """Per-group cycle trajectories of the predictive values.
 
-    For each group: mean PPV and NPV per cycle, the sign of mean PPV - mean
-    NPV per cycle (+1/0/-1), and a small convergence summary (run count,
-    mean absolute difference, final-cycle means). Groups must be known pool
-    labels; empty groups are simply absent.
+    For each group that a record carries: mean PPV and NPV per cycle, the
+    sign of mean PPV - mean NPV per cycle (+1/0/-1), and a small convergence
+    summary (run count, mean absolute difference, final-cycle means).
 
     Raises:
-        ValueError: A record carries an unknown group label.
+        ValueError: A group labelled `SCOPE_ALL` (see `group_label`).
     """
     table = RunTable.of(records)
-    known = sorted(POOL_THRESHOLDS)
-    unknown = np.flatnonzero(~np.isin(table.group, known))
-    if unknown.size:
-        raise ValueError(f"unknown group label {table.group[unknown[0]]!r}; expected one of {known}")
     out: dict[str, dict[str, Any]] = {}
-    for label in known:
-        batch = table[table.group == label]
-        if not len(batch):
-            continue
+    for label in np.unique(table.group).tolist():
+        batch = table[table.group == group_label(label)]
         cycles = np.unique(batch.cycle).tolist()
         per_cycle = {}
         for cyc in cycles:
@@ -323,8 +316,9 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     kde_/ppcurve_ CSVs, fits.csv, dominance.csv, summary.json, and
     manifest.json into the job's output directory. Returns the manifest
     (also written to disk). Failures of individual inputs or per-scope
-    analyses are recorded rather than raised, and so are the caveats on
-    reading the results: summary.json's `dor_caveat` is true when two or
+    analyses are recorded rather than raised; so is a `final_cycle` that
+    the scored runs no longer reach (`scopes_error`), and so are the caveats
+    on reading the results: summary.json's `dor_caveat` is true when two or
     more groups carry a finite mean DOR, and each scope's `pp_coarse` when
     its P-P curve has fewer than `MIN_PP_POINTS` points.
     """
@@ -396,21 +390,16 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
         },
     }
     if len(runs):
-        try:
-            summary["groups"] = group_summaries(runs)
-        except ValueError as exc:
-            summary["groups_error"] = str(exc)
+        summary["groups"] = group_summaries(runs)
         dor = summary["dor_by_group"] = _dor_by_group(assessed)
         summary["dor_caveat"] = sum(v is not None and math.isfinite(v) for v in dor.values()) >= 2
-        scope_files, scope_summaries = analyze_scopes(
-            runs,
-            out_dir,
-            alpha_grid=job.alpha_grid,
-            bandwidth=job.bandwidth,
-            final_cycle=job.final_cycle,
-        )
-        files.extend(scope_files)
-        summary["scopes"] = scope_summaries
+        try:
+            scope_files, summary["scopes"] = analyze_scopes(
+                runs, out_dir, alpha_grid=job.alpha_grid, bandwidth=job.bandwidth, final_cycle=job.final_cycle
+            )
+            files.extend(scope_files)
+        except ValueError as exc:  # failed or unscored inputs can leave no run past the manifest's final_cycle
+            summary["scopes_error"] = str(exc)
 
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
@@ -442,16 +431,18 @@ def analyze_scopes(
     """Density and convergence analyses for the full run set and each group.
 
     Writes timeline.csv, per-scope kde_/ppcurve_ CSVs, fits.csv and
-    dominance.csv under `out_dir`; returns the written files plus a
-    per-scope summary mapping. Scope-level failures (too few runs,
-    degenerate fits, no density crossing) are recorded in the summary
+    dominance.csv under `out_dir`, which it creates; returns the written
+    files plus a per-scope summary mapping. Scope-level failures (too few
+    runs, degenerate fits, no density crossing) are recorded in the summary
     instead of raised.
 
     Raises:
-        ValueError: A group labelled `SCOPE_ALL` (see `group_label`), before
-            anything is written.
+        ValueError: A group labelled `SCOPE_ALL` (see `group_label`) or a
+            `final_cycle` that `check_final_cycle` refuses, before anything
+            is written.
     """
     runs = RunTable.of(runs)
+    check_final_cycle(final_cycle, runs.cycle)
     scopes = {SCOPE_ALL: runs}
     for label in np.unique(runs.group).tolist():
         scopes[group_label(label)] = runs[runs.group == label]
@@ -459,6 +450,7 @@ def analyze_scopes(
     forms = asymmetric_family(alpha_grid)
     labels = [f.label for f in forms]
     timeline = factor_timeline(runs, forms)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [(cycle, *format_floats([means[lbl] for lbl in labels])) for cycle, means in timeline]
     files = [write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)]
 
@@ -553,7 +545,7 @@ def _dor_by_group(assessed: Sequence[tuple[JobInput, PairAssessment]]) -> dict[s
 # ---------------------------------------------------------------------------
 
 
-#: Rows that `read_csv` parses at a time, and `column_rows` formats at a time.
+#: Rows that `column_rows` formats at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -563,56 +555,37 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
     `columns` maps each column to read to its parser, which holds the
     column's rules and refuses a value by raising `ValueError`; the columns
     come back as lists in that order. Fields are stripped and blank lines
-    skipped; other columns, and any column order, are accepted. Rows are
-    parsed a block at a time, column by column; on any fault one pass row
-    by row names the first one in the file.
+    skipped; other columns, and any column order, are accepted. Each row is
+    parsed as it is read, so the first fault in the file is the one raised.
 
     Raises:
-        ValueError: Naming the path: a non-UTF-8 byte (with its line), a
-            missing column, a row whose field count differs from the
-            header's (with its line), a value its parser refuses (with its
-            line and column), or no rows at all.
+        ValueError: Naming the path: a non-UTF-8 byte (with its line, and
+            before any other fault), a missing column, a row whose field
+            count differs from the header's (with its line), a value its
+            parser refuses (with its line and column), or no rows at all.
     """
+    read_utf8(path)  # the text reader decodes ahead of the rows, so a bad byte is sought first
     out: tuple[list[Any], ...] = tuple([] for _ in columns)
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            rows = (row for row in csv.reader(fh) if "".join(row).strip())
-            header = [f.strip() for f in next(rows, [])]
-            spec = [(header.index(name), parse) for name, parse in columns.items()]
-            while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-                if set(map(len, block)) != {len(header)}:
-                    raise ValueError("a row's field count differs from the header's")
-                for col, (i, parse) in zip(out, spec):
-                    col.extend(map(parse, map(str.strip, map(itemgetter(i), block))))
-                del block  # freed before the next one is read: one block of text at a time
-        if out and out[0]:
-            return out
-    except ValueError:
-        pass
-
-    # Row by row: the first fault in file order is raised with its line. A non-UTF-8
-    # byte is named first, since the text reader decodes ahead of the rows.
-    out = tuple([] for _ in columns)
     header = None
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        if header is None:
-            header = [f.strip() for f in row]
-            missing = [name for name in columns if name not in header]
-            if missing:
-                raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
-            spec = [(header.index(name), parse) for name, parse in columns.items()]
-            continue
-        if len(row) != len(header):
-            found, expected = len(row), len(header)
-            raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-        for col, name, (i, parse) in zip(out, columns, spec):
-            try:
-                col.append(parse(row[i].strip()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if header is None:
+                header = [f.strip() for f in row]
+                missing = [name for name in columns if name not in header]
+                if missing:
+                    raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+                spec = [(col, name, header.index(name), parse) for col, (name, parse) in zip(out, columns.items())]
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, the header has {len(header)}")
+            for col, name, i, parse in spec:
+                try:
+                    col.append(parse(row[i].strip()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
     if not (out and out[0]):
         raise ValueError(f"{path} lists no inputs")
     return out

@@ -21,16 +21,17 @@ from mapbayes import (
     RunRecord,
     SynthConfig,
     classify_pools,
+    draw_quantile_sample,
     generate_run_table,
     tile_region,
     write_grid,
 )
-from mapbayes import cli
+from mapbayes import cli, report
 from mapbayes.cli import main
 from mapbayes.raster import format_float
 from mapbayes.report import read_runs_csv, write_runs_csv
 
-from conftest import build_job_tree, mirrored_samples, write_input_files
+from conftest import JOB_LAYOUT, build_job_tree, mirrored_samples, write_input_files
 
 
 def expect_failure(argv):
@@ -385,6 +386,22 @@ class TestConverge:
         rc = main(["converge", "--runs", runs_csv, "--out", str(out_dir), "--final-cycle", "9"])
         assert rc == 0
 
+    @pytest.mark.parametrize("final_cycle", ["-5", "0", "1", "5", "99"])
+    def test_a_final_cycle_outside_the_run_table_is_a_usage_error(self, tmp_path, capsys, final_cycle):
+        # At or below the first cycle the robustness groups would compare the runs
+        # with themselves; past the last, no scope would have a converged tail.
+        synth_dir, out_dir = tmp_path / "synth", tmp_path / "conv"
+        assert main(["synth", "--out", str(synth_dir), "--rows", "8", "--cols", "8", "--cycles", "4"]) == 0
+        capsys.readouterr()
+        runs = str(synth_dir / "runs.csv")
+        expect_failure(["converge", "--runs", runs, "--out", str(out_dir), "--final-cycle", final_cycle])
+        assert capsys.readouterr().err == (
+            "error: final_cycle must be above the first cycle and at most the last (cycles 1 to 4), "
+            f"got {final_cycle}\n"
+        )
+        assert not out_dir.exists()
+        assert main(["converge", "--runs", runs, "--out", str(out_dir), "--final-cycle", "4"]) == 0
+
     def test_requires_out(self, runs_csv):
         expect_failure(["converge", "--runs", runs_csv])
 
@@ -532,6 +549,23 @@ class TestSample:
         assert rc == 0
         return read_csv_text(capsys.readouterr().out)
 
+    def test_the_seed_is_passed_on_only_when_given(self, region, capsys, monkeypatch):
+        seeds = []
+
+        def recording(pool, n_quantiles, **kwargs):
+            seeds.append(kwargs.get("seed", "unset"))
+            return draw_quantile_sample(pool, n_quantiles, **kwargs)
+
+        monkeypatch.setattr(cli, "draw_quantile_sample", recording)
+        default = self.run_sample(region, capsys)
+        assert set(seeds) == {"unset"}
+        seeds.clear()
+        change, excl = region
+        argv = ["sample", "--change", change, "--exclusion", excl, "--box-cells", "4", "--n-quantiles", "2"]
+        assert main(argv + ["--seed", "0"]) == 0
+        assert set(seeds) == {0}
+        assert read_csv_text(capsys.readouterr().out) == default
+
     def test_misaligned_exclusion_is_a_usage_error(self, region, tmp_path, capsys):
         change, _ = region
         shifted = tmp_path / "shifted.asc"
@@ -633,6 +667,33 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {field} must be non-negative and finite, got {value}\n"
         assert not out_dir.exists()
 
+    def test_a_flag_left_out_takes_the_library_default(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, args[1:], kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "SynthConfig", recording(SynthConfig))
+        monkeypatch.setattr(cli, "generate_run_table", recording(generate_run_table))
+        assert main(["synth", "--out", str(tmp_path / "a")]) == 0
+        assert calls == [("SynthConfig", (), {}), ("generate_run_table", (), {})]
+        default = generate_run_table(SynthConfig())
+        assert (tmp_path / "a" / "runs.csv").read_bytes() == write_runs_csv(tmp_path / "lib.csv", default).read_bytes()
+
+        calls.clear()
+        argv = ["synth", "--out", str(tmp_path / "b"), "--rows", "8", "--planted-offset", "0.25", "--boxes", "3",
+                "--cycles", "4", "--seed", "2"]
+        assert main(argv) == 0
+        assert calls == [
+            ("SynthConfig", (), {"rows": 8, "planted_offset": 0.25, "seed": 2}),
+            ("generate_run_table", (), {"n_boxes": 3, "cycles": (1, 2, 3, 4)}),
+        ]
+        runs = read_runs_csv(tmp_path / "b" / "runs.csv")
+        assert runs.cycle.tolist() == [1, 2, 3, 4] * 3
+
     def test_a_byte_that_is_not_utf8_in_the_config_names_the_file_and_line(self, tmp_path, capsys):
         config_path = tmp_path / "synth.cfg"
         config_path.write_bytes(b"rows = 20\nseed = \xff\n")
@@ -649,6 +710,19 @@ class TestReport:
         assert capsys.readouterr().out.strip() == str(out_dir)
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("final_cycle", ["0", "1", "3"])
+    def test_a_final_cycle_outside_the_inputs_cycles_stops_before_any_pair(
+        self, job_tree, capsys, monkeypatch, final_cycle
+    ):
+        config_path, out_dir = job_tree  # cycles 1 and 2
+        monkeypatch.setattr(report, "assess_pair", lambda *args: pytest.fail("a pair was assessed"))
+        expect_failure(["report", "--config", str(config_path), "--final-cycle", final_cycle])
+        assert capsys.readouterr().err == (
+            "error: final_cycle must be above the first cycle and at most the last (cycles 1 to 2), "
+            f"got {final_cycle}\n"
+        )
+        assert not out_dir.exists()
 
     def test_flag_overrides_redirect_output(self, job_tree, tmp_path, capsys):
         config_path, _ = job_tree
@@ -896,7 +970,7 @@ SETTING_VALUES = {
     "alpha_grid": ("0,0.5", "0.5,2", "alpha must be in [0, 1], got 2.0"),
     "bandwidth": ("0.05", "0", "bandwidth must be positive and finite, got 0.0"),
     "seed": ("3", "-1", "seed must be a non-negative integer, got -1"),
-    "final_cycle": ("1", "x", "invalid literal for int() with base 10: 'x'"),
+    "final_cycle": ("2", "x", "invalid literal for int() with base 10: 'x'"),
 }
 READ_PAIRS = [(command, key) for command, keys in cli.READS.items() for key in keys]
 UNREAD_PAIRS = [(command, key) for command, keys in cli.READS.items() for key in cli.SETTINGS if key not in keys]
@@ -906,7 +980,9 @@ UNREAD_PAIRS = [(command, key) for command, keys in cli.READS.items() for key in
 def command_inputs(tmp_path_factory):
     """Each subcommand's arguments besides its settings, over small inputs built once."""
     root = tmp_path_factory.mktemp("inputs")
-    config_path, _ = build_job_tree(root)
+    # A third cycle, so that a final_cycle of 2 lies inside the manifest's cycles and is not the default.
+    layout = JOB_LAYOUT + [(box, group, 3, kind) for box, group, cycle, kind in JOB_LAYOUT if cycle == 2]
+    config_path, _ = build_job_tree(root, layout)
     manifest = str(root / "data" / "inputs.csv")
     score, obs = (str(root / "data" / name) for name in ("score_b1_c1.asc", "obs_b1_c1.asc"))
     samples = root / "samples.csv"

@@ -28,6 +28,7 @@ from mapbayes import (
     pp_curve,
     split_robustness,
 )
+from mapbayes.convergence import check_final_cycle
 
 
 def run(box_id=0, group="A", cycle=1, ppv=0.6, npv=0.4):
@@ -252,6 +253,25 @@ class TestSplitRobustness:
             split_robustness([])
         with pytest.raises(ValueError, match="at or past"):
             split_robustness(self.make_runs(), final_cycle=10)
+
+
+class TestCheckFinalCycle:
+    @pytest.mark.parametrize("final_cycle", [None, 2, 3, 4])
+    def test_none_or_a_cycle_past_the_first_is_taken(self, final_cycle):
+        assert check_final_cycle(final_cycle, np.array([4, 1, 2, 3, 1])) == final_cycle
+        assert check_final_cycle(None, []) is None
+
+    @pytest.mark.parametrize("final_cycle", [-5, 0, 1, 5, 99])
+    def test_a_cycle_at_or_below_the_first_or_past_the_last_is_refused(self, final_cycle):
+        message = f"final_cycle must be above the first cycle and at most the last (cycles 1 to 4), got {final_cycle}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_final_cycle(final_cycle, [2, 1, 4, 3])
+
+    def test_any_final_cycle_is_refused_for_one_cycle_or_none(self):
+        with pytest.raises(ValueError, match=re.escape("(cycles 3 to 3), got 3")):
+            check_final_cycle(3, [3, 3])
+        with pytest.raises(ValueError, match=re.escape("(no cycles), got 1")):
+            check_final_cycle(1, [])
 
 
 class TestFitNormalMl:

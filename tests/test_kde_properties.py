@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +164,15 @@ run_records = st.sampled_from(["A", "AB", "ABC"]).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(run_records, st.sampled_from([None, 2]))
 def test_analyze_scopes_writes_alike_from_a_table_and_from_records(records, final_cycle):
+    cycles = [r.cycle for r in records]
+    if final_cycle is not None and not min(cycles) < final_cycle <= max(cycles):
+        # A converged tail of every run, or of none, is refused before anything is written.
+        with tempfile.TemporaryDirectory() as tmp:
+            for runs in (RunTable.of(records), records):
+                with pytest.raises(ValueError, match="final_cycle must be above the first cycle"):
+                    analyze_scopes(runs, Path(tmp), final_cycle=final_cycle)
+            assert list(Path(tmp).iterdir()) == []
+        return
     with tempfile.TemporaryDirectory() as tmp:
         out = {}
         for name, runs in (("table", RunTable.of(records)), ("records", records)):

@@ -151,6 +151,8 @@ class TestOneRuleOneFunction:
             ("must be a positive integer", ("raster.py", "check_count")),
             ("must be non-negative and finite", ("raster.py", "check_nonnegative")),
             ("percentages must be non-negative", ()),
+            ("final_cycle must be above the first cycle", ("convergence.py", "check_final_cycle")),
+            ("unknown group label", ()),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -456,33 +458,148 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=re.escape(str(p)) + ".*" + re.escape(message)):
             list(report.read_csv(p, self.COLUMNS))
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
-    def test_a_refused_row_names_its_line(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+    # `lead` good rows come before the rows under test: 4096 of them fill
+    # several of the text reader's 8 KB chunks before the fault is reached.
+    @pytest.mark.parametrize("lead", [1, 2, 3, 4096])
+    def test_a_refused_row_names_its_line(self, tmp_path, lead):
         p = tmp_path / "t.csv"
-        p.write_text('box_id,group,ppv\n1,A,0.5\n2,"B\nC",0.25\n\n3,A,0.75\n4,A,0.5\n')
+        p.write_text("box_id,group,ppv\n" + "0,A,0.5\n" * lead + '1,A,0.5\n2,"B\nC",0.25\n\n3,A,0.75\n4,A,0.5\n')
         with pytest.raises(ValueError) as exc:
             report.read_csv(p, self.REFUSING)
-        assert str(exc.value) == f"{p}: line 6, column 'ppv': ppv above 0.5: 0.75"
+        assert str(exc.value) == f"{p}: line {6 + lead}, column 'ppv': ppv above 0.5: 0.75"
         p.write_text("box_id,group,ppv\n1,A,0.5\n3,A,0.25\n")
         assert report.read_csv(p, self.REFUSING) == ([1, 3], ["A", "A"], [0.5, 0.25])
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("lead", [1, 2, 4096])
     @pytest.mark.parametrize(
-        "rows, message",
+        "rows, line, message",
         [
-            (["1,A,0.75", "x,A,0.5", "1,A"], "line 2, column 'ppv': ppv above 0.5: 0.75"),
-            (["1,A,0.5", "x,A,0.75", "1,A"], "line 3, column 'box_id'"),
-            (["1,A,0.5", "2,A,0.5", "1,A"], "line 4 has 2 fields, the header has 3"),
+            (["1,A,0.75", "x,A,0.5", "1,A"], 2, ", column 'ppv': ppv above 0.5: 0.75"),
+            (["1,A,0.5", "x,A,0.75", "1,A"], 3, ", column 'box_id'"),
+            (["1,A,0.5", "2,A,0.5", "1,A"], 4, " has 2 fields, the header has 3"),
         ],
         ids=["refused-row", "bad-value", "short-row"],
     )
-    def test_the_first_error_in_the_file_is_named(self, tmp_path, monkeypatch, block_rows, rows, message):
-        monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+    def test_the_first_error_in_the_file_is_named(self, tmp_path, lead, rows, line, message):
         p = tmp_path / "t.csv"
-        p.write_text("box_id,group,ppv\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        p.write_text("box_id,group,ppv\n" + "0,A,0.5\n" * lead + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line {line + lead}{message}")):
             report.read_csv(p, self.REFUSING)
+
+    def test_a_file_with_a_fault_is_parsed_once(self, tmp_path, monkeypatch):
+        readers = []
+
+        def counting_reader(*args, **kwargs):
+            readers.append(args)
+            return real_reader(*args, **kwargs)
+
+        real_reader = csv.reader
+        monkeypatch.setattr(report.csv, "reader", counting_reader)
+        p = tmp_path / "t.csv"
+        p.write_text("box_id,group,ppv\n1,A,0.5\n2,A,0.75\n3,A,0.25\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3, column 'ppv'")):
+            report.read_csv(p, self.REFUSING)
+        assert len(readers) == 1
+
+    def test_a_byte_that_is_not_utf8_is_named_before_an_earlier_refused_value(self, tmp_path):
+        # The bad byte lies past the text reader's first 8 KB chunk, and row 2 holds a refused npv.
+        rows = [f"{i},A,{1 + i % 12},0.25,0.75" for i in range(2100)]
+        rows[0] = "0,A,1,0.25,1.5"
+        rows[1999] = "1999,\udcff,1,0.25,0.75"  # line 2001
+        data = ("box_id,group,cycle,ppv,npv\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+        assert data.index(b"\xff") > 8192 and len(data) > 32 * 1024
+        p = tmp_path / "runs.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            report.read_runs_csv(p)
+        assert str(exc.value) == f"{p}: line 2001: byte 0xff is not UTF-8"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_reader_matches_the_row_by_row_reference(self, data):
+        raw = data.draw(csv_files())
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_bytes(raw)
+            assert csv_outcome(report.read_csv, p, self.REFUSING) == csv_outcome(reference_read_csv, p, self.REFUSING)
+
+
+def reference_read_csv(path, columns):
+    """The row-by-row pass that `read_csv` once fell back to on a fault, kept as
+    the reference for its columns and messages."""
+    out = tuple([] for _ in columns)
+    header = None
+    reader = csv.reader(io.StringIO(report.read_utf8(path), newline=""))
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if header is None:
+            header = [f.strip() for f in row]
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+            spec = [(header.index(name), parse) for name, parse in columns.items()]
+            continue
+        if len(row) != len(header):
+            found, expected = len(row), len(header)
+            raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
+        for col, name, (i, parse) in zip(out, columns, spec):
+            try:
+                col.append(parse(row[i].strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+    if not (out and out[0]):
+        raise ValueError(f"{path} lists no inputs")
+    return out
+
+
+def csv_outcome(read, path, columns):
+    """The columns `read` returns, or the message of the error it raises."""
+    try:
+        return read(path, columns)
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: Whole fields for each column of `TestReadCsv.REFUSING`: values its parser
+#: takes, padded and quoted ones, and a quoted newline that puts one row on two
+#: lines; any field may also come from another column, where it may be refused.
+CSV_FIELDS = {
+    "box_id": ["1", "-3", " 2 ", '" 4 "'],
+    "group": ["A", " B ", '"B\nC"', '"q,r"', ""],
+    "ppv": ["0.25", "0.5", " 0 ", '"0.125"'],
+    "note": ["", "x", '"y\nz"'],
+}
+CSV_BLANKS = st.sampled_from(["", "  ", ",", " , "])
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV file: its columns in any order, now and then with one
+    missing, blank lines, refused values, rows short or long by a field, and
+    now and then a byte that is not UTF-8."""
+    header = draw(st.permutations(list(CSV_FIELDS)))[: draw(st.sampled_from([4] * 7 + [3]))]
+    any_field = st.sampled_from(sorted({f for fields in CSV_FIELDS.values() for f in fields} | {"0.75", "x"}))
+    lines = draw(st.lists(CSV_BLANKS, max_size=2)) + [", ".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "blank", "refused", "refused", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(CSV_BLANKS))
+            continue
+        fields = [draw(st.sampled_from(CSV_FIELDS[name])) for name in header]
+        if kind == "refused":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(any_field)
+        elif kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(draw(any_field))
+        lines.append(",".join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    raw = (end.join(lines) + draw(st.sampled_from(["", end]))).encode("utf-8")
+    if draw(st.sampled_from([False] * 5 + [True])):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
 
 
 class TestColumnRows:
@@ -648,10 +765,28 @@ class TestGroupSummaries:
         assert out["B"]["cycles"][1]["dominance_sign"] == 0
         assert "C" not in out
 
-    def test_unknown_group_rejected(self):
-        recs = [RunRecord(box_id=0, group="Z", cycle=1, ppv=0.5, npv=0.5)]
-        with pytest.raises(ValueError, match="unknown group"):
-            group_summaries(recs)
+    def test_any_group_label_is_summarised(self):
+        recs = [RunRecord(box_id=0, group="Z", cycle=1, ppv=0.5, npv=0.25)]
+        out = group_summaries(recs)
+        assert list(out) == ["Z"]
+        assert out["Z"]["n_runs"] == 1
+        assert out["Z"]["cycles"][1]["dominance_sign"] == 1
+        with pytest.raises(ValueError, match="'all' is reserved for the scope of all runs"):
+            group_summaries([RunRecord(box_id=0, group="all", cycle=1, ppv=0.5, npv=0.5)])
+
+    def test_a_job_summarises_the_groups_it_analyses(self, tmp_path):
+        layout = [(box, "Z" if group == "A" else group, cycle, kind) for box, group, cycle, kind in JOB_LAYOUT]
+        config_path, out_dir = build_job_tree(tmp_path, layout)
+        run_job(load_job(config_path))
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert "groups_error" not in summary
+        assert set(summary["groups"]) == {"B", "Z"}
+        assert set(summary["scopes"]) == {"all", "B", "Z"}
+
+    def test_an_input_built_in_code_is_held_to_the_group_label_rule(self, tmp_path):
+        # Refused as the manifest reader refuses it, before a job exists to assess it.
+        with pytest.raises(ValueError, match="'all' is reserved for the scope of all runs"):
+            JobInput("binary", tmp_path / "sim.asc", tmp_path / "obs.asc", None, 0, "all", 1)
 
 
 class TestRunJob:
@@ -662,6 +797,20 @@ class TestRunJob:
         on_disk = {p.name for p in out_dir.iterdir()}
         assert on_disk == EXPECTED_FILES
         assert manifest["failures"] == []
+
+    def test_a_final_cycle_that_no_scored_run_reaches_is_recorded(self, job_tree):
+        # The manifest holds cycle 2, but every cycle-2 prediction fails to load.
+        config_path, out_dir = job_tree
+        for path in config_path.parent.glob("data/*_c2.asc"):
+            if not path.name.startswith("obs"):
+                path.write_text("garbage\n")
+        manifest = run_job(load_job(config_path, {"final_cycle": "2"}))
+        assert len(manifest["failures"]) == 6
+        summary = json.loads((out_dir / "summary.json").read_text())
+        message = "final_cycle must be above the first cycle and at most the last (cycles 1 to 1), got 2"
+        assert (summary["scopes_error"], summary["scopes"]) == (message, {})
+        written = {p.name for p in out_dir.iterdir()}
+        assert written == {"confusion.csv", "bayes.csv", "runs.csv", "summary.json", "manifest.json"}
 
     def test_manifest_hashes_are_correct(self, job_tree):
         config_path, out_dir = job_tree

@@ -12,42 +12,57 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import logging
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bayes import Convention, prevalence_sweep
-from .confusion import AgreementRates
-from .convergence import asymmetric_family
-from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import check_count, format_float, format_floats, load_grid, to_binary, write_grid
-from .report import (
-    _BAYES_HEADER,
-    _CONFUSION_HEADER,
-    DEFAULT_THRESHOLD,
-    AssessmentJob,
-    PairAssessment,
-    ThresholdPolicy,
-    analyze_scopes,
-    assess_pair,
-    column_rows,
-    load_observed,
-    read_csv,
-    read_inputs_manifest,
-    read_runs_csv,
-    read_utf8,
-    run_job,
-    unit_value,
-    write_csv,
-    write_json,
-    write_runs_csv,
-)
 from .sampling import DEFAULT_QUANTILES, classify_pools, draw_quantile_sample, tile_region
-from .synth import SynthConfig, generate_pair, generate_run_table
+from .tableio import column_rows, read_csv, read_utf8, write_csv, write_json
+
+if TYPE_CHECKING:
+    from .bayes import Convention
+    from .report import AssessmentJob, PairAssessment, ThresholdPolicy
+
+#: The names cli takes from modules that it imports only on first use, by
+#: module: a subcommand loads just the modules it calls, so `sample` loads
+#: none of these. `_load` binds a module's names here; a name read from
+#: outside (a wrapper's target, say) loads its module through `__getattr__`.
+_DEFERRED: dict[str, tuple[str, ...]] = {
+    "bayes": ("Convention", "prevalence_sweep"),
+    "confusion": ("AgreementRates",),
+    "convergence": ("asymmetric_family",),
+    "kde": ("GRID", "balance_point", "check_bandwidth", "find_crossings", "fit_kde"),
+    "report": (
+        "_BAYES_HEADER", "_CONFUSION_HEADER", "DEFAULT_THRESHOLD", "AssessmentJob", "ThresholdPolicy",
+        "analyze_scopes", "assess_pair", "load_observed", "read_inputs_manifest", "read_runs_csv", "run_job",
+        "unit_value", "write_runs_csv",
+    ),
+    "synth": ("SynthConfig", "generate_pair", "generate_run_table"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import `modules` and bind the names cli takes from them, keeping a name already bound (a wrapper)."""
+    for module in modules:
+        owner = importlib.import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str) -> Any:
+    """A deferred name read from outside: its module is loaded and its names bound first (PEP 562)."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 log = logging.getLogger(__name__)
 
@@ -69,17 +84,26 @@ def main(argv: list[str] | None = None) -> int:
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
     """Parse a comma-separated offset list, refused as `asymmetric_family` would refuse it."""
+    _load("convergence")
     return tuple(form.alpha for form in asymmetric_family(float(t) for t in text.split(",")))
 
 
 #: Each setting's parser, for its flag's text and its config key's alike, and its flag's help.
+#: A parser from a deferred module loads it first (`_load` returns None).
 SETTINGS: dict[str, tuple[Callable[[str], Any], str]] = {
     "inputs": (Path, "inputs CSV: kind, sim, obs, exclusion, box_id, group, cycle"),
     "out": (Path, "output directory"),
-    "threshold": (ThresholdPolicy.parse, "score cut: value:<t>, quantity:<n> or quantity:obs (default value:0.5)"),
-    "convention": (Convention.parse, "formula convention: paper or standard (default paper)"),
+    "threshold": (
+        lambda v: _load("report") or ThresholdPolicy.parse(v),
+        "score cut: value:<t>, quantity:<n> or quantity:obs (default value:0.5)",
+    ),
+    "convention": (
+        lambda v: _load("bayes") or Convention.parse(v), "formula convention: paper or standard (default paper)"
+    ),
     "alpha_grid": (parse_alpha_grid, "comma-separated offsets in [0,1] for the asymmetric family"),
-    "bandwidth": (lambda v: check_bandwidth(float(v)), "positive KDE bandwidth (default: Silverman's rule)"),
+    "bandwidth": (
+        lambda v: _load("kde") or check_bandwidth(float(v)), "positive KDE bandwidth (default: Silverman's rule)"
+    ),
     "seed": (lambda v: check_count("seed", int(v)), "non-negative RNG seed (default 0); report only records it"),
     "final_cycle": (int, "first cycle of the converged tail (default: last cycle)"),
 }
@@ -166,6 +190,7 @@ def load_job(config: str | Path | None, flags: Mapping[str, str | None] | None =
     set only when the manifest lists a score raster. The seed is only
     recorded in manifest.json: a report job draws no random numbers.
     """
+    _load("report")
     flags = flags or {}
     settings = read_settings(config, flags, "report", required=("inputs", "out"))
     inputs = read_inputs_manifest(settings.pop("inputs"))
@@ -256,6 +281,7 @@ def _assess(args, threshold: ThresholdPolicy, convention: Convention) -> PairAss
 
 
 def cmd_assess(args) -> int:
+    _load("bayes", "report")
     settings = _settings(args)
     convention, out = settings.get("convention", Convention.PAPER), settings.get("out")
     a = _assess(args, _threshold(args, settings), convention)
@@ -271,6 +297,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _load("bayes", "confusion", "report")
     settings = _settings(args)
     convention = settings.get("convention", Convention.PAPER)
     threshold = _threshold(args, settings)
@@ -299,6 +326,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kde(args) -> int:
+    _load("kde", "report")
     settings = _settings(args)
     labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": unit_value}))
     fits = {}
@@ -318,6 +346,7 @@ def cmd_kde(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _load("report")
     settings = _settings(args, "out")
     out = settings.pop("out")
     runs = read_runs_csv(args.runs)
@@ -333,27 +362,24 @@ def cmd_sample(args) -> int:
     settings = _settings(args)
     out = settings.pop("out", None)
     boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
-    pools = classify_pools(boxes)
-    selected: dict[str, set[int]] = {}
-    for label, pool in sorted(pools.items()):
+    # Per box, the labels of the pools that hold it and of the draws that took it, in label order.
+    in_pools = np.full(len(boxes), "", dtype=object)
+    chosen = np.full(len(boxes), "", dtype=object)
+    for label, pool in sorted(classify_pools(boxes).items()):
+        in_pools[np.isin(boxes.box_id, pool.box_id)] += label
         if len(pool) >= args.n_quantiles:
             drawn = draw_quantile_sample(pool, args.n_quantiles, label=label, **settings)  # seed
-            selected[label] = {b.box_id for b in drawn}
+            chosen[np.isin(boxes.box_id, drawn.box_id)] += label
         else:
             log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
-    members = {label: {b.box_id for b in pool} for label, pool in sorted(pools.items())}
-    rows = []
-    for b in boxes:
-        in_pools = "".join(l for l in members if b.box_id in members[l])
-        chosen = "".join(l for l in sorted(selected) if b.box_id in selected[l])
-        stats = format_floats((b.pct_urban_change, b.pct_exclusionary, b.index))
-        rows.append((b.box_id, b.row0, b.col0, *stats, in_pools, chosen))
+    columns = (boxes.box_id, boxes.row0, boxes.col0, boxes.pct_urban_change, boxes.pct_exclusionary, boxes.index)
     header = ("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")
-    _emit_csv(out, "sample.csv", header, rows)
+    _emit_csv(out, "sample.csv", header, column_rows(*columns, in_pools, chosen))
     return 0
 
 
 def cmd_synth(args) -> int:
+    _load("synth", "report")
     settings = _settings(args, "out")
     out = settings.pop("out")
     knobs = ("rows", "cols", "change_fraction", "exclusion_fraction", "score_noise", "planted_offset")
@@ -372,6 +398,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _load("report")
     job = load_job(args.config, vars(args))
     failures = run_job(job)["failures"]
     print(job.out_dir)

@@ -1,19 +1,21 @@
 """Regional box sampling: tiling, index-based pools, and quantile draws.
 
-A study region is tiled into equal square boxes; each box gets a
-change-to-exclusion index and the boxes are pooled by index thresholds
-(every pool keeps boxes at or above its threshold, so the pools nest).
-A stratified draw then takes one box per near-equal-size quantile bin of
-the percent-urban-change ordering, deterministically per seed.
+A study region is tiled into equal square boxes, held as one `BoxTable`
+of columns; each box gets a change-to-exclusion index and the boxes are
+pooled by index thresholds (every pool keeps boxes at or above its
+threshold, so the pools nest, and each is a sub-table). A stratified draw
+then takes one box per near-equal-size quantile bin of the
+percent-urban-change ordering, deterministically per seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 from .raster import BinaryGrid, check_aligned, check_count, check_nonnegative
 
@@ -23,41 +25,82 @@ POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
 DEFAULT_QUANTILES = 30
 
 
-@dataclass(frozen=True)
-class SampleBox:
-    """One square tile of the region with its composition summary."""
-
-    box_id: int
-    row0: int
-    col0: int
-    side: int
-    pct_urban_change: float
-    pct_exclusionary: float
-    index: float
-
-    @property
-    def row_range(self) -> tuple[int, int]:
-        return self.row0, self.row0 + self.side
-
-    @property
-    def col_range(self) -> tuple[int, int]:
-        return self.col0, self.col0 + self.side
+#: The columns a box table is built from, and their dtypes; `index` is derived from the two shares.
+_BOX_COLUMNS = {
+    "box_id": np.int64, "row0": np.int64, "col0": np.int64, "pct_urban_change": np.float64,
+    "pct_exclusionary": np.float64,
+}
 
 
-def change_exclusion_index(pct_urban_change: float, pct_exclusionary: float) -> float:
-    """Ratio of percent urban change to percent exclusionary land.
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """The boxes of a tiled region as read-only columns, one row per box.
 
-    Degenerate denominators: +inf when there is change but no exclusionary
-    land; 0.0 when the box has neither.
+    Each column is a copy of its argument, of the dtype in `_BOX_COLUMNS`.
+    `row0` and `col0` are a box's first row and column, the two `pct_`
+    columns its shares of change and of exclusionary cells, and `index` the
+    change-to-exclusion index of those shares (`change_exclusion_index`,
+    which refuses a share that is negative or not finite). A boolean mask,
+    or an array of row positions, selects a sub-table in that order.
     """
-    check_nonnegative("pct_urban_change", pct_urban_change)
-    check_nonnegative("pct_exclusionary", pct_exclusionary)
-    if pct_exclusionary == 0.0:
-        return math.inf if pct_urban_change > 0.0 else 0.0
-    return pct_urban_change / pct_exclusionary
+
+    box_id: NDArray[np.int64]
+    row0: NDArray[np.int64]
+    col0: NDArray[np.int64]
+    pct_urban_change: NDArray[np.float64]
+    pct_exclusionary: NDArray[np.float64]
+    index: NDArray[np.float64] = field(init=False, repr=False)
+    __iter__ = None  # rows are selected by mask or position, not iterated
+
+    def __post_init__(self):
+        for name, dtype in _BOX_COLUMNS.items():
+            try:
+                col = np.array(getattr(self, name), dtype=dtype)
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"box table column {name!r}: {exc}") from None
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        shapes = {getattr(self, name).shape for name in _BOX_COLUMNS}
+        if len(shapes) != 1 or len(min(shapes)) != 1:
+            raise ValueError(f"box table columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        index = change_exclusion_index(self.pct_urban_change, self.pct_exclusionary)
+        index.setflags(write=False)
+        object.__setattr__(self, "index", index)
+
+    def __len__(self) -> int:
+        return self.box_id.size
+
+    def __getitem__(self, rows: NDArray[np.bool_] | NDArray[np.intp]) -> BoxTable:
+        return BoxTable(*(getattr(self, c)[rows] for c in _BOX_COLUMNS))
 
 
-def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int) -> list[SampleBox]:
+def change_exclusion_index(pct_urban_change: ArrayLike, pct_exclusionary: ArrayLike) -> NDArray[np.float64]:
+    """Ratio of percent urban change to percent exclusionary land, per box.
+
+    Takes two shares or two arrays of them, and returns an array of their
+    broadcast shape. Degenerate denominators: +inf where there is change but
+    no exclusionary land; 0.0 where the box has neither.
+
+    Raises:
+        ValueError: A share that `check_nonnegative` refuses (negative, NaN,
+            infinite, a bool or not a number), the first one by name.
+    """
+    change = _shares("pct_urban_change", pct_urban_change)
+    excl = _shares("pct_exclusionary", pct_exclusionary)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(excl > 0.0, change / excl, np.where(change > 0.0, np.inf, 0.0))
+
+
+def _shares(name: str, values: ArrayLike) -> NDArray[np.float64]:
+    """`values` as floats when each is a share that `check_nonnegative` takes; else the first refusal."""
+    col = np.asarray(values)
+    if col.dtype.kind not in "iuf" or not ((col >= 0) & (col < np.inf)).all():
+        for x in col.ravel().tolist():
+            check_nonnegative(name, x)
+    return col.astype(np.float64, copy=False)
+
+
+def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int) -> BoxTable:
     """Tile the region into square boxes of `box_cells` cells each.
 
     Args:
@@ -68,8 +111,8 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
             the right/bottom edges are dropped.
 
     Returns:
-        Boxes in row-major order with sequential ids and per-box percent
-        urban change, percent exclusionary, and the change-to-exclusion
+        The boxes in row-major order with sequential ids from 0, each with
+        its percent urban change, percent exclusionary and change-to-exclusion
         index, all over the box's full cell count.
 
     Raises:
@@ -87,27 +130,23 @@ def tile_region(urban_change: BinaryGrid, exclusion: BinaryGrid, box_cells: int)
 
     n_r, n_c = rows // side, cols // side
 
-    def pct(grid: BinaryGrid) -> list[float]:
+    def pct(grid: BinaryGrid) -> NDArray[np.float64]:
         # The whole boxes, one (side x side) block each, counted at once.
         ones = grid.values[: n_r * side, : n_c * side] == 1
-        return (ones.reshape(n_r, side, n_c, side).sum(axis=(1, 3)) / box_cells).ravel().tolist()
+        return ones.reshape(n_r, side, n_c, side).sum(axis=(1, 3)).ravel() / box_cells
 
-    return [
-        SampleBox(i, i // n_c * side, i % n_c * side, side, change, excl, change_exclusion_index(change, excl))
-        for i, (change, excl) in enumerate(zip(pct(urban_change), pct(exclusion)))
-    ]
+    box_id = np.arange(n_r * n_c)
+    return BoxTable(box_id, box_id // n_c * side, box_id % n_c * side, pct(urban_change), pct(exclusion))
 
 
-def classify_pools(boxes: Sequence[SampleBox]) -> dict[str, list[SampleBox]]:
+def classify_pools(boxes: BoxTable) -> dict[str, BoxTable]:
     """Assign boxes to the nested pools by index threshold (inclusive).
 
     Pool A keeps every box (index >= 0), B keeps index >= 1/2, C keeps
-    index >= 1, so C is a subset of B is a subset of A.
+    index >= 1, so C is a subset of B is a subset of A. Each pool is a
+    sub-table in the table's order.
     """
-    pools: dict[str, list[SampleBox]] = {}
-    for label, threshold in POOL_THRESHOLDS.items():
-        pools[label] = [b for b in boxes if b.index >= threshold]
-    return pools
+    return {label: boxes[boxes.index >= threshold] for label, threshold in POOL_THRESHOLDS.items()}
 
 
 def quantile_bin_sizes(pool_size: int, n_quantiles: int) -> list[int]:
@@ -119,11 +158,11 @@ def quantile_bin_sizes(pool_size: int, n_quantiles: int) -> list[int]:
 
 
 def draw_quantile_sample(
-    pool: Sequence[SampleBox],
+    pool: BoxTable,
     n_quantiles: int = DEFAULT_QUANTILES,
     seed: int = 0,
     label: str = "",
-) -> list[SampleBox]:
+) -> BoxTable:
     """Draw one box per quantile bin of the percent-urban-change ordering.
 
     The pool is sorted ascending by pct_urban_change (ties by box_id) and
@@ -133,15 +172,15 @@ def draw_quantile_sample(
     distinct substreams and every draw is reproducible.
 
     Returns:
-        The drawn boxes in bin order (ascending percent urban change).
+        The drawn boxes as a sub-table in bin order (ascending percent urban
+        change).
     """
     sizes = quantile_bin_sizes(len(pool), n_quantiles)
-    ordered = sorted(pool, key=lambda b: (b.pct_urban_change, b.box_id))
+    ordered = np.lexsort((pool.box_id, pool.pct_urban_change))
     rng = np.random.default_rng(np.random.SeedSequence([check_count("seed", seed), *label.encode("utf-8")]))
-    drawn: list[SampleBox] = []
+    picks = []
     start = 0
     for size in sizes:
-        pick = start + int(rng.integers(size))
-        drawn.append(ordered[pick])
+        picks.append(start + int(rng.integers(size)))
         start += size
-    return drawn
+    return pool[ordered[picks]]

@@ -1,7 +1,9 @@
 """Shared fixtures: small on-disk assessment jobs built from the synthetic
-generators, and the KDE tests' reference density and mirrored samples."""
+generators, the KDE tests' reference density and mirrored samples, and the
+row-by-row reference CSV reader."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from mapbayes import SynthConfig, generate_pair, threshold_scores, write_grid
+from mapbayes.tableio import read_utf8
 
 # The same examples on every run, and no replay of failures found on earlier
 # runs: a tier-1 result depends on the code alone (hypothesis's "ci" settings).
@@ -115,3 +118,32 @@ def mirrored_samples():
     pos = np.concatenate([rng.normal(0.15, 0.05, 200), rng.normal(0.5, 0.15, 50)])
     pos = np.clip(pos, 0.01, 0.99)
     return pos, 1.0 - pos
+
+
+def reference_read_csv(path, columns):
+    """The row-by-row pass that `read_csv` once fell back to on a fault, kept as
+    the reference for its columns and messages."""
+    out = tuple([] for _ in columns)
+    header = None
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if header is None:
+            header = [f.strip() for f in row]
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+            spec = [(header.index(name), parse) for name, parse in columns.items()]
+            continue
+        if len(row) != len(header):
+            found, expected = len(row), len(header)
+            raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
+        for col, name, (i, parse) in zip(out, columns, spec):
+            try:
+                col.append(parse(row[i].strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
+    if not (out and out[0]):
+        raise ValueError(f"{path} lists no inputs")
+    return out

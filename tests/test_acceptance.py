@@ -250,25 +250,25 @@ def test_criterion_08_nested_pools_and_quantile_draws(capsys):
         boxes = tile_region(change, exclusion, 16)
         pools = classify_pools(boxes)
 
-        ids = {label: {b.box_id for b in pool} for label, pool in pools.items()}
+        ids = {label: set(pool.box_id.tolist()) for label, pool in pools.items()}
         assert ids["C"] <= ids["B"] <= ids["A"]
         assert len(ids["A"]) == len(boxes)
-        for b in boxes:
-            assert (b.box_id in ids["B"]) == (b.index >= 0.5)
-            assert (b.box_id in ids["C"]) == (b.index >= 1.0)
+        for box_id, index in zip(boxes.box_id.tolist(), boxes.index.tolist()):
+            assert (box_id in ids["B"]) == (index >= 0.5)
+            assert (box_id in ids["C"]) == (index >= 1.0)
 
         for label, pool in sorted(pools.items()):
             assert len(pool) >= 30
             drawn = draw_quantile_sample(pool, 30, seed=11, label=label)
             assert len(drawn) == 30
             again = draw_quantile_sample(pool, 30, seed=11, label=label)
-            assert [b.box_id for b in again] == [b.box_id for b in drawn]
+            assert again.box_id.tolist() == drawn.box_id.tolist()
 
-            ordered = sorted(pool, key=lambda b: (b.pct_urban_change, b.box_id))
-            position = {b.box_id: i for i, b in enumerate(ordered)}
+            ordered = sorted(zip(pool.pct_urban_change.tolist(), pool.box_id.tolist()))
+            position = {box_id: i for i, (_, box_id) in enumerate(ordered)}
             bounds = np.cumsum([0] + quantile_bin_sizes(len(pool), 30))
-            for i, b in enumerate(drawn):
-                assert bounds[i] <= position[b.box_id] < bounds[i + 1]
+            for i, box_id in enumerate(drawn.box_id.tolist()):
+                assert bounds[i] <= position[box_id] < bounds[i + 1]
 
 
 def test_criterion_09_odds_ratio_baselines(capsys):

@@ -629,7 +629,7 @@ class TestSample:
         body = read_csv_text(capsys.readouterr().out)[1:]
 
         pools = classify_pools(tile_region(change, excl, 16))
-        expected = {label: {b.box_id for b in pool} for label, pool in pools.items()}
+        expected = {label: set(pool.box_id.tolist()) for label, pool in pools.items()}
         assert len(body) == len(expected["A"]) == 400
         assert 0 < len(expected["C"]) < len(expected["B"]) < 400
         for label in "ABC":

@@ -5,8 +5,8 @@ bodies with numpy's C reader and falls back to a per-line loop for everything
 else. These tests pin it, over generated files, to the plain per-token parser
 it replaced, pin the stride decode to the general path over generated digit
 grids and their near misses, and pin the writer's round trip.
-`report.read_csv` parses CSV text a block of rows at a time; it is pinned to
-the per-row reader it replaced. The classify tests pin the linear
+`tableio.read_csv` parses each CSV row as it reads it; it is pinned to the
+row-by-row reference reader in conftest.py. The classify tests pin the linear
 top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
 tally to the cells live in both maps. The predictive values of any tally lie
 in [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
@@ -40,8 +40,10 @@ from mapbayes import (
     to_binary,
     write_grid,
 )
-from mapbayes import raster, report
+from mapbayes import raster, tableio
 from mapbayes.confusion import AgreementRates
+
+from conftest import reference_read_csv
 
 HEADER_LINES = 6
 
@@ -468,37 +470,6 @@ def test_tally_sums_to_the_cells_live_in_both(pair):
 # ---------------------------------------------------------------------------
 
 
-def reference_read_csv(path, columns):
-    """The per-row reader that `report.read_csv` replaced, returning columns."""
-    header, rows = None, []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            fields = [f.strip() for f in row]
-            if not any(fields):
-                continue
-            if header is None:
-                header = fields
-                missing = [name for name in columns if name not in header]
-                if missing:
-                    raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
-                spec = [(name, header.index(name), parse) for name, parse in columns.items()]
-                continue
-            if len(fields) != len(header):
-                found, expected = len(fields), len(header)
-                raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-            values = []
-            for name, i, parse in spec:
-                try:
-                    values.append(parse(fields[i]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path} lists no inputs")
-    return tuple(list(col) for col in zip(*rows))
-
-
 CSV_COLUMNS = {"box_id": int, "group": str, "ppv": float}
 _padding = st.sampled_from(["", " ", "  ", "\t"])
 _labels = st.text(alphabet='AB ,"\n', max_size=4)
@@ -553,13 +524,12 @@ def outcome(read, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_texts(), st.sampled_from([1, 2, 3, 5, 4096]))
-def test_read_csv_matches_per_row_reference(tmp_path_factory, text, block_rows):
+@given(csv_texts())
+def test_read_csv_matches_per_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_text(text, encoding="utf-8")
     expected = outcome(reference_read_csv, path)
-    with mock.patch.object(report, "_BLOCK_ROWS", block_rows):
-        got = outcome(report.read_csv, path)
+    got = outcome(tableio.read_csv, path)
     assert got == expected
     if isinstance(got, tuple):
         # Not only equal: the same types, so -0.0 stays a float and 1 an int.

@@ -34,7 +34,7 @@ from mapbayes import (
     threshold_scores,
     write_grid,
 )
-from mapbayes import cli, report
+from mapbayes import cli, report, tableio
 from mapbayes.raster import GridFormatError, format_floats
 from mapbayes.bayes import Convention
 from mapbayes.cli import load_job, parse_alpha_grid, parse_config
@@ -51,10 +51,10 @@ from mapbayes.report import (
     load_observed,
     read_inputs_manifest,
     run_job,
-    write_json,
 )
+from mapbayes.tableio import write_json
 
-from conftest import JOB_LAYOUT, build_job_tree
+from conftest import JOB_LAYOUT, build_job_tree, reference_read_csv
 
 EXPECTED_FILES = {
     "confusion.csv",
@@ -108,11 +108,11 @@ def functions_spelling(pattern):
 class TestOneReaderOneWriter:
     def test_csv_files_are_read_in_one_function(self):
         # A second reader would drift from the first one's errors and rules.
-        assert functions_spelling(r"csv\.(reader|DictReader)\(") == {("report.py", "read_csv")}
+        assert functions_spelling(r"csv\.(reader|DictReader)\(") == {("tableio.py", "read_csv")}
 
     def test_csv_files_are_written_in_two_functions(self):
         # write_csv writes every file; _emit_csv writes the CLI's tables to stdout.
-        writers = {("report.py", "write_csv"), ("cli.py", "_emit_csv")}
+        writers = {("tableio.py", "write_csv"), ("cli.py", "_emit_csv")}
         assert functions_spelling(r"csv\.(writer|DictWriter)\(") == writers
 
 
@@ -143,7 +143,7 @@ class TestOneRuleOneFunction:
             ("must fit in a 64-bit integer", ("report.py", "int64_id")),
             ("share the label", ("convergence.py", "asymmetric_family")),
             ("must be a rate in [0, 1]", ()),
-            ("is not UTF-8", ("report.py", "read_utf8")),
+            ("is not UTF-8", ("tableio.py", "read_utf8")),
             ("alpha grid is empty", ("convergence.py", "asymmetric_family")),
             ("must be in [0, 1]", ("raster.py", "check_unit")),
             ("must be positive and finite", ("raster.py", "check_positive")),
@@ -438,7 +438,7 @@ class TestReadCsv:
     def test_blank_lines_extra_columns_and_any_order(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("\nnote, ppv ,group,box_id\n\nx, 0.5 , A ,3\n  \n,1,B,4\n\n")
-        assert report.read_csv(p, self.COLUMNS) == ([3, 4], ["A", "B"], [0.5, 1.0])
+        assert tableio.read_csv(p, self.COLUMNS) == ([3, 4], ["A", "B"], [0.5, 1.0])
 
     @pytest.mark.parametrize(
         "text, message",
@@ -456,7 +456,7 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(p)) + ".*" + re.escape(message)):
-            list(report.read_csv(p, self.COLUMNS))
+            list(tableio.read_csv(p, self.COLUMNS))
 
     # `lead` good rows come before the rows under test: 4096 of them fill
     # several of the text reader's 8 KB chunks before the fault is reached.
@@ -465,10 +465,10 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text("box_id,group,ppv\n" + "0,A,0.5\n" * lead + '1,A,0.5\n2,"B\nC",0.25\n\n3,A,0.75\n4,A,0.5\n')
         with pytest.raises(ValueError) as exc:
-            report.read_csv(p, self.REFUSING)
+            tableio.read_csv(p, self.REFUSING)
         assert str(exc.value) == f"{p}: line {6 + lead}, column 'ppv': ppv above 0.5: 0.75"
         p.write_text("box_id,group,ppv\n1,A,0.5\n3,A,0.25\n")
-        assert report.read_csv(p, self.REFUSING) == ([1, 3], ["A", "A"], [0.5, 0.25])
+        assert tableio.read_csv(p, self.REFUSING) == ([1, 3], ["A", "A"], [0.5, 0.25])
 
     @pytest.mark.parametrize("lead", [1, 2, 4096])
     @pytest.mark.parametrize(
@@ -484,7 +484,7 @@ class TestReadCsv:
         p = tmp_path / "t.csv"
         p.write_text("box_id,group,ppv\n" + "0,A,0.5\n" * lead + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: line {line + lead}{message}")):
-            report.read_csv(p, self.REFUSING)
+            tableio.read_csv(p, self.REFUSING)
 
     def test_a_file_with_a_fault_is_parsed_once(self, tmp_path, monkeypatch):
         readers = []
@@ -494,11 +494,11 @@ class TestReadCsv:
             return real_reader(*args, **kwargs)
 
         real_reader = csv.reader
-        monkeypatch.setattr(report.csv, "reader", counting_reader)
+        monkeypatch.setattr(tableio.csv, "reader", counting_reader)
         p = tmp_path / "t.csv"
         p.write_text("box_id,group,ppv\n1,A,0.5\n2,A,0.75\n3,A,0.25\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3, column 'ppv'")):
-            report.read_csv(p, self.REFUSING)
+            tableio.read_csv(p, self.REFUSING)
         assert len(readers) == 1
 
     def test_a_byte_that_is_not_utf8_is_named_before_an_earlier_refused_value(self, tmp_path):
@@ -521,36 +521,7 @@ class TestReadCsv:
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "t.csv"
             p.write_bytes(raw)
-            assert csv_outcome(report.read_csv, p, self.REFUSING) == csv_outcome(reference_read_csv, p, self.REFUSING)
-
-
-def reference_read_csv(path, columns):
-    """The row-by-row pass that `read_csv` once fell back to on a fault, kept as
-    the reference for its columns and messages."""
-    out = tuple([] for _ in columns)
-    header = None
-    reader = csv.reader(io.StringIO(report.read_utf8(path), newline=""))
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        if header is None:
-            header = [f.strip() for f in row]
-            missing = [name for name in columns if name not in header]
-            if missing:
-                raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
-            spec = [(header.index(name), parse) for name, parse in columns.items()]
-            continue
-        if len(row) != len(header):
-            found, expected = len(row), len(header)
-            raise ValueError(f"{path}: line {reader.line_num} has {found} fields, the header has {expected}")
-        for col, name, (i, parse) in zip(out, columns, spec):
-            try:
-                col.append(parse(row[i].strip()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: {exc}") from None
-    if not (out and out[0]):
-        raise ValueError(f"{path} lists no inputs")
-    return out
+            assert csv_outcome(tableio.read_csv, p, self.REFUSING) == csv_outcome(reference_read_csv, p, self.REFUSING)
 
 
 def csv_outcome(read, path, columns):
@@ -604,13 +575,13 @@ def csv_files(draw):
 
 class TestColumnRows:
     def test_blocks_give_the_rows_of_whole_columns(self, monkeypatch):
-        monkeypatch.setattr(report, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(tableio, "_BLOCK_ROWS", 2)
         ints = np.array([3, -1, 7, 0, 5])
         labels = np.array(["A", "B\x00", "C", "A", "B"], dtype=object)
         floats = np.array([0.1234567, 1.0, -0.0, 1e-300, 0.5])
-        rows = list(report.column_rows(ints, labels, floats))
+        rows = list(tableio.column_rows(ints, labels, floats))
         assert rows == list(zip(ints.tolist(), labels.tolist(), format_floats(floats.tolist())))
-        assert list(report.column_rows(np.array([]))) == []
+        assert list(tableio.column_rows(np.array([]))) == []
 
 
 def assess_input(inp, threshold, convention):

@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, 
 import numpy as np
 
 from .raster import check_count, format_float, format_floats, load_grid, to_binary, write_grid
-from .sampling import DEFAULT_QUANTILES, classify_pools, draw_quantile_sample, tile_region
-from .tableio import column_rows, read_csv, read_utf8, write_csv, write_json
+from .tableio import column_rows, read_csv, read_utf8, unit_value, write_csv, write_json
 
 if TYPE_CHECKING:
     from .bayes import Convention
@@ -31,7 +30,7 @@ if TYPE_CHECKING:
 
 #: The names cli takes from modules that it imports only on first use, by
 #: module: a subcommand loads just the modules it calls, so `sample` loads
-#: none of these. `_load` binds a module's names here; a name read from
+#: only `sampling`. `_load` binds a module's names here; a name read from
 #: outside (a wrapper's target, say) loads its module through `__getattr__`.
 _DEFERRED: dict[str, tuple[str, ...]] = {
     "bayes": ("Convention", "prevalence_sweep"),
@@ -41,8 +40,9 @@ _DEFERRED: dict[str, tuple[str, ...]] = {
     "report": (
         "_BAYES_HEADER", "_CONFUSION_HEADER", "DEFAULT_THRESHOLD", "AssessmentJob", "ThresholdPolicy",
         "analyze_scopes", "assess_pair", "load_observed", "read_inputs_manifest", "read_runs_csv", "run_job",
-        "unit_value", "write_runs_csv",
+        "write_runs_csv",
     ),
+    "sampling": ("DEFAULT_QUANTILES", "classify_pools", "draw_quantile_sample", "tile_region"),
     "synth": ("SynthConfig", "generate_pair", "generate_run_table"),
 }
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--change", type=Path, required=True, help="binary change raster")
     p.add_argument("--exclusion", type=Path, required=True, help="binary exclusionary raster")
     p.add_argument("--box-cells", type=int, default=6889, help="cells per square box (default 6889 = 83x83)")
-    p.add_argument("--n-quantiles", type=int, default=DEFAULT_QUANTILES)
+    p.add_argument("--n-quantiles", type=int)  # left out, it takes sampling.DEFAULT_QUANTILES
 
     # A flag left out takes the library's default: SynthConfig's, or generate_run_table's.
     p = add("synth", "write synthetic rasters and a planted run table", cmd_synth)
@@ -326,7 +326,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kde(args) -> int:
-    _load("kde", "report")
+    _load("kde")
     settings = _settings(args)
     labels, values = map(np.array, read_csv(args.samples, {"label": _sample_label, "value": unit_value}))
     fits = {}
@@ -359,19 +359,21 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _load("sampling")
     settings = _settings(args)
     out = settings.pop("out", None)
+    n_quantiles = DEFAULT_QUANTILES if args.n_quantiles is None else args.n_quantiles
     boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
     # Per box, the labels of the pools that hold it and of the draws that took it, in label order.
     in_pools = np.full(len(boxes), "", dtype=object)
     chosen = np.full(len(boxes), "", dtype=object)
     for label, pool in sorted(classify_pools(boxes).items()):
         in_pools[np.isin(boxes.box_id, pool.box_id)] += label
-        if len(pool) >= args.n_quantiles:
-            drawn = draw_quantile_sample(pool, args.n_quantiles, label=label, **settings)  # seed
+        if len(pool) >= n_quantiles:
+            drawn = draw_quantile_sample(pool, n_quantiles, label=label, **settings)  # seed
             chosen[np.isin(boxes.box_id, drawn.box_id)] += label
         else:
-            log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), args.n_quantiles)
+            log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), n_quantiles)
     columns = (boxes.box_id, boxes.row0, boxes.col0, boxes.pct_urban_change, boxes.pct_exclusionary, boxes.index)
     header = ("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")
     _emit_csv(out, "sample.csv", header, column_rows(*columns, in_pools, chosen))

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .raster import check_positive, check_unit
+from .tableio import ColumnTable
 
 FORM_KINDS = ("triangular", "adjusted_normal", "asymmetric_normal")
 
@@ -116,19 +117,17 @@ class RunRecord:
             raise ValueError(_outside(self.box_id, self.cycle, self.ppv, self.npv))
 
 
-#: The columns of a run table and their dtypes.
-_RUN_COLUMNS = {"box_id": np.int64, "group": object, "cycle": np.int64, "ppv": np.float64, "npv": np.float64}
-
-
 @dataclass(frozen=True, eq=False)
-class RunTable:
+class RunTable(ColumnTable):
     """Assessed simulation runs as read-only columns, one row per run.
 
-    Each column is a copy of its argument, of the dtype in `_RUN_COLUMNS`;
-    `group` holds each label's `str` as given. `diff` is ppv - npv. A boolean
-    mask selects a sub-table in run order. A predictive value outside [0, 1]
-    is refused with the message a `RunRecord` gives for that row.
+    `group` holds each label's `str` as given, and `diff` is ppv - npv. A
+    predictive value outside [0, 1] is refused with the message a
+    `RunRecord` gives for that row.
     """
+
+    _name = "run table"
+    _dtypes = {"box_id": np.int64, "group": object, "cycle": np.int64, "ppv": np.float64, "npv": np.float64}
 
     box_id: NDArray[np.int64]
     group: NDArray[np.object_]
@@ -136,63 +135,40 @@ class RunTable:
     ppv: NDArray[np.float64]
     npv: NDArray[np.float64]
     diff: NDArray[np.float64] = field(init=False, repr=False)
-    __iter__ = None  # rows are selected by mask, not iterated
 
     def __post_init__(self):
-        for name, dtype in _RUN_COLUMNS.items():
-            try:
-                col = np.array(getattr(self, name), dtype=dtype)
-            except (OverflowError, TypeError) as exc:
-                raise ValueError(f"run table column {name!r}: {exc}") from None
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
-        shapes = {getattr(self, name).shape for name in _RUN_COLUMNS}
-        if len(shapes) != 1 or len(min(shapes)) != 1:
-            raise ValueError(f"run table columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+        super().__post_init__()
         inside = (0.0 <= self.ppv) & (self.ppv <= 1.0) & (0.0 <= self.npv) & (self.npv <= 1.0)
         if not inside.all():
             i = int(np.argmin(inside))
             raise ValueError(_outside(*(getattr(self, c)[i].item() for c in ("box_id", "cycle", "ppv", "npv"))))
-        diff = self.ppv - self.npv
-        diff.setflags(write=False)
-        object.__setattr__(self, "diff", diff)
+        self._set("diff", self.ppv - self.npv)
 
     @classmethod
     def of(cls, runs: RunTable | Sequence[RunRecord]) -> RunTable:
         """`runs` as a table: a table as it is, records gathered by column."""
-        return runs if isinstance(runs, RunTable) else cls(*([getattr(r, c) for r in runs] for c in _RUN_COLUMNS))
-
-    def __len__(self) -> int:
-        return self.box_id.size
-
-    def __getitem__(self, mask: NDArray[np.bool_]) -> RunTable:
-        return RunTable(*(getattr(self, c)[mask] for c in _RUN_COLUMNS))
+        return runs if isinstance(runs, RunTable) else cls(*([getattr(r, c) for r in runs] for c in cls._dtypes))
 
 
-#: A run table, or run records in run order.
-Runs = Union[RunTable, Sequence[RunRecord]]
-
-
-def factor_values(runs: Runs, form: ConvergenceForm) -> NDArray[np.float64]:
+def factor_values(runs: RunTable, form: ConvergenceForm) -> NDArray[np.float64]:
     """Factor value per run, in run order."""
-    return _factor_array(RunTable.of(runs).diff, form)
+    return _factor_array(runs.diff, form)
 
 
-def split_robustness(runs: Runs, final_cycle: int | None = None) -> dict[str, RunTable]:
+def split_robustness(runs: RunTable, final_cycle: int | None = None) -> dict[str, RunTable]:
     """Split runs into the two default robustness groups.
 
     `all_cycles` keeps everything; `final_cycles` keeps runs at or past
     `final_cycle` (default: only the largest cycle present). Both keep run
     order.
     """
-    table = RunTable.of(runs)
-    if not len(table):
+    if not len(runs):
         raise ValueError("no runs to split")
-    cutoff = table.cycle.max().item() if final_cycle is None else final_cycle
-    final = table[table.cycle >= cutoff]
+    cutoff = runs.cycle.max().item() if final_cycle is None else final_cycle
+    final = runs[runs.cycle >= cutoff]
     if not len(final):
         raise ValueError(f"no runs at or past cycle {cutoff}")
-    return {GROUP_ALL: table, GROUP_FINAL: final}
+    return {GROUP_ALL: runs, GROUP_FINAL: final}
 
 
 def check_final_cycle(final_cycle: int | None, cycles: Sequence[int] | NDArray[np.int64]) -> int | None:
@@ -246,15 +222,14 @@ class FitGrid:
             raise ValueError(f"degenerate fit for {label} in {group}: scale {scale} (identical values?)")
 
 
-def fit_by_form(groups: Mapping[str, Runs], forms: Sequence[ConvergenceForm]) -> FitGrid:
+def fit_by_form(groups: Mapping[str, RunTable], forms: Sequence[ConvergenceForm]) -> FitGrid:
     """ML normal fits of every form in every group, with the factor values they summarize."""
     values: list[list[NDArray[np.float64]]] = [[] for _ in forms]
     for group, runs in groups.items():
-        diff = RunTable.of(runs).diff
-        if not diff.size:
+        if not len(runs):
             raise ValueError(f"robustness group {group!r} is empty")
         for form, row in zip(forms, values):
-            row.append(_factor_array(diff, form))
+            row.append(_factor_array(runs.diff, form))
     fits = np.array([[fit_normal_ml(v) for v in row] for row in values]).reshape(len(forms), len(groups), 2)
     return FitGrid(tuple(forms), tuple(groups), fits[..., 0], fits[..., 1], tuple(map(tuple, values)))
 
@@ -390,12 +365,9 @@ def pp_curve(values: Sequence[float] | NDArray[np.float64], mu: float, sigma: fl
 # ---------------------------------------------------------------------------
 
 
-def factor_timeline(runs: Runs, forms: Sequence[ConvergenceForm]) -> list[tuple[int, dict[str, float]]]:
+def factor_timeline(runs: RunTable, forms: Sequence[ConvergenceForm]) -> list[tuple[int, dict[str, float]]]:
     """Mean factor value per form at each cycle that has runs, ascending."""
-    table = RunTable.of(runs)
-    out: list[tuple[int, dict[str, float]]] = []
-    for cycle in np.unique(table.cycle).tolist():
-        diff = table.diff[table.cycle == cycle]
-        means = {form.label: float(np.mean(_factor_array(diff, form))) for form in forms}
-        out.append((cycle, means))
-    return out
+    return [
+        (cycle, {form.label: float(np.mean(_factor_array(batch.diff, form))) for form in forms})
+        for cycle, batch in runs.group_by("cycle")
+    ]

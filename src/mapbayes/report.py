@@ -29,7 +29,7 @@ from .confusion import AgreementRates, ConfusionMatrix, agreement_rates, build_c
 from .convergence import (
     DEFAULT_ALPHA_GRID,
     MIN_PP_POINTS,
-    Runs,
+    RunRecord,
     RunTable,
     asymmetric_family,
     check_final_cycle,
@@ -44,7 +44,7 @@ from .raster import (
     BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_grid, threshold_scores, to_binary,
     to_scores,
 )
-from .tableio import column_rows, read_csv, write_csv, write_json
+from .tableio import column_rows, int64_id, read_csv, unit_value, write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -128,19 +128,6 @@ def group_label(label: str) -> str:
     if label == SCOPE_ALL:
         raise ValueError(f"group label {SCOPE_ALL!r} is reserved for the scope of all runs")
     return label
-
-
-def unit_value(text: str) -> float:
-    """The number `text` spells if it lies in [0, 1]: a predictive value or a KDE sample."""
-    return check_unit("value", float(text))
-
-
-def int64_id(text: str) -> int:
-    """The integer `text` spells if it fits in int64: a box id or a cycle."""
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"id must fit in a 64-bit integer, got {text!r}")
-    return value
 
 
 def input_kind(kind: str) -> str:
@@ -261,39 +248,35 @@ def assess_pair(
 # ---------------------------------------------------------------------------
 
 
-def group_summaries(records: Runs) -> dict[str, dict[str, Any]]:
+def group_summaries(runs: RunTable) -> dict[str, dict[str, Any]]:
     """Per-group cycle trajectories of the predictive values.
 
-    For each group that a record carries: mean PPV and NPV per cycle, the
+    For each group that a run carries: mean PPV and NPV per cycle, the
     sign of mean PPV - mean NPV per cycle (+1/0/-1), and a small convergence
     summary (run count, mean absolute difference, final-cycle means).
 
     Raises:
         ValueError: A group labelled `SCOPE_ALL` (see `group_label`).
     """
-    table = RunTable.of(records)
     out: dict[str, dict[str, Any]] = {}
-    for label in np.unique(table.group).tolist():
-        batch = table[table.group == group_label(label)]
-        cycles = np.unique(batch.cycle).tolist()
+    for label, batch in runs.group_by("group"):
         per_cycle = {}
-        for cyc in cycles:
-            here = batch.cycle == cyc
-            mean_ppv = float(np.mean(batch.ppv[here]))
-            mean_npv = float(np.mean(batch.npv[here]))
+        for cyc, here in batch.group_by("cycle"):
+            mean_ppv = float(np.mean(here.ppv))
+            mean_npv = float(np.mean(here.npv))
             per_cycle[cyc] = {
                 "mean_ppv": mean_ppv,
                 "mean_npv": mean_npv,
                 "dominance_sign": int(np.sign(mean_ppv - mean_npv)),
             }
-        final = per_cycle[cycles[-1]]
-        out[label] = {
+        last = max(per_cycle)
+        out[group_label(label)] = {
             "cycles": per_cycle,
             "n_runs": len(batch),
             "mean_abs_difference": float(np.mean(np.abs(batch.diff))),
-            "final_cycle": cycles[-1],
-            "final_mean_ppv": final["mean_ppv"],
-            "final_mean_npv": final["mean_npv"],
+            "final_cycle": last,
+            "final_mean_ppv": per_cycle[last]["mean_ppv"],
+            "final_mean_npv": per_cycle[last]["mean_npv"],
         }
     return out
 
@@ -419,7 +402,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
 
 
 def analyze_scopes(
-    runs: Runs,
+    runs: RunTable,
     out_dir: Path,
     *,
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
@@ -439,11 +422,8 @@ def analyze_scopes(
             `final_cycle` that `check_final_cycle` refuses, before anything
             is written.
     """
-    runs = RunTable.of(runs)
     check_final_cycle(final_cycle, runs.cycle)
-    scopes = {SCOPE_ALL: runs}
-    for label in np.unique(runs.group).tolist():
-        scopes[group_label(label)] = runs[runs.group == label]
+    scopes = {SCOPE_ALL: runs, **{group_label(g): batch for g, batch in runs.group_by("group")}}
 
     forms = asymmetric_family(alpha_grid)
     labels = [f.label for f in forms]
@@ -552,7 +532,7 @@ def read_runs_csv(path: str | Path) -> RunTable:
     return RunTable(*read_csv(path, _RUNS_CSV))
 
 
-def write_runs_csv(path: Path, runs: Runs) -> Path:
+def write_runs_csv(path: Path, runs: RunTable | Sequence[RunRecord]) -> Path:
     t = RunTable.of(runs)
     rows = column_rows(t.box_id, t.group, t.cycle, t.ppv, t.npv)
     return write_csv(path, tuple(_RUNS_CSV), rows)

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .raster import BinaryGrid, check_aligned, check_count, check_nonnegative
+from .tableio import ColumnTable
 
 #: Pool label -> minimum change-to-exclusion index for membership.
 POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
@@ -25,24 +26,19 @@ POOL_THRESHOLDS: Mapping[str, float] = {"A": 0.0, "B": 0.5, "C": 1.0}
 DEFAULT_QUANTILES = 30
 
 
-#: The columns a box table is built from, and their dtypes; `index` is derived from the two shares.
-_BOX_COLUMNS = {
-    "box_id": np.int64, "row0": np.int64, "col0": np.int64, "pct_urban_change": np.float64,
-    "pct_exclusionary": np.float64,
-}
-
-
 @dataclass(frozen=True, eq=False)
-class BoxTable:
+class BoxTable(ColumnTable):
     """The boxes of a tiled region as read-only columns, one row per box.
 
-    Each column is a copy of its argument, of the dtype in `_BOX_COLUMNS`.
     `row0` and `col0` are a box's first row and column, the two `pct_`
     columns its shares of change and of exclusionary cells, and `index` the
     change-to-exclusion index of those shares (`change_exclusion_index`,
-    which refuses a share that is negative or not finite). A boolean mask,
-    or an array of row positions, selects a sub-table in that order.
+    which refuses a share that is negative or not finite).
     """
+
+    _name = "box table"
+    _dtypes = {"box_id": np.int64, "row0": np.int64, "col0": np.int64,
+               "pct_urban_change": np.float64, "pct_exclusionary": np.float64}
 
     box_id: NDArray[np.int64]
     row0: NDArray[np.int64]
@@ -50,28 +46,10 @@ class BoxTable:
     pct_urban_change: NDArray[np.float64]
     pct_exclusionary: NDArray[np.float64]
     index: NDArray[np.float64] = field(init=False, repr=False)
-    __iter__ = None  # rows are selected by mask or position, not iterated
 
     def __post_init__(self):
-        for name, dtype in _BOX_COLUMNS.items():
-            try:
-                col = np.array(getattr(self, name), dtype=dtype)
-            except (OverflowError, TypeError) as exc:
-                raise ValueError(f"box table column {name!r}: {exc}") from None
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
-        shapes = {getattr(self, name).shape for name in _BOX_COLUMNS}
-        if len(shapes) != 1 or len(min(shapes)) != 1:
-            raise ValueError(f"box table columns must be 1-D and of one length, got shapes {sorted(shapes)}")
-        index = change_exclusion_index(self.pct_urban_change, self.pct_exclusionary)
-        index.setflags(write=False)
-        object.__setattr__(self, "index", index)
-
-    def __len__(self) -> int:
-        return self.box_id.size
-
-    def __getitem__(self, rows: NDArray[np.bool_] | NDArray[np.intp]) -> BoxTable:
-        return BoxTable(*(getattr(self, c)[rows] for c in _BOX_COLUMNS))
+        super().__post_init__()
+        self._set("index", change_exclusion_index(self.pct_urban_change, self.pct_exclusionary))
 
 
 def change_exclusion_index(pct_urban_change: ArrayLike, pct_exclusionary: ArrayLike) -> NDArray[np.float64]:
@@ -87,7 +65,7 @@ def change_exclusion_index(pct_urban_change: ArrayLike, pct_exclusionary: ArrayL
     """
     change = _shares("pct_urban_change", pct_urban_change)
     excl = _shares("pct_exclusionary", pct_exclusionary)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(excl > 0.0, change / excl, np.where(change > 0.0, np.inf, 0.0))
 
 

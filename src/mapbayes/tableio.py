@@ -1,11 +1,12 @@
-"""Table I/O: CSV tables read and written one way, UTF-8 text, stable JSON.
+"""Tables: one column table class, CSV read and written one way, UTF-8 text, stable JSON.
 
-Every CSV input is read by `read_csv`, which takes one parser per column,
-and every CSV output is written by `write_csv`; `column_rows` turns whole
-columns into rows, floats through `raster.format_floats`. `write_json`
-writes floats with the same six significant digits, so byte-identical
-reruns hash identically. The module needs only `raster`, so a subcommand
-that reads or writes a table loads no analysis module for it.
+`ColumnTable` is the base of `RunTable` and `BoxTable`. Every CSV input is
+read by `read_csv`, which takes one parser per column (`unit_value` and
+`int64_id` are shared), and every CSV output is written by `write_csv`;
+`column_rows` turns whole columns into rows, floats through
+`raster.format_floats`. `write_json` writes floats with the same six
+significant digits, so byte-identical reruns hash identically. The module
+needs only `raster`, so a subcommand loads no analysis module for a table.
 """
 
 from __future__ import annotations
@@ -13,15 +14,81 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, TypeVar
 
-from numpy.typing import NDArray
+import numpy as np
+from numpy.typing import DTypeLike, NDArray
 
-from .raster import format_float, format_floats
+from .raster import check_unit, format_float, format_floats
 
 #: Rows that `column_rows` formats at a time.
 _BLOCK_ROWS = 4096
+
+_Table = TypeVar("_Table", bound="ColumnTable")
+
+
+class ColumnTable:
+    """Read-only columns of one length, one row per item: the base of the frozen dataclass tables.
+
+    A subclass's init fields, named with their dtypes in `_dtypes`, are each
+    copied into a read-only array of that dtype; its `__post_init__` checks
+    the rows and sets its derived fields with `_set`, once. A boolean mask or
+    an array of row positions selects a sub-table by slicing every column,
+    with nothing checked or derived again, and `group_by` splits the rows by
+    one column's values, keeping their order. Rows are not iterated.
+    """
+
+    #: The table's name in its messages, and its argument columns with their dtypes.
+    _name: ClassVar[str]
+    _dtypes: ClassVar[Mapping[str, DTypeLike]]
+    __iter__ = None
+
+    def __post_init__(self) -> None:
+        for name, dtype in self._dtypes.items():
+            try:
+                self._set(name, np.array(getattr(self, name), dtype=dtype))
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"{self._name} column {name!r}: {exc}") from None
+        shapes = {getattr(self, name).shape for name in self._dtypes}
+        if len(shapes) != 1 or len(min(shapes)) != 1:
+            raise ValueError(f"{self._name} columns must be 1-D and of one length, got shapes {sorted(shapes)}")
+
+    def _set(self, name: str, column: NDArray[Any]) -> None:
+        column.setflags(write=False)
+        object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return getattr(self, next(iter(self._dtypes))).size
+
+    def __getitem__(self: _Table, rows: NDArray[np.bool_] | NDArray[np.intp]) -> _Table:
+        sub = object.__new__(type(self))
+        for f in fields(self):
+            sub._set(f.name, getattr(self, f.name)[rows])
+        return sub
+
+    def group_by(self: _Table, column: str) -> Iterator[tuple[Any, _Table]]:
+        """(value, sub-table of its rows) per distinct `column` value, ascending, each sliced when reached."""
+        order = np.argsort(getattr(self, column), kind="stable")
+        ordered = getattr(self, column)[order]
+        # Where each value's run of rows starts; the cut to `ordered.size` leaves none in an empty table.
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]][: ordered.size])
+        for key, rows in zip(ordered[starts].tolist(), np.split(order, starts[1:])):
+            yield key, self[rows]
+
+
+def unit_value(text: str) -> float:
+    """The number `text` spells if it lies in [0, 1]: a predictive value or a KDE sample."""
+    return check_unit("value", float(text))
+
+
+def int64_id(text: str) -> int:
+    """The integer `text` spells if it fits in int64: a box id or a cycle."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"id must fit in a 64-bit integer, got {text!r}")
+    return value
 
 
 def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> tuple[list[Any], ...]:

@@ -18,6 +18,7 @@ from mapbayes import (
     BinaryGrid,
     Convention,
     ConvergenceForm,
+    RunTable,
     SynthConfig,
     agreement_rates,
     asymmetric_family,
@@ -196,9 +197,9 @@ def test_criterion_06_planted_offset_recovery(capsys, tmp_path):
         for planted in (0.0, 0.25, 0.5):
             hits = 0
             for seed in range(20):
-                runs = generate_run_table(
+                runs = RunTable.of(generate_run_table(
                     SynthConfig(seed=seed, planted_offset=planted, score_noise=0.3)
-                )
+                ))
                 table = dominance_table(fit_by_form(split_robustness(runs), forms))
                 if table.selected_form.alpha == planted:
                     hits += 1
@@ -206,7 +207,7 @@ def test_criterion_06_planted_offset_recovery(capsys, tmp_path):
 
         # The full analysis emits the dominance table in its documented
         # shape: one row per (scope, form), exactly one selected per scope.
-        runs = generate_run_table(SynthConfig(seed=0, planted_offset=0.25, score_noise=0.3))
+        runs = RunTable.of(generate_run_table(SynthConfig(seed=0, planted_offset=0.25, score_noise=0.3)))
         analyze_scopes(runs, tmp_path)
         lines = (tmp_path / "dominance.csv").read_text().splitlines()
         assert lines[0] == (

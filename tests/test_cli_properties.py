@@ -1,0 +1,85 @@
+"""Metamorphic property tests over the `converge` chain, run in process through `cli.main`.
+
+Two relations hold `converge` to account over small generated run tables:
+the order of the rows of runs.csv changes nothing it writes or prints, and
+renaming the groups without changing their order only renames the
+per-scope files. Both pass through `RunTable.group_by`, which splits the
+scopes and the cycles.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapbayes import RunTable, SynthConfig, generate_run_table
+from mapbayes.cli import main
+from mapbayes.report import write_runs_csv
+
+#: The files that hold one scope each, by prefix.
+SCOPE_FILES = ("kde_", "ppcurve_")
+
+
+@st.composite
+def run_tables(draw):
+    """A small planted run table: 3 to 9 boxes in groups A, B and C, over 2 to 4 cycles."""
+    cfg = SynthConfig(
+        seed=draw(st.integers(0, 2**16)),
+        planted_offset=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        score_noise=draw(st.sampled_from([0.1, 0.3])),
+    )
+    cycles = tuple(range(1, draw(st.integers(2, 4)) + 1))
+    return RunTable.of(generate_run_table(cfg, n_boxes=draw(st.integers(3, 9)), cycles=cycles))
+
+
+def converge(runs_csv, out):
+    """What `converge` prints, and the files it writes by name."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["converge", "--runs", str(runs_csv), "--out", str(out)]) == 0
+    return stdout.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@settings(max_examples=20, deadline=None)
+@given(run_tables(), st.randoms(use_true_random=False))
+def test_shuffling_the_rows_of_runs_csv_changes_nothing(runs, rng):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        header, *rows = write_runs_csv(tmp / "runs.csv", runs).read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(rows)
+        (tmp / "shuffled.csv").write_text(header + "".join(rows), encoding="utf-8")
+        assert converge(tmp / "shuffled.csv", tmp / "b") == converge(tmp / "runs.csv", tmp / "a")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    run_tables(),
+    st.lists(st.text("abcXYZ019_-", min_size=1, max_size=4).filter(lambda s: s != "all"), min_size=3, max_size=3,
+             unique=True),
+)
+def test_renaming_the_groups_in_order_renames_only_the_scope_files(runs, labels):
+    new = dict(zip("ABC", sorted(labels)))
+    renamed = RunTable(runs.box_id, [new[g] for g in runs.group.tolist()], runs.cycle, runs.ppv, runs.npv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        stdout, files = converge(write_runs_csv(tmp / "runs.csv", runs), tmp / "a")
+        new_stdout, new_files = converge(write_runs_csv(tmp / "renamed.csv", renamed), tmp / "b")
+
+    def rename(name):
+        for prefix in SCOPE_FILES:
+            if name.startswith(prefix) and name != f"{prefix}all.csv":
+                return prefix + new[name[len(prefix) : -len(".csv")]] + ".csv"
+        return name
+
+    assert {rename(name) for name in files} == set(new_files)
+    for name, text in files.items():
+        if name.startswith(SCOPE_FILES) or name == "timeline.csv":
+            assert new_files[rename(name)] == text, name
+    scopes = json.loads(files["summary.json"])["scopes"]
+    assert json.loads(new_files["summary.json"])["scopes"] == {new.get(s, s): v for s, v in scopes.items()}
+    selected, new_selected = (dict(line.split(" ", 1) for line in out.splitlines()) for out in (stdout, new_stdout))
+    assert {new.get(s, s): rest for s, rest in selected.items()} == new_selected

@@ -126,7 +126,7 @@ class TestConvergenceFactor:
             for i in range(50)
         ]
         form = ConvergenceForm("asymmetric_normal", 0.25)
-        vec = factor_values(runs, form)
+        vec = factor_values(RunTable.of(runs), form)
         assert vec.shape == (50,)
         for r, v in zip(runs, vec):
             assert v == convergence_factor(r.ppv, r.npv, form)
@@ -220,11 +220,12 @@ class TestRunTable:
         with pytest.raises(TypeError):
             iter(self.table())
 
-    def test_factor_values_alike_for_table_and_records(self):
+    def test_factor_values_of_a_table_match_its_records(self):
         rng = np.random.default_rng(73)
         records = [run(box_id=i, ppv=float(rng.uniform()), npv=float(rng.uniform())) for i in range(30)]
         form = ConvergenceForm("asymmetric_normal", 0.5)
-        assert np.array_equal(factor_values(RunTable.of(records), form), factor_values(records, form))
+        expected = [convergence_factor(r.ppv, r.npv, form) for r in records]
+        assert np.array_equal(factor_values(RunTable.of(records), form), expected)
 
 
 class TestSplitRobustness:
@@ -233,26 +234,26 @@ class TestSplitRobustness:
 
     def test_default_cutoff_is_last_cycle(self):
         runs = self.make_runs()
-        groups = split_robustness(runs)
+        groups = split_robustness(RunTable.of(runs))
         assert set(groups) == {GROUP_ALL, GROUP_FINAL}
         assert len(groups[GROUP_ALL]) == 9
         assert_columns(groups[GROUP_FINAL], [r for r in runs if r.cycle == 3])
 
     def test_explicit_cutoff_is_inclusive(self):
         runs = self.make_runs()
-        groups = split_robustness(runs, final_cycle=2)
+        groups = split_robustness(RunTable.of(runs), final_cycle=2)
         assert_columns(groups[GROUP_FINAL], [r for r in runs if r.cycle >= 2])
 
     def test_all_group_keeps_input_order(self):
         runs = self.make_runs()
-        groups = split_robustness(runs)
+        groups = split_robustness(RunTable.of(runs))
         assert_columns(groups[GROUP_ALL], runs)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no runs"):
-            split_robustness([])
+            split_robustness(RunTable.of([]))
         with pytest.raises(ValueError, match="at or past"):
-            split_robustness(self.make_runs(), final_cycle=10)
+            split_robustness(RunTable.of(self.make_runs()), final_cycle=10)
 
 
 class TestCheckFinalCycle:
@@ -317,7 +318,7 @@ class TestFitByForm:
             for i in range(10)
             for c in (1, 2)
         ]
-        groups = split_robustness(runs)
+        groups = split_robustness(RunTable.of(runs))
         forms = asymmetric_family((0.0, 0.5))
         grid = fit_by_form(groups, forms)
         assert (grid.forms, grid.groups) == (tuple(forms), tuple(groups))
@@ -327,19 +328,19 @@ class TestFitByForm:
                 assert (grid.mu[f, g], grid.sigma[f, g]) == fit_normal_ml(factor_values(groups[group], form))
 
     def test_identical_factor_values_are_degenerate(self):
-        runs = [run(box_id=i, ppv=0.6, npv=0.4) for i in range(5)]
+        runs = RunTable.of([run(box_id=i, ppv=0.6, npv=0.4) for i in range(5)])
         with pytest.raises(ValueError, match="degenerate fit"):
             fit_by_form({"only": runs, "also": runs}, [ConvergenceForm("triangular")])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_by_form({"a": []}, [ConvergenceForm("triangular")])
+            fit_by_form({"a": RunTable.of([])}, [ConvergenceForm("triangular")])
 
     def test_fits_keep_the_values_they_summarize(self):
         rng = np.random.default_rng(89)
         pv = rng.uniform(size=(16, 2)).tolist()
         runs = [run(box_id=k // 2, cycle=k % 2 + 1, ppv=pv[k][0], npv=pv[k][1]) for k in range(16)]
-        groups = split_robustness(runs)
+        groups = split_robustness(RunTable.of(runs))
         grid = fit_by_form(groups, asymmetric_family((0.0, 0.5)))
         for f, form in enumerate(grid.forms):
             for g, group in enumerate(grid.groups):
@@ -605,11 +606,11 @@ class TestPPCurve:
 
 class TestFactorTimeline:
     def make_runs(self):
-        return [
+        return RunTable.of([
             run(box_id=0, cycle=2, ppv=0.8, npv=0.4),
             run(box_id=0, cycle=1, ppv=0.9, npv=0.3),
             run(box_id=1, cycle=1, ppv=0.7, npv=0.5),
-        ]
+        ])
 
     def test_means_per_cycle_ascending(self):
         tri = ConvergenceForm("triangular")

@@ -1,7 +1,8 @@
 """The import boundary: a command loads only the mapbayes modules it calls.
 
-`import mapbayes` loads no submodule, and `sample` loads only `cli`,
-`raster`, `sampling` and `tableio`. Each boundary is checked in a fresh
+`import mapbayes` loads no submodule; `sample` loads only `cli`, `raster`,
+`sampling` and `tableio`, `kde` only `cli`, `raster`, `tableio` and `kde`,
+and `converge` no `sampling`. Each boundary is checked in a fresh
 interpreter, since this one has loaded every module already.
 """
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 import mapbayes
-from mapbayes import BinaryGrid, write_grid
+from mapbayes import BinaryGrid, RunTable, write_grid
+from mapbayes.report import write_runs_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,6 +53,28 @@ def test_sample_loads_no_analysis_module(tmp_path):
     assert (tmp_path / "out" / "sample.csv").is_file()
     assert not loaded & ANALYSIS
     assert loaded == {"mapbayes", "mapbayes.cli", "mapbayes.raster", "mapbayes.sampling", "mapbayes.tableio"}
+
+
+def test_kde_loads_only_the_density_module(tmp_path):
+    samples = tmp_path / "samples.csv"
+    rng = np.random.default_rng(5)
+    rows = [f"pos,{v}" for v in rng.uniform(0.4, 1.0, 40)] + [f"neg,{v}" for v in rng.uniform(0.0, 0.6, 40)]
+    samples.write_text("label,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["kde", "--samples", str(samples), "--out", str(tmp_path / "out")]
+    loaded = modules_after(f"import mapbayes.cli\nassert mapbayes.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out" / "kde.csv").is_file()
+    assert loaded == {"mapbayes", "mapbayes.cli", "mapbayes.raster", "mapbayes.tableio", "mapbayes.kde"}
+
+
+def test_converge_loads_no_sampling(tmp_path):
+    rng = np.random.default_rng(6)
+    n = 60
+    runs = RunTable(np.arange(n), ["AB"[i % 2] for i in range(n)], np.arange(n) % 3 + 1, rng.uniform(0, 1, n),
+                    rng.uniform(0, 1, n))
+    argv = ["converge", "--runs", str(write_runs_csv(tmp_path / "runs.csv", runs)), "--out", str(tmp_path / "out")]
+    loaded = modules_after(f"import mapbayes.cli\nassert mapbayes.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out" / "summary.json").is_file()
+    assert "mapbayes.convergence" in loaded and "mapbayes.sampling" not in loaded
 
 
 def test_a_wrapper_set_before_its_module_loads_is_the_function_called(tmp_path):

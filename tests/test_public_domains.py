@@ -80,7 +80,7 @@ TABLE = {
         dict(box_id=0, group="A", cycle=1, ppv=0.6, npv=0.4),
         {"box_id": None, "cycle": None, "ppv": ROW, "npv": ROW},
     ),
-    "split_robustness": (dict(runs=[mapbayes.RunRecord(0, "A", 1, 0.6, 0.4)]), {"final_cycle": None}),
+    "split_robustness": (dict(runs=mapbayes.RunTable([0], ["A"], [1], [0.6], [0.4])), {"final_cycle": None}),
     "pp_curve": (dict(values=[0.2, 0.4, 0.6], mu=0.4, sigma=0.2), {"mu": UNIT, "sigma": POSITIVE}),
     "KdeModel": (dict(samples=np.array([0.2, 0.5])), {"bandwidth": POSITIVE}),
     "fit_kde": (dict(samples=[0.2, 0.5, 0.7]), {"bandwidth": POSITIVE}),

@@ -22,6 +22,7 @@ from mapbayes import (
     BinaryGrid,
     Grid,
     RunRecord,
+    RunTable,
     SynthConfig,
     agreement_rates,
     build_confusion,
@@ -140,7 +141,7 @@ class TestOneRuleOneFunction:
             ("alpha must be in [0, 1]", ()),
             ("is reserved for the scope of all runs", ("report.py", "group_label")),
             ("value must be in [0, 1]", ()),
-            ("must fit in a 64-bit integer", ("report.py", "int64_id")),
+            ("must fit in a 64-bit integer", ("tableio.py", "int64_id")),
             ("share the label", ("convergence.py", "asymmetric_family")),
             ("must be a rate in [0, 1]", ()),
             ("is not UTF-8", ("tableio.py", "read_utf8")),
@@ -153,6 +154,7 @@ class TestOneRuleOneFunction:
             ("percentages must be non-negative", ()),
             ("final_cycle must be above the first cycle", ("convergence.py", "check_final_cycle")),
             ("unknown group label", ()),
+            ("1-D and of one length", ("tableio.py", "__post_init__")),
         ],
     )
     def test_each_input_rule_is_written_once(self, message, place):
@@ -160,6 +162,11 @@ class TestOneRuleOneFunction:
         # A place of () marks a field's own copy of a rule that its domain's
         # rule in raster.py now spells: that copy must not come back.
         assert functions_spelling(re.escape(message)) == ({place} if place else set())
+
+
+    def test_records_become_a_table_only_where_runs_csv_is_written(self):
+        # Every analysis takes a RunTable; a second conversion would let records back in.
+        assert functions_spelling(r"RunTable\.of\(") == {("report.py", "write_runs_csv")}
 
 
 class TestNoWarnings:
@@ -714,16 +721,11 @@ def test_rows_match_the_field_by_field_reference(pairs, convention):
 
 
 class TestGroupSummaries:
-    def make_records(self):
-        return [
-            RunRecord(box_id=0, group="A", cycle=1, ppv=0.8, npv=0.4),
-            RunRecord(box_id=1, group="A", cycle=1, ppv=0.6, npv=0.6),
-            RunRecord(box_id=0, group="A", cycle=2, ppv=0.5, npv=0.7),
-            RunRecord(box_id=2, group="B", cycle=1, ppv=0.5, npv=0.5),
-        ]
+    def make_runs(self):
+        return RunTable([0, 1, 0, 2], ["A", "A", "A", "B"], [1, 1, 2, 1], [0.8, 0.6, 0.5, 0.5], [0.4, 0.6, 0.7, 0.5])
 
     def test_per_cycle_means_and_signs(self):
-        out = group_summaries(self.make_records())
+        out = group_summaries(self.make_runs())
         a = out["A"]
         assert a["n_runs"] == 3
         assert a["cycles"][1]["mean_ppv"] == pytest.approx(0.7)
@@ -737,13 +739,12 @@ class TestGroupSummaries:
         assert "C" not in out
 
     def test_any_group_label_is_summarised(self):
-        recs = [RunRecord(box_id=0, group="Z", cycle=1, ppv=0.5, npv=0.25)]
-        out = group_summaries(recs)
+        out = group_summaries(RunTable([0], ["Z"], [1], [0.5], [0.25]))
         assert list(out) == ["Z"]
         assert out["Z"]["n_runs"] == 1
         assert out["Z"]["cycles"][1]["dominance_sign"] == 1
         with pytest.raises(ValueError, match="'all' is reserved for the scope of all runs"):
-            group_summaries([RunRecord(box_id=0, group="all", cycle=1, ppv=0.5, npv=0.5)])
+            group_summaries(RunTable([0], ["all"], [1], [0.5], [0.5]))
 
     def test_a_job_summarises_the_groups_it_analyses(self, tmp_path):
         layout = [(box, "Z" if group == "A" else group, cycle, kind) for box, group, cycle, kind in JOB_LAYOUT]
@@ -961,7 +962,7 @@ class TestAnalyzeScopes:
     def test_standalone_on_run_records(self, tmp_path):
         from mapbayes import SynthConfig, generate_run_table
 
-        runs = generate_run_table(SynthConfig(seed=3, planted_offset=0.25))
+        runs = RunTable.of(generate_run_table(SynthConfig(seed=3, planted_offset=0.25)))
         files, summaries = analyze_scopes(runs, tmp_path)
         names = {f.name for f in files}
         assert "timeline.csv" in names
@@ -971,14 +972,14 @@ class TestAnalyzeScopes:
         assert summaries["all"]["selected_alpha"] == 0.25
 
     def test_a_group_named_all_is_refused_before_anything_is_written(self, tmp_path):
-        runs = [RunRecord(i, "all" if i % 2 else "B", 1, 0.1 * (i % 9), 0.5) for i in range(80)]
+        runs = RunTable.of([RunRecord(i, "all" if i % 2 else "B", 1, 0.1 * (i % 9), 0.5) for i in range(80)])
         with pytest.raises(ValueError, match="group label 'all' is reserved for the scope of all runs"):
             analyze_scopes(runs, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_an_empty_alpha_grid_is_refused_before_anything_is_written(self, tmp_path):
         # It would write a timeline.csv of cycles alone and fail every scope's comparison.
-        runs = generate_run_table(SynthConfig(seed=3))
+        runs = RunTable.of(generate_run_table(SynthConfig(seed=3)))
         with pytest.raises(ValueError, match="^alpha grid is empty$"):
             analyze_scopes(runs, tmp_path, alpha_grid=())
         assert list(tmp_path.iterdir()) == []
@@ -996,7 +997,7 @@ class TestAnalyzeScopes:
             return evaluate(model, x)
 
         monkeypatch.setattr(KdeModel, "evaluate", counting_evaluate)
-        runs = generate_run_table(SynthConfig(seed=3, planted_offset=0.5))
+        runs = RunTable.of(generate_run_table(SynthConfig(seed=3, planted_offset=0.5)))
         _, summaries = analyze_scopes(runs, tmp_path)
         scopes = {"all", "A", "B", "C"}
         assert scopes <= set(summaries)
@@ -1022,16 +1023,16 @@ class TestAnalyzeScopes:
 
         monkeypatch.setattr(report, "fit_by_form", spy_fit)
         monkeypatch.setattr(report, "pp_curve", spy_pp)
-        analyze_scopes(generate_run_table(SynthConfig(seed=3, planted_offset=0.25)), tmp_path)
+        analyze_scopes(RunTable.of(generate_run_table(SynthConfig(seed=3, planted_offset=0.25))), tmp_path)
         assert len(plotted) == 4
         assert all(any(v is f for f in fitted) for v in plotted)
 
     def test_degenerate_scope_records_errors(self, tmp_path):
-        runs = [
+        runs = RunTable.of([
             RunRecord(box_id=i, group="A", cycle=c, ppv=0.6, npv=0.4)
             for i in range(4)
             for c in (1, 2)
-        ]
+        ])
         files, summaries = analyze_scopes(runs, tmp_path)
         entry = summaries["all"]
         # Identical predictive values everywhere: no density spread, no

@@ -84,6 +84,11 @@ class TestChangeExclusionIndex:
         with pytest.raises(ValueError, match=rf"^pct_exclusionary must be non-negative and finite, got {bad}$"):
             change_exclusion_index(np.array([0.1, 0.2, 0.3]), np.array([0.5, bad, -1.0]))
 
+    def test_a_ratio_past_the_largest_float_is_inf_without_a_warning(self):
+        # The suite turns warnings into errors: an overflow warning here fails the test.
+        assert change_exclusion_index(1.0, 1e-309).tolist() == math.inf
+        assert change_exclusion_index(np.array([2.0, 0.5]), np.array([5e-324, 0.25])).tolist() == [math.inf, 2.0]
+
     def test_a_bool_column_is_refused(self):
         with pytest.raises(ValueError, match=r"^pct_urban_change must be non-negative and finite, got True$"):
             change_exclusion_index(np.array([True, False]), np.array([0.5, 0.5]))

@@ -2,12 +2,14 @@
 
 The on-disk format is the classic six-line ASCII grid header (ncols, nrows,
 xllcorner, yllcorner, cellsize, NODATA_value) followed by one line of
-space-separated values per row, top row first. Files written here use at most
-six significant digits and newline endings, and reload byte-identically.
+space-separated values per row, top row first. Files written here hold body
+values of at most six significant digits, an exact origin and cell size, and
+newline endings, and they reload byte-identically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -46,8 +48,10 @@ class GridFormatError(ValueError):
 def format_floats(values: Iterable[float | None]) -> list[str]:
     """Canonical text of each value: up to 6 significant digits, '' for None.
 
-    Every float that mapbayes writes goes through here. Give a numpy column
-    as `.tolist()`: formatting Python floats is faster.
+    Every float that mapbayes writes is this text, bar a raster header's
+    origin and cell size (see `write_grid`). `write_grid` builds the same
+    bytes from integer digits for most cells, without a call per cell. Give
+    a numpy column as `.tolist()`: formatting Python floats is faster.
     """
     return ["" if v is None else "%.6g" % v for v in values]
 
@@ -426,28 +430,56 @@ def _parse_body(body: list[str], ncols: int) -> FloatArray:
     return np.array(rows, dtype=np.float64)
 
 
-def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
-    """Write a raster as an ASCII grid (canonical form, 6 significant digits).
+#: Cells in one block of rows that `write_grid` writes at a time, so that
+#: its working arrays stay small next to the grid.
+_BLOCK_CELLS = 1 << 16
 
-    A grid whose values are all integers from 0 to 9 is written by stride,
-    one digit and one separator byte per cell; any other grid is formatted
-    value by value. Both give the same bytes.
+
+def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
+    """Write a raster as an ASCII grid (canonical form).
+
+    Every body value is written as `format_floats` writes it. The body is
+    written in blocks of whole rows of about `_BLOCK_CELLS` cells, each by
+    the first of three routes that takes it. A block whose values are all
+    integers from 0 to 9 is written by stride, one digit and one separator
+    byte per cell (`_stride_text`). Any other block is written from the
+    integer digits of its fixed-point cells (`_slot_text`), unless more
+    than an eighth of its cells (or of every 16th cell) are neither
+    fixed-point nor nodata: such blocks, of unrounded scores for one, are
+    formatted value by value. All three routes give the same bytes.
+
+    The header's `NODATA_value` is written by `format_floats` too, so that
+    the body's nodata cells spell it alike. Its origin and cell size are
+    written by `format_floats` when that text reads back as the same float,
+    and by `repr` otherwise, so a reloaded grid lines up with its source.
     """
     if isinstance(grid, (BinaryGrid, ScoreGrid)):
         grid = grid.as_grid()
-    x, y, size, nodata = format_floats((grid.origin_x, grid.origin_y, grid.cell_size, grid.nodata))
+    x, y, size = (_exact_text(v) for v in (grid.origin_x, grid.origin_y, grid.cell_size))
     head = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
-    head += [f"cellsize {size}", f"NODATA_value {nodata}"]
-    body = _stride_text(grid.values)
+    head += [f"cellsize {size}", f"NODATA_value {format_float(grid.nodata)}"]
+    values, nodata = grid.values, grid.nodata_mask()
+    step = max(1, _BLOCK_CELLS // grid.cols)
     with Path(path).open("wb") as fh:
         fh.write(("\n".join(head) + "\n").encode("ascii"))
-        fh.write(_format_body(grid.values) if body is None else body)
+        for r in range(0, grid.rows, step):
+            block = values[r : r + step]
+            text = _stride_text(block)
+            if text is None:
+                text = _slot_text(block, nodata[r : r + step])
+            fh.write(_format_body(block) if text is None else text)
+
+
+def _exact_text(x: float) -> str:
+    """`format_float(x)` if it reads back as `x` (NaN as NaN), else the shortest text that does."""
+    text = format_float(x)
+    return text if float(text) == x or x != x else repr(float(x))
 
 
 def _stride_text(values: FloatArray) -> NDArray[np.uint8] | None:
     """The body text of `values` as bytes, or None unless every value is an integer from 0 to 9.
 
-    -0.0 prints as "-0" and NaN as "nan", so both leave it to `_format_body`.
+    -0.0 prints as "-0" and NaN as "nan", so both leave it to `_slot_text`.
     """
     if not (values.min() >= 0.0 and values.max() <= 9.0) or np.signbit(values).any():  # a NaN fails min
         return None
@@ -460,8 +492,84 @@ def _stride_text(values: FloatArray) -> NDArray[np.uint8] | None:
     return text
 
 
+@functools.cache
+def _digit_words() -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
+    """The text of a fixed-point cell k = 1000 * hi + lo (0 <= k <= 1e6), as little-endian words.
+
+    `head[2 * hi + (lo == 0)]` holds text bytes 0-4: "0." and the three
+    digits of hi, or "0" and "1" alone for k = 0 and k = 1e6. `tail[lo]`
+    holds bytes 5-7, the three digits of lo. Trailing zeros are NUL bytes,
+    and so is every byte past the text; OR-ing the two words gives the text.
+    """
+    head = []
+    for hi in range(1001):
+        digits = f"{hi // 1000}.{hi % 1000:03d}"
+        head += [digits, digits.rstrip("0").rstrip(".")]
+    tail = [b"\0" * 5 + f"{lo:03d}".rstrip("0").encode("ascii") for lo in range(1000)]
+    words = np.array(head, "S8").view("<u8"), np.array(tail, "S8").view("<u8")
+    for table in words:
+        table.setflags(write=False)  # shared by every call
+    return words
+
+
+def _fixed_point(flat: FloatArray) -> tuple[NDArray[np.int32], NDArray[np.bool_]]:
+    """k = rint(v * 1e6) of each fixed-point value v (see `_slot_text`), 0 elsewhere, and the mask of the others."""
+    near = (flat >= 1e-4) & (flat <= 1.0)  # False at NaN
+    k = np.rint(np.where(near, flat, 0.0) * 1e6).astype(np.int32)  # no NaN or inf reaches the cast
+    rest = (k / 1e6 != flat) | (np.signbit(flat) & ~near)  # -0.0 is not fixed-point
+    np.putmask(k, rest, 0)  # so that a rest cell's digits widen no slot
+    return k, rest
+
+
+def _slot_text(values: FloatArray, nodata: NDArray[np.bool_]) -> NDArray[np.uint8] | None:
+    """The body text of `values` as bytes, built in fixed-width slots, or None when few cells are fixed-point.
+
+    A fixed-point cell is +0.0, or a value v in [1e-4, 1] equal to k / 1e6
+    for k = rint(v * 1e6); `format_floats` writes it as the integer digits
+    of k after "0.", trailing zeros dropped, or as "0" or "1". Each cell
+    gets a slot of the same width: its text, NUL bytes, and its separator in
+    the last byte. A fixed-point cell's text comes from `_digit_words`; every
+    other value (the nodata sentinel, -0.0, NaN, inf, a score below 1e-4,
+    an integer above 1) is formatted once per distinct value and gathered
+    into its slots. Dropping the NUL bytes then leaves the body.
+
+    None when more than an eighth of every 16th cell, or of all cells, are
+    neither fixed-point nor `nodata`: formatting the distinct values here
+    then costs more than `_format_body` does for the same rows. The first
+    look declines such a grid before the digits of all its cells are made.
+    """
+    flat, free = values.ravel(), ~nodata.ravel()
+    for step in (16, 1):
+        k, rest = _fixed_point(flat[::step])
+        if np.count_nonzero(rest & free[::step]) * 8 > k.size:
+            return None
+    n = flat.size
+    head, tail = _digit_words()
+    hi, lo = np.divmod(k, 1000)
+    words = (head[2 * hi + (lo == 0)] | tail[lo]).astype("<u8", copy=False)
+    others = np.flatnonzero(rest)
+    distinct, inverse = np.unique(flat[others], return_inverse=True)
+    texts = format_floats(distinct.tolist())
+    fixed_width = (int(words.max()).bit_length() + 7) // 8
+    width = max([fixed_width, *map(len, texts)]) + 1
+
+    slots = np.zeros((n, width), np.uint8)
+    slots[:, :fixed_width] = words.view(np.uint8).reshape(n, 8)[:, :fixed_width]
+    if texts:
+        table = np.array(texts, f"S{width - 1}").view(np.uint8).reshape(-1, width - 1)
+        slots[others, :-1] = table[inverse]
+    ends = slots.reshape(*values.shape, width)[:, :, -1]
+    ends[:] = ord(" ")
+    ends[:, -1] = ord("\n")
+    text = slots.ravel()
+    return text[text != 0]
+
+
 def _format_body(values: FloatArray) -> bytes:
-    """The body text of `values`: each value through `format_floats`, one line per row."""
+    """The body text of `values`: each value through `format_floats`, one line per row.
+
+    The route of a grid that neither `_stride_text` nor `_slot_text` takes.
+    """
     return "".join(" ".join(format_floats(row.tolist())) + "\n" for row in values).encode("ascii")
 
 
@@ -476,8 +584,8 @@ def check_aligned(
     """Raise unless two grids cover the same cells.
 
     Shapes must be equal, and cell sizes and lower-left origins equal within
-    a relative 1e-9 of the cell size (headers are read from six-digit text;
-    a NaN matches a NaN).
+    a relative 1e-9 of the cell size (a header from another writer may round
+    them; a NaN matches a NaN).
 
     Raises:
         ValueError: Naming the first field that differs, both values and

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import logging
 import math
+import os
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -123,10 +124,21 @@ class JobInput:
         group_label(self.group)
 
 
+#: The path separator; the other one, where there is one, is "/".
+_SEP = os.sep
+
+
 def group_label(label: str) -> str:
-    """`label` unless it is `SCOPE_ALL`, which names the scope of all runs."""
+    """`label` unless it is `SCOPE_ALL`, which names the scope of all runs, or cannot be part of a file name.
+
+    Each group's scope files are named after it (`kde_<label>.csv`), so a
+    label may hold no path separator and no NUL.
+    """
     if label == SCOPE_ALL:
         raise ValueError(f"group label {SCOPE_ALL!r} is reserved for the scope of all runs")
+    # Called once per runs.csv row: three substring tests cost less than a regex search.
+    if "/" in label or "\0" in label or _SEP in label:
+        raise ValueError(f"group label {label!r} cannot be part of a file name: it holds a path separator or NUL")
     return label
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -488,6 +489,20 @@ class TestConverge:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("label", ["a/b", "a\x00b"])
+    def test_a_group_label_that_cannot_name_a_file_is_a_usage_error(self, tmp_path, capsys, label):
+        # Its scope files would be kde_a/b.csv and the like, after the other scopes' files were written.
+        path = tmp_path / "runs.csv"
+        rows = [f"{i},{label if i % 2 else 'B'},1,0.{i % 9},0.5" for i in range(80)]
+        path.write_text("box_id,group,cycle,ppv,npv\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "x"
+        expect_failure(["converge", "--runs", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3, column 'group': group label {label!r} cannot be part of a file name: "
+            "it holds a path separator or NUL\n"
+        )
+        assert not out_dir.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -652,6 +667,16 @@ class TestSynth:
 
         assert load_grid(out_dir / "obs.asc").values.shape == (20, 30)
         assert load_grid(out_dir / "scores.asc").values.shape == (20, 30)
+
+    def test_default_tree_is_pinned_by_digest(self, tmp_path, capsys):
+        # The digests of the tree before the rasters were written from integer digits.
+        assert main(["synth", "--out", str(tmp_path / "d")]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "d").iterdir()}
+        assert digests == {
+            "obs.asc": "3df0687f15e59361c54d192620056ab52470dd6943efae18cd7cc0c937c360f8",
+            "runs.csv": "cc501aebbdace84a2540a9f72a951fa14efb006ea41dd2682f712c51730b83f2",
+            "scores.asc": "74433a39338a231c9847c25d04a53bd157b6c315b6ba5d257cd953718e67f924",
+        }
 
     def test_requires_out(self):
         expect_failure(["synth"])
@@ -829,6 +854,20 @@ class TestReport:
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == (
             f"error: {manifest}: line 2, column 'group': group label 'all' is reserved for the scope of all runs\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("label", ["a/b", "a\x00b"])
+    def test_a_group_label_that_cannot_name_a_file_is_a_usage_error(self, job_tree, capsys, label):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:5] + [label] + lines[1].split(",")[6:])
+        manifest.write_text("\n".join(lines) + "\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2, column 'group': group label {label!r} cannot be part of a file name: "
+            "it holds a path separator or NUL\n"
         )
         assert not out_dir.exists()
 

@@ -1,10 +1,12 @@
-"""Metamorphic property tests over the `converge` chain, run in process through `cli.main`.
+"""Metamorphic property tests over the CLI, run in process through `cli.main`.
 
 Two relations hold `converge` to account over small generated run tables:
 the order of the rows of runs.csv changes nothing it writes or prints, and
 renaming the groups without changing their order only renames the
 per-scope files. Both pass through `RunTable.group_by`, which splits the
-scopes and the cycles.
+scopes and the cycles. A third holds `assess` to account over small
+generated raster pairs: a border of nodata cells around every raster of
+the pair changes no field it prints.
 """
 
 import contextlib
@@ -13,10 +15,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapbayes import RunTable, SynthConfig, generate_run_table
+from mapbayes import BinaryGrid, Grid, RunTable, SynthConfig, generate_pair, generate_run_table, threshold_scores, write_grid
 from mapbayes.cli import main
 from mapbayes.report import write_runs_csv
 
@@ -83,3 +86,55 @@ def test_renaming_the_groups_in_order_renames_only_the_scope_files(runs, labels)
     assert json.loads(new_files["summary.json"])["scopes"] == {new.get(s, s): v for s, v in scopes.items()}
     selected, new_selected = (dict(line.split(" ", 1) for line in out.splitlines()) for out in (stdout, new_stdout))
     assert {new.get(s, s): rest for s, rest in selected.items()} == new_selected
+
+
+#: The width, in cells, of the nodata border.
+BORDER = 3
+
+
+def assess(argv):
+    """The exit code of `assess`, and what it prints to stdout and to stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(["assess", *argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def bordered(grid):
+    """`grid` as a value grid inside a border of nodata cells; the origin moves so that the old cells stay put."""
+    g = grid.as_grid()
+    shift = BORDER * g.cell_size
+    values = np.pad(g.values, BORDER, constant_values=g.nodata)
+    return Grid(values, g.cell_size, g.origin_x - shift, g.origin_y - shift, g.nodata)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(SynthConfig, rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**16)),
+    st.sampled_from(["binary", "value:0.5", "value:0.25", "quantity:obs", "quantity:3"]),
+    st.booleans(),
+)
+def test_a_nodata_border_changes_no_assess_field(cfg, cut, with_exclusion):
+    obs, scores = generate_pair(cfg)
+    if cut == "binary":
+        sim, flags = threshold_scores(scores, quantity=obs.n_ones), ["--sim"]
+    else:
+        sim, flags = scores, ["--threshold", cut, "--score"]
+    rasters = {"sim": sim, "obs": obs}
+    if with_exclusion:
+        rng = np.random.default_rng(cfg.seed)
+        rasters["exclusion"] = BinaryGrid((rng.random(obs.shape) < 0.2).astype(np.int8))
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for prefix, wrap in (("plain_", lambda g: g), ("bordered_", bordered)):
+            argv = [*flags]
+            for name, grid in rasters.items():
+                path = Path(tmp) / f"{prefix}{name}.asc"
+                write_grid(wrap(grid), path)
+                argv += [path] if name == "sim" else [f"--{name}", path]
+            code, out, err = assess([str(a) for a in argv])
+            outcomes.append((code, out, err.replace(prefix, "")))  # an error names the file
+    assert outcomes[0] == outcomes[1]

@@ -392,6 +392,24 @@ class TestWriteGrid:
         body = p.read_text().splitlines()[6]
         assert body == "0.123457 1.23457e+06"
 
+    def test_header_origin_and_cell_size_read_back_exactly(self, tmp_path):
+        # Six digits would write 412346 and 4.71234e+06, and the reload would not line up with its source.
+        g = Grid(np.array([[0.5, 1.0]]), cell_size=30.000001, origin_x=412345.5, origin_y=4712345.0)
+        p = tmp_path / "g.asc"
+        write_grid(g, p)
+        assert p.read_text().splitlines()[2:5] == ["xllcorner 412345.5", "yllcorner 4712345.0", "cellsize 30.000001"]
+        reloaded = load_grid(p)
+        check_aligned(reloaded, "reloaded", g, "source")
+        assert (reloaded.origin_x, reloaded.origin_y, reloaded.cell_size) == (412345.5, 4712345.0, 30.000001)
+
+    def test_header_values_that_six_digits_hold_keep_their_text(self, tmp_path):
+        g = Grid(np.array([[0.5, -9999.0]]), cell_size=0.25, origin_x=-1.5e-07, origin_y=123456.0, nodata=-9999.0)
+        p = tmp_path / "g.asc"
+        write_grid(g, p)
+        assert p.read_text().splitlines()[2:6] == [
+            "xllcorner -1.5e-07", "yllcorner 123456", "cellsize 0.25", "NODATA_value -9999",
+        ]
+
     def test_accepts_binary_and_score_grids(self, tmp_path):
         b = BinaryGrid(np.array([[1, 0], [-1, 1]], dtype=np.int8))
         write_grid(b, tmp_path / "b.asc")

@@ -4,7 +4,10 @@
 bodies with numpy's C reader and falls back to a per-line loop for everything
 else. These tests pin it, over generated files, to the plain per-token parser
 it replaced, pin the stride decode to the general path over generated digit
-grids and their near misses, and pin the writer's round trip.
+grids and their near misses, and pin the writer's round trip. The writer's
+stride and digit-slot routes are pinned byte for byte to per-value `.6g`
+text, over digit grids and over mostly fixed-point grids with values one
+ulp off the form, on its bounds and outside it.
 `tableio.read_csv` parses each CSV row as it reads it; it is pinned to the
 row-by-row reference reader in conftest.py. The classify tests pin the linear
 top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
@@ -15,6 +18,7 @@ in [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
 import csv
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -251,6 +255,11 @@ def test_digit_grids_round_trip_byte_stable(grid_path, case):
     assert [line.split(" ") for line in body] == [[f"{v:.6g}" for v in row] for row in values.tolist()]
 
 
+def reference_body(values):
+    """The body text of `values`, one `.6g` token per value."""
+    return "".join(" ".join(f"{v:.6g}" for v in row) + "\n" for row in values.tolist()).encode("ascii")
+
+
 #: Values next to the digits 0-9 that must not be written by stride.
 NOT_DIGITS = [-0.0, math.nan, math.inf, 0.5, 9.5, 10.0, -1.0, 1e-300, 8.999999999999998]
 
@@ -261,9 +270,72 @@ def test_stride_text_is_format_floats_or_declines(values):
     text = raster._stride_text(values)
     if all(v in range(10) and math.copysign(1.0, v) > 0 for v in values.ravel().tolist()):
         assert text is not None
-        assert text.tobytes() == raster._format_body(values)
+        assert text.tobytes() == reference_body(values)
     else:
         assert text is None
+
+
+def is_fixed_point(v):
+    """+0.0, or a value in [1e-4, 1] that is the float nearest to k / 1e6 for an integer k."""
+    if v == 0.0:
+        return math.copysign(1.0, v) > 0
+    return 1e-4 <= v <= 1.0 and round(v * 1e6) / 1e6 == v
+
+
+def _ulp_step(k):
+    return st.sampled_from([-math.inf, math.inf]).map(lambda to: math.nextafter(k / 1e6, to))
+
+
+#: Fixed-point values, k / 1e6 for k in [0, 1e6], then the values that miss
+#: the fixed form by one ulp or sit on its bounds, and the values that never
+#: take it.
+fixed_points = st.integers(0, 10**6).map(lambda k: k / 1e6) | st.sampled_from([0.5, 0.25, 0.000123, 0.01, 1e-4, 1.0])
+near_misses = (
+    st.integers(100, 10**6).flatmap(_ulp_step)
+    | st.sampled_from([1e-4, 9.9999e-05, 8.3e-05, 1.0, math.nextafter(1.0, 2.0), 0.1234565])
+)
+off_form = st.integers(0, 9).map(float) | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, -9999.0, 12345678.0])
+cell_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
+
+
+@st.composite
+def mostly_fixed_grids(draw):
+    """A grid of fixed-point values with up to a quarter of its cells, at least one, redrawn off the form."""
+    values = draw(arrays(np.float64, cell_shapes, elements=fixed_points))
+    for _ in range(draw(st.integers(0, max(1, values.size // 4)))):
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(near_misses | off_form)
+    return values
+
+
+#: Nodata sentinels: the usual one, NaN, and two that are fixed-point, one of which -0.0 equals.
+sentinels = st.sampled_from([-9999.0, math.nan, 0.0, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_fixed_grids(), sentinels, st.sampled_from([1, 5, 16, raster._BLOCK_CELLS]))
+def test_write_grid_body_is_the_per_value_reference(grid_path, values, nodata, block_cells):
+    # Small blocks of rows mix the routes within one grid.
+    with warnings.catch_warnings(), mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        warnings.simplefilter("error")  # a NaN or inf cast to integers would warn
+        write_grid(Grid(values, nodata=nodata), grid_path)
+    body = grid_path.read_bytes().split(b"\n", HEADER_LINES)[HEADER_LINES]
+    assert body == reference_body(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_fixed_grids(), sentinels)
+def test_slot_text_is_format_floats_or_declines_a_grid_of_few_fixed_point_cells(values, nodata):
+    grid = Grid(values, nodata=nodata)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = raster._slot_text(values, grid.nodata_mask())
+    flat, free = values.ravel().tolist(), (~grid.nodata_mask()).ravel().tolist()
+    rest = [not is_fixed_point(v) and f for v, f in zip(flat, free)]
+    if any(sum(rest[::step]) * 8 > len(rest[::step]) for step in (16, 1)):
+        assert text is None
+    else:
+        assert text is not None
+        assert text.tobytes() == reference_body(values)
 
 
 #: One mutation of the body "1 0 1\n0 -9999 0\n" (nodata -9999) per case.
@@ -350,7 +422,10 @@ def test_write_load_write_is_byte_stable(grid_path, vals, cell_size, origin_x, o
     write_grid(Grid(vals, cell_size=cell_size, origin_x=origin_x, origin_y=origin_y, nodata=nodata), first)
     body = first.read_text().split("\n")[HEADER_LINES:-1]
     assert [line.split(" ") for line in body] == [[f"{v:.6g}" for v in row] for row in vals.tolist()]
-    write_grid(load_grid(first), second)
+    reloaded = load_grid(first)
+    for got, wrote in ((reloaded.cell_size, cell_size), (reloaded.origin_x, origin_x), (reloaded.origin_y, origin_y)):
+        assert got == wrote or (math.isnan(got) and math.isnan(wrote))
+    write_grid(reloaded, second)
     assert second.read_bytes() == first.read_bytes()
 
 

@@ -121,9 +121,10 @@ class RunRecord:
 class RunTable(ColumnTable):
     """Assessed simulation runs as read-only columns, one row per run.
 
-    `group` holds each label's `str` as given, and `diff` is ppv - npv. A
-    predictive value outside [0, 1] is refused with the message a
-    `RunRecord` gives for that row.
+    `group` holds each label, a `str`, as given, and `diff` is ppv - npv. A
+    label of another type is refused, naming its row, since the analyses
+    sort, search and name files by the labels. A predictive value outside
+    [0, 1] is refused with the message a `RunRecord` gives for that row.
     """
 
     _name = "run table"
@@ -138,6 +139,9 @@ class RunTable(ColumnTable):
 
     def __post_init__(self):
         super().__post_init__()
+        for i, label in enumerate(self.group.tolist()):
+            if not isinstance(label, str):
+                raise ValueError(f"{self._name} column 'group': row {i} holds {label!r}, not a str label")
         inside = (0.0 <= self.ppv) & (self.ppv <= 1.0) & (0.0 <= self.npv) & (self.npv <= 1.0)
         if not inside.all():
             i = int(np.argmin(inside))

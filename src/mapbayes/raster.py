@@ -440,13 +440,11 @@ def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
 
     Every body value is written as `format_floats` writes it. The body is
     written in blocks of whole rows of about `_BLOCK_CELLS` cells, each by
-    the first of three routes that takes it. A block whose values are all
-    integers from 0 to 9 is written by stride, one digit and one separator
-    byte per cell (`_stride_text`). Any other block is written from the
-    integer digits of its fixed-point cells (`_slot_text`), unless more
-    than an eighth of its cells (or of every 16th cell) are neither
-    fixed-point nor nodata: such blocks, of unrounded scores for one, are
-    formatted value by value. All three routes give the same bytes.
+    one of two routes. A block whose values are all integers from 0 to 9 is
+    written by stride, one digit and one separator byte per cell
+    (`_stride_text`). Any other block is written in fixed-width slots from
+    the integer digits of its fixed-point cells, every other value formatted
+    once per distinct value (`_slot_text`). Both routes give the same bytes.
 
     The header's `NODATA_value` is written by `format_floats` too, so that
     the body's nodata cells spell it alike. Its origin and cell size are
@@ -458,16 +456,13 @@ def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
     x, y, size = (_exact_text(v) for v in (grid.origin_x, grid.origin_y, grid.cell_size))
     head = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
     head += [f"cellsize {size}", f"NODATA_value {format_float(grid.nodata)}"]
-    values, nodata = grid.values, grid.nodata_mask()
     step = max(1, _BLOCK_CELLS // grid.cols)
     with Path(path).open("wb") as fh:
         fh.write(("\n".join(head) + "\n").encode("ascii"))
         for r in range(0, grid.rows, step):
-            block = values[r : r + step]
+            block = grid.values[r : r + step]
             text = _stride_text(block)
-            if text is None:
-                text = _slot_text(block, nodata[r : r + step])
-            fh.write(_format_body(block) if text is None else text)
+            fh.write(_slot_text(block) if text is None else text)
 
 
 def _exact_text(x: float) -> str:
@@ -512,17 +507,8 @@ def _digit_words() -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
     return words
 
 
-def _fixed_point(flat: FloatArray) -> tuple[NDArray[np.int32], NDArray[np.bool_]]:
-    """k = rint(v * 1e6) of each fixed-point value v (see `_slot_text`), 0 elsewhere, and the mask of the others."""
-    near = (flat >= 1e-4) & (flat <= 1.0)  # False at NaN
-    k = np.rint(np.where(near, flat, 0.0) * 1e6).astype(np.int32)  # no NaN or inf reaches the cast
-    rest = (k / 1e6 != flat) | (np.signbit(flat) & ~near)  # -0.0 is not fixed-point
-    np.putmask(k, rest, 0)  # so that a rest cell's digits widen no slot
-    return k, rest
-
-
-def _slot_text(values: FloatArray, nodata: NDArray[np.bool_]) -> NDArray[np.uint8] | None:
-    """The body text of `values` as bytes, built in fixed-width slots, or None when few cells are fixed-point.
+def _slot_text(values: FloatArray) -> NDArray[np.uint8]:
+    """The body text of `values` as bytes, built in fixed-width slots.
 
     A fixed-point cell is +0.0, or a value v in [1e-4, 1] equal to k / 1e6
     for k = rint(v * 1e6); `format_floats` writes it as the integer digits
@@ -530,19 +516,15 @@ def _slot_text(values: FloatArray, nodata: NDArray[np.bool_]) -> NDArray[np.uint
     gets a slot of the same width: its text, NUL bytes, and its separator in
     the last byte. A fixed-point cell's text comes from `_digit_words`; every
     other value (the nodata sentinel, -0.0, NaN, inf, a score below 1e-4,
-    an integer above 1) is formatted once per distinct value and gathered
-    into its slots. Dropping the NUL bytes then leaves the body.
-
-    None when more than an eighth of every 16th cell, or of all cells, are
-    neither fixed-point nor `nodata`: formatting the distinct values here
-    then costs more than `_format_body` does for the same rows. The first
-    look declines such a grid before the digits of all its cells are made.
+    an unrounded score, an integer above 1) is formatted once per distinct
+    value and gathered into its slots. Dropping the NUL bytes then leaves
+    the body.
     """
-    flat, free = values.ravel(), ~nodata.ravel()
-    for step in (16, 1):
-        k, rest = _fixed_point(flat[::step])
-        if np.count_nonzero(rest & free[::step]) * 8 > k.size:
-            return None
+    flat = values.ravel()
+    near = (flat >= 1e-4) & (flat <= 1.0)  # False at NaN
+    k = np.rint(np.where(near, flat, 0.0) * 1e6).astype(np.int32)  # no NaN or inf reaches the cast
+    rest = (k / 1e6 != flat) | (np.signbit(flat) & ~near)  # -0.0 is not fixed-point
+    np.putmask(k, rest, 0)  # so that a rest cell's digits widen no slot
     n = flat.size
     head, tail = _digit_words()
     hi, lo = np.divmod(k, 1000)
@@ -563,14 +545,6 @@ def _slot_text(values: FloatArray, nodata: NDArray[np.bool_]) -> NDArray[np.uint
     ends[:, -1] = ord("\n")
     text = slots.ravel()
     return text[text != 0]
-
-
-def _format_body(values: FloatArray) -> bytes:
-    """The body text of `values`: each value through `format_floats`, one line per row.
-
-    The route of a grid that neither `_stride_text` nor `_slot_text` takes.
-    """
-    return "".join(" ".join(format_floats(row.tolist())) + "\n" for row in values).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

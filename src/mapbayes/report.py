@@ -142,6 +142,13 @@ def group_label(label: str) -> str:
     return label
 
 
+def raster_path(text: str) -> str:
+    """`text` unless it is empty: a `sim` or `obs` path, which would otherwise name the manifest's directory."""
+    if not text:
+        raise ValueError("a raster path must not be empty")
+    return text
+
+
 def input_kind(kind: str) -> str:
     """`kind` if it is an input kind ("binary" or "score")."""
     if kind not in ("binary", "score"):
@@ -181,10 +188,10 @@ class AssessmentJob:
 
 
 def read_inputs_manifest(path: str | Path) -> tuple[JobInput, ...]:
-    """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle)."""
+    """Read the inputs CSV (kind, sim, obs, exclusion, box_id, group, cycle); only `exclusion` may be empty."""
     base = Path(path).parent
     columns = {
-        "kind": input_kind, "sim": str, "obs": str, "exclusion": str,
+        "kind": input_kind, "sim": raster_path, "obs": raster_path, "exclusion": str,
         "box_id": int64_id, "group": group_label, "cycle": int64_id,
     }
     return tuple(

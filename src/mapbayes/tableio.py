@@ -102,7 +102,9 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
 
     Raises:
         ValueError: Naming the path: a non-UTF-8 byte (with its line, and
-            before any other fault), a missing column, a row whose field
+            before any other fault), a missing column, a column that the
+            header names more than once (one of them would be read
+            silently), a row whose field
             count differs from the header's (with its line), a value its
             parser refuses (with its line and column), or no rows at all.
     """
@@ -119,6 +121,9 @@ def read_csv(path: str | Path, columns: Mapping[str, Callable[[str], Any]]) -> t
                 missing = [name for name in columns if name not in header]
                 if missing:
                     raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+                twice = [name for name in columns if header.count(name) > 1]
+                if twice:
+                    raise ValueError(f"{path}: the header names column {twice[0]!r} more than once")
                 spec = [(col, name, header.index(name), parse) for col, (name, parse) in zip(out, columns.items())]
                 continue
             if len(row) != len(header):

@@ -134,6 +134,9 @@ def reference_read_csv(path, columns):
             missing = [name for name in columns if name not in header]
             if missing:
                 raise ValueError(f"{path}: missing columns {missing}; needs columns {list(columns)}")
+            for name in columns:
+                if header.count(name) > 1:
+                    raise ValueError(f"{path}: the header names column {name!r} more than once")
             spec = [(header.index(name), parse) for name, parse in columns.items()]
             continue
         if len(row) != len(header):

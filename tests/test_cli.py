@@ -827,6 +827,16 @@ class TestReport:
         expect_failure(["report", "--config", str(config_path)])
         assert capsys.readouterr().err == f"error: {manifest}: line 14 has 3 fields, the header has 7\n"
 
+    def test_an_empty_sim_path_is_a_usage_error_that_names_the_line(self, job_tree, capsys):
+        config_path, out_dir = job_tree
+        manifest = config_path.parent / "data" / "inputs.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:1] + [""] + lines[2].split(",")[2:])
+        manifest.write_text("\n".join(lines) + "\n")
+        expect_failure(["report", "--config", str(config_path)])
+        assert capsys.readouterr().err == f"error: {manifest}: line 3, column 'sim': a raster path must not be empty\n"
+        assert not out_dir.exists()
+
     def test_threshold_without_a_score_input_is_a_usage_error(self, job_tree, capsys):
         config_path, out_dir = job_tree
         manifest = config_path.parent / "data" / "inputs.csv"

@@ -4,9 +4,10 @@ Two relations hold `converge` to account over small generated run tables:
 the order of the rows of runs.csv changes nothing it writes or prints, and
 renaming the groups without changing their order only renames the
 per-scope files. Both pass through `RunTable.group_by`, which splits the
-scopes and the cycles. A third holds `assess` to account over small
+scopes and the cycles. Two more hold `assess` to account over small
 generated raster pairs: a border of nodata cells around every raster of
-the pair changes no field it prints.
+the pair changes no field it prints, and a score raster cut at a value
+prints what the binary raster of that cut prints.
 """
 
 import contextlib
@@ -19,7 +20,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapbayes import BinaryGrid, Grid, RunTable, SynthConfig, generate_pair, generate_run_table, threshold_scores, write_grid
+from mapbayes import (
+    BinaryGrid,
+    Grid,
+    RunTable,
+    SynthConfig,
+    generate_pair,
+    generate_run_table,
+    load_grid,
+    threshold_scores,
+    to_scores,
+    write_grid,
+)
 from mapbayes.cli import main
 from mapbayes.report import write_runs_csv
 
@@ -138,3 +150,27 @@ def test_a_nodata_border_changes_no_assess_field(cfg, cut, with_exclusion):
             code, out, err = assess([str(a) for a in argv])
             outcomes.append((code, out, err.replace(prefix, "")))  # an error names the file
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(SynthConfig, rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**16)),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_a_score_raster_cut_at_a_value_assesses_as_the_binary_raster_of_the_cut(cfg, cut, with_exclusion):
+    obs, scores = generate_pair(cfg)  # unrounded scores, excluded cells written as nodata
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_grid(scores, tmp / "score.asc")
+        write_grid(obs, tmp / "obs.asc")
+        # The six-digit text rounds the scores, so the cut is made on the scores as read back.
+        write_grid(threshold_scores(to_scores(load_grid(tmp / "score.asc")), value=cut), tmp / "sim.asc")
+        flags = ["--obs", str(tmp / "obs.asc")]
+        if with_exclusion:
+            rng = np.random.default_rng(cfg.seed)
+            write_grid(BinaryGrid((rng.random(obs.shape) < 0.2).astype(np.int8)), tmp / "exclusion.asc")
+            flags += ["--exclusion", str(tmp / "exclusion.asc")]
+        scored = assess(["--score", str(tmp / "score.asc"), "--threshold", f"value:{cut!r}", *flags])
+        binary = assess(["--sim", str(tmp / "sim.asc"), *flags])
+    assert scored == binary

@@ -212,6 +212,19 @@ class TestRunTable:
         with pytest.raises(ValueError, match="1-D and of one length"):
             RunTable(*columns)
 
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [([0, 1], "row 0 holds 0"), (["A", 1], "row 1 holds 1"), (["A", "B", None], "row 2 holds None"),
+         (["A", b"B"], "row 1 holds b'B'")],
+        ids=["ints", "mixed", "none", "bytes"],
+    )
+    def test_a_label_that_is_not_a_str_is_named_by_its_row(self, labels, bad):
+        # The analyses sort the labels and search them for path separators.
+        n = len(labels)
+        with pytest.raises(ValueError) as exc:
+            RunTable(list(range(n)), labels, [1] * n, [0.5] * n, [0.5] * n)
+        assert str(exc.value) == f"run table column 'group': {bad}, not a str label"
+
     def test_integer_beyond_int64_is_named(self):
         with pytest.raises(ValueError, match="column 'box_id'"):
             RunTable([10**20], ["A"], [1], [0.5], [0.5])

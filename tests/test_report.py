@@ -400,6 +400,17 @@ class TestReadInputsManifest:
             read_inputs_manifest(p)
         assert str(exc.value) == f"{p}: line 4, column 'kind': input kind must be 'binary' or 'score', got 'raster'"
 
+    @pytest.mark.parametrize(
+        "row, column", [("binary,,b.asc,,0,A,2", "sim"), ("score,a.asc, ,,0,A,2", "obs")], ids=["sim", "obs"]
+    )
+    def test_an_empty_raster_path_names_the_line_and_column(self, tmp_path, row, column):
+        # Resolved against the manifest's directory, an empty path would name the directory itself.
+        p = tmp_path / "inputs.csv"
+        p.write_text("kind,sim,obs,exclusion,box_id,group,cycle\nbinary,a.asc,b.asc,,0,A,1\n" + row + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_inputs_manifest(p)
+        assert str(exc.value) == f"{p}: line 3, column {column!r}: a raster path must not be empty"
+
     def test_bad_kind_rejected(self, tmp_path):
         p = tmp_path / "inputs.csv"
         p.write_text(
@@ -447,10 +458,17 @@ class TestReadCsv:
         p.write_text("\nnote, ppv ,group,box_id\n\nx, 0.5 , A ,3\n  \n,1,B,4\n\n")
         assert tableio.read_csv(p, self.COLUMNS) == ([3, 4], ["A", "B"], [0.5, 1.0])
 
+    def test_a_column_not_read_may_be_named_twice(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("note,box_id,note,group,ppv\nx,3,y,A,0.5\n")
+        assert tableio.read_csv(p, self.COLUMNS) == ([3], ["A"], [0.5])
+
     @pytest.mark.parametrize(
         "text, message",
         [
             ("box_id,group\n1,A\n", "missing columns ['ppv']"),
+            ("box_id,group,ppv,note,ppv\n1,A,0.5,x,0.25\n", "the header names column 'ppv' more than once"),
+            ("ppv,box_id, ppv ,group\n0.5,1,0.25,A\n", "the header names column 'ppv' more than once"),
             ("box_id,group,ppv\n1,A,0.5\n2,B\n", "line 3 has 2 fields, the header has 3"),
             ("box_id,group,ppv\n1,A,0.5,9\n", "line 2 has 4 fields, the header has 3"),
             ("box_id,group,ppv\n1,A,0.5\n\nx,B,0.5\n", "line 4, column 'box_id': invalid literal for int()"),

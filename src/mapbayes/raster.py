@@ -434,35 +434,40 @@ def _parse_body(body: list[str], ncols: int) -> FloatArray:
 #: its working arrays stay small next to the grid.
 _BLOCK_CELLS = 1 << 16
 
+#: The text byte of each `BinaryGrid` code, indexed by the code: EXCLUDED (-1) picks the gap mark.
+_CODE_BYTES = np.array([ord("0"), ord("1"), 0x80], np.uint8)
+
 
 def write_grid(grid: Grid | BinaryGrid | ScoreGrid, path: str | Path) -> None:
     """Write a raster as an ASCII grid (canonical form).
 
-    Every body value is written as `format_floats` writes it. The body is
-    written in blocks of whole rows of about `_BLOCK_CELLS` cells, each by
-    one of two routes. A block whose values are all integers from 0 to 9 is
-    written by stride, one digit and one separator byte per cell
-    (`_stride_text`). Any other block is written in fixed-width slots from
-    the integer digits of its fixed-point cells, every other value formatted
-    once per distinct value (`_slot_text`). Both routes give the same bytes.
+    Every body value is written as `format_floats` writes it, in blocks of
+    whole rows of about `_BLOCK_CELLS` cells. A `BinaryGrid` block goes by
+    stride from its codes (`_stride_text`), and a `ScoreGrid` block in digit
+    slots (`_slot_text`), which never read the value under an excluded cell.
+    A `Grid` block goes by stride if it holds only the integers 0 to 9, and
+    in slots otherwise. Both routes write an excluded cell as the byte 0x80,
+    which ASCII text cannot hold, and each block's marks are then replaced
+    by the `NODATA_value` text, the inverse of `_stride_body`'s marking.
 
-    The header's `NODATA_value` is written by `format_floats` too, so that
-    the body's nodata cells spell it alike. Its origin and cell size are
+    The header's `NODATA_value` is `format_floats`' text of `nodata`, or of
+    `Grid.nodata` for the classified containers. Its origin and cell size are
     written by `format_floats` when that text reads back as the same float,
     and by `repr` otherwise, so a reloaded grid lines up with its source.
     """
-    if isinstance(grid, (BinaryGrid, ScoreGrid)):
-        grid = grid.as_grid()
+    token = format_float(grid.nodata if isinstance(grid, Grid) else Grid.nodata)
     x, y, size = (_exact_text(v) for v in (grid.origin_x, grid.origin_y, grid.cell_size))
     head = [f"ncols {grid.cols}", f"nrows {grid.rows}", f"xllcorner {x}", f"yllcorner {y}"]
-    head += [f"cellsize {size}", f"NODATA_value {format_float(grid.nodata)}"]
+    head += [f"cellsize {size}", f"NODATA_value {token}"]
     step = max(1, _BLOCK_CELLS // grid.cols)
     with Path(path).open("wb") as fh:
         fh.write(("\n".join(head) + "\n").encode("ascii"))
         for r in range(0, grid.rows, step):
             block = grid.values[r : r + step]
-            text = _stride_text(block)
-            fh.write(_slot_text(block) if text is None else text)
+            gap = grid.excluded[r : r + step] if isinstance(grid, ScoreGrid) else None
+            text = _stride_text(block) if gap is None else None
+            text = _slot_text(block, gap) if text is None else text
+            fh.write(text.tobytes().replace(b"\x80", token.encode("ascii")))
 
 
 def _exact_text(x: float) -> str:
@@ -471,18 +476,23 @@ def _exact_text(x: float) -> str:
     return text if float(text) == x or x != x else repr(float(x))
 
 
-def _stride_text(values: FloatArray) -> NDArray[np.uint8] | None:
+def _stride_text(values: FloatArray | IntArray) -> NDArray[np.uint8] | None:
     """The body text of `values` as bytes, or None unless every value is an integer from 0 to 9.
 
-    -0.0 prints as "-0" and NaN as "nan", so both leave it to `_slot_text`.
+    `BinaryGrid` codes (int8) always take it, an excluded cell as the gap
+    mark. -0.0 prints as "-0" and NaN as "nan", so both go to `_slot_text`.
     """
-    if not (values.min() >= 0.0 and values.max() <= 9.0) or np.signbit(values).any():  # a NaN fails min
+    if values.dtype == np.int8:
+        digits = _CODE_BYTES[values]
+    elif not (values.min() >= 0.0 and values.max() <= 9.0) or np.signbit(values).any():  # a NaN fails min
         return None
-    digits = values.astype(np.uint8)
-    if not (digits == values).all():
-        return None
+    else:
+        digits = values.astype(np.uint8)
+        if not (digits == values).all():
+            return None
+        digits += np.uint8(ord("0"))
     text = np.full((values.shape[0], 2 * values.shape[1]), ord(" "), dtype=np.uint8)
-    text[:, ::2] = digits + np.uint8(ord("0"))
+    text[:, ::2] = digits
     text[:, -1] = ord("\n")
     return text
 
@@ -507,28 +517,32 @@ def _digit_words() -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
     return words
 
 
-def _slot_text(values: FloatArray) -> NDArray[np.uint8]:
+def _slot_text(values: FloatArray, gap: NDArray[np.bool_] | None = None) -> NDArray[np.uint8]:
     """The body text of `values` as bytes, built in fixed-width slots.
 
     A fixed-point cell is +0.0, or a value v in [1e-4, 1] equal to k / 1e6
     for k = rint(v * 1e6); `format_floats` writes it as the integer digits
     of k after "0.", trailing zeros dropped, or as "0" or "1". Each cell
     gets a slot of the same width: its text, NUL bytes, and its separator in
-    the last byte. A fixed-point cell's text comes from `_digit_words`; every
-    other value (the nodata sentinel, -0.0, NaN, inf, a score below 1e-4,
-    an unrounded score, an integer above 1) is formatted once per distinct
-    value and gathered into its slots. Dropping the NUL bytes then leaves
-    the body.
+    the last byte. A fixed-point cell's text comes from `_digit_words`, and a
+    `gap` cell's is the byte 0x80 whatever it holds; every other value (a
+    nodata sentinel, -0.0, NaN, inf, a score below 1e-4, an unrounded score,
+    an integer above 1) is formatted once per distinct value and gathered
+    into its slots. Dropping the NUL bytes then leaves the body.
     """
     flat = values.ravel()
+    live = np.True_ if gap is None else ~gap.ravel()
     near = (flat >= 1e-4) & (flat <= 1.0)  # False at NaN
     k = np.rint(np.where(near, flat, 0.0) * 1e6).astype(np.int32)  # no NaN or inf reaches the cast
-    rest = (k / 1e6 != flat) | (np.signbit(flat) & ~near)  # -0.0 is not fixed-point
+    rest = ((k / 1e6 != flat) | (np.signbit(flat) & ~near)) & live  # -0.0 is not fixed-point
     np.putmask(k, rest, 0)  # so that a rest cell's digits widen no slot
     n = flat.size
     head, tail = _digit_words()
     hi, lo = np.divmod(k, 1000)
     words = (head[2 * hi + (lo == 0)] | tail[lo]).astype("<u8", copy=False)
+    del k, hi, lo  # the slots below are the largest array
+    if gap is not None:
+        words[gap.ravel()] = 0x80
     others = np.flatnonzero(rest)
     distinct, inverse = np.unique(flat[others], return_inverse=True)
     texts = format_floats(distinct.tolist())

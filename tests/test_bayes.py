@@ -1,15 +1,20 @@
 """Tests for likelihood ratios, diagnostic odds, and predictive values
-under both reporting conventions."""
+under both reporting conventions, and for the `standard` chain against the
+counts of generated tallies."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapbayes import (
     AgreementRates,
+    ConfusionMatrix,
     Convention,
     LikelihoodRatios,
+    agreement_rates,
     diagnostic_odds_ratio,
     likelihood_ratios,
     predictive_values,
@@ -174,3 +179,42 @@ class TestPrevalenceSweep:
     def test_every_entry_records_convention(self):
         sweep = prevalence_sweep(rates(0.8, 0.9), [0.2, 0.4], Convention.STANDARD)
         assert all(pv.convention is Convention.STANDARD for pv in sweep)
+
+
+class TestStandardAgainstCounts:
+    """Under `standard`, the chain from a tally's rates gives back the tally's own ratios."""
+
+    counts = st.integers(0, 10**6)
+
+    @staticmethod
+    def standard(tp, fp, fn, tn):
+        """The tally's rates, or None when one of them is undefined (no observed positives or negatives)."""
+        if tp + fn == 0 or tn + fp == 0:
+            return None
+        return agreement_rates(ConfusionMatrix(tp, fp, fn, tn))
+
+    # Fails on tallies where fp or fn is small next to the total: the rates
+    # hold t = tn/(tn+fp) and p = (tp+fn)/total rounded, so 1 - t and 1 - p
+    # carry a relative error of about 1e-16 times total/count. The tally
+    # (1, 1, 1, 324058) gives a PPV off by 4.3e-12, and the derandomized search
+    # finds such a tally on every run. Remove the mark once the chain holds.
+    @pytest.mark.xfail(strict=True, reason="1 - t and 1 - p lose precision when fp or fn is small next to the total")
+    @settings(max_examples=1000, deadline=None)
+    @given(counts, counts, counts, counts)
+    def test_predictive_values_at_the_observed_prevalence_are_the_count_ratios(self, tp, fp, fn, tn):
+        rates = self.standard(tp, fp, fn, tn)
+        if rates is None:
+            return
+        pv = predictive_values(rates, rates.prevalence_observed, Convention.STANDARD)
+        for got, num, den in ((pv.ppv, tp, tp + fp), (pv.npv, tn, tn + fn)):
+            if den == 0:
+                assert got is None
+            else:
+                assert math.isclose(got, num / den, rel_tol=1e-12, abs_tol=0.0)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(counts, st.integers(1, 10**6), st.integers(1, 10**6), counts)
+    def test_diagnostic_odds_ratio_is_the_cross_product_ratio(self, tp, fp, fn, tn):
+        rates = self.standard(tp, fp, fn, tn)
+        dor = diagnostic_odds_ratio(likelihood_ratios(rates, Convention.STANDARD))
+        assert math.isclose(dor, tp * tn / (fp * fn), rel_tol=1e-9, abs_tol=0.0)

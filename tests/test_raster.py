@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,22 @@ class TestWriteGrid:
         write_grid(s, tmp_path / "s.asc")
         g2 = load_grid(tmp_path / "s.asc")
         assert g2.values.tolist() == [[0.5, -9999.0]]
+
+    @pytest.mark.parametrize("kind", ["binary", "score"])
+    def test_classified_grids_are_written_without_a_float_copy(self, tmp_path, kind):
+        rng = np.random.default_rng(5)
+        excluded = rng.random((1000, 1000)) < 0.15
+        if kind == "binary":
+            grid = BinaryGrid(np.where(excluded, EXCLUDED, rng.integers(0, 2, excluded.shape)))
+        else:
+            grid = ScoreGrid(np.round(rng.random(excluded.shape), 6), excluded)
+        tracemalloc.start()
+        try:
+            write_grid(grid, tmp_path / "g.asc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 // 2  # half of one float64 copy of the grid
 
 
 class TestToBinary:

@@ -8,7 +8,8 @@ grids and their near misses, and pin the writer's round trip. The writer's
 two routes, stride and digit slots, are pinned byte for byte to per-value
 `.6g` text: over digit grids, over mostly fixed-point grids with values one
 ulp off the form, on its bounds and outside it, and over grids of mostly
-unrounded, extreme, negative and large values.
+unrounded, extreme, negative and large values. A `BinaryGrid` or `ScoreGrid`
+is written as its `as_grid()` value grid is, whatever its excluded cells hold.
 `tableio.read_csv` parses each CSV row as it reads it; it is pinned to the
 row-by-row reference reader in conftest.py. The classify tests pin the linear
 top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
@@ -345,6 +346,64 @@ def test_slot_text_is_the_reference_for_every_grid(values):
         warnings.simplefilter("error")
         text = raster._slot_text(values)
     assert text.tobytes() == reference_body(values)
+
+
+#: What an excluded score cell may hold: `write_grid` must never read it.
+hidden_values = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5.0, -9999.0, 0.0, 1.0, 0.5])
+live_scores = fixed_points | st.floats(0.0, 1.0) | st.just(-0.0)
+classified_shapes = st.sampled_from([(1, 1), (1, 9), (9, 1)]) | cell_shapes
+
+
+@st.composite
+def classified_grids(draw):
+    """A `BinaryGrid` or a `ScoreGrid` with some, none or all of its cells excluded, and its exclusion mask."""
+    shape = draw(classified_shapes)
+    mask = draw(st.sampled_from(["some", "some", "none", "all"]))
+    mask = draw(arrays(np.bool_, shape)) if mask == "some" else np.full(shape, mask == "all")
+    if draw(st.booleans()):
+        codes = draw(arrays(np.int8, shape, elements=st.integers(0, 1)))
+        return BinaryGrid(np.where(mask, EXCLUDED, codes)), mask
+    scores = draw(arrays(np.float64, shape, elements=live_scores))
+    return ScoreGrid(np.where(mask, draw(arrays(np.float64, shape, elements=hidden_values)), scores), mask), mask
+
+
+def assert_written_as_its_value_grid(grid, mask, path):
+    """`write_grid(grid)` gives the bytes of `write_grid(grid.as_grid())`, and the file's nodata cells are the mask."""
+    reference = path.with_name("as_grid.asc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a hidden NaN or inf that reaches a cast would warn
+        write_grid(grid, path)
+        write_grid(grid.as_grid(), reference)
+    assert path.read_bytes() == reference.read_bytes()
+    reloaded = load_grid(path)
+    assert np.array_equal(reloaded.nodata_mask(), mask)
+    if isinstance(grid, BinaryGrid):
+        assert np.array_equal(to_binary(reloaded).values, grid.values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(classified_grids(), st.sampled_from([1, 5, 16, raster._BLOCK_CELLS]))
+def test_classified_grids_write_as_their_value_grids(grid_path, case, block_cells):
+    # Small blocks of rows split a grid into several, and make its rows wider than a block.
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        assert_written_as_its_value_grid(*case, grid_path)
+
+
+@pytest.mark.parametrize("kind", ["binary", "score"])
+@pytest.mark.parametrize(
+    "shape", [(1, raster._BLOCK_CELLS + 3), (3, raster._BLOCK_CELLS + 1), (3 * raster._BLOCK_CELLS // 250 + 7, 250)]
+)
+def test_classified_grids_past_one_block_write_as_their_value_grids(grid_path, kind, shape):
+    rng = np.random.default_rng(shape)
+    mask = rng.random(shape) < 0.2
+    if kind == "binary":
+        grid = BinaryGrid(np.where(mask, EXCLUDED, rng.integers(0, 2, shape)))
+    else:
+        hidden = rng.choice([math.nan, math.inf, -math.inf, -0.0, 5.0, -9999.0], shape)
+        scores = rng.random(shape)
+        scores = np.where(rng.random(shape) < 0.8, np.round(scores, 6), scores)  # fixed-point and unrounded
+        grid = ScoreGrid(np.where(mask, hidden, scores), mask)
+    assert_written_as_its_value_grid(grid, mask, grid_path)
 
 
 #: One mutation of the body "1 0 1\n0 -9999 0\n" (nodata -9999) per case.

@@ -30,8 +30,8 @@ _EXPORTS = {
         "silverman_bandwidth",
     ),
     "raster": (
-        "EXCLUDED", "BinaryGrid", "Grid", "GridFormatError", "ScoreGrid", "check_aligned", "load_grid",
-        "threshold_scores", "to_binary", "to_scores", "write_grid",
+        "EXCLUDED", "BinaryGrid", "Grid", "GridFormatError", "ScoreGrid", "check_aligned", "load_binary",
+        "load_grid", "load_scores", "threshold_scores", "to_binary", "to_scores", "write_grid",
     ),
     "sampling": (
         "POOL_THRESHOLDS", "BoxTable", "change_exclusion_index", "classify_pools", "draw_quantile_sample",

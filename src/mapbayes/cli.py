@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, 
 
 import numpy as np
 
-from .raster import check_count, format_float, format_floats, load_grid, to_binary, write_grid
+from .raster import check_count, format_float, format_floats, load_binary, write_grid
 from .tableio import column_rows, read_csv, read_utf8, unit_value, write_csv, write_json
 
 if TYPE_CHECKING:
@@ -363,7 +363,7 @@ def cmd_sample(args) -> int:
     settings = _settings(args)
     out = settings.pop("out", None)
     n_quantiles = DEFAULT_QUANTILES if args.n_quantiles is None else args.n_quantiles
-    boxes = tile_region(to_binary(load_grid(args.change)), to_binary(load_grid(args.exclusion)), args.box_cells)
+    boxes = tile_region(load_binary(args.change), load_binary(args.exclusion), args.box_cells)
     # Per box, the labels of the pools that hold it and of the draws that took it, in label order.
     in_pools = np.full(len(boxes), "", dtype=object)
     chosen = np.full(len(boxes), "", dtype=object)

@@ -1,9 +1,9 @@
 """Confusion matrices and agreement rates for binary map comparisons.
 
 A cell contributes to the tally only when it is non-excluded in both the
-prediction and the observation; one `np.bincount` over a per-cell code
-counts all four outcomes in a single pass. Rates with a zero marginal are
-reported as None (undefined), never coerced to 0.
+prediction and the observation; `np.bincount` over a per-cell code counts
+all four outcomes in a single pass, one block of cells at a time. Rates
+with a zero marginal are reported as None (undefined), never coerced to 0.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryGrid, check_aligned, check_count, check_unit
+from .raster import _BLOCK_CELLS, BinaryGrid, check_aligned, check_count, check_unit
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,14 @@ def build_confusion(sim: BinaryGrid, obs: BinaryGrid) -> ConfusionMatrix:
     """
     check_aligned(sim, "prediction", obs, "observation")
     # Code (sim + 1) * 3 + (obs + 1) in 0..8: an excluded side (-1) lands in
-    # bins 0-3 or 6, and the live outcomes in tn 4, fn 5, fp 7, tp 8.
-    code = ((sim.values + 1) * 3 + (obs.values + 1)).view(np.uint8)
-    tn, fn, _, fp, tp = (int(c) for c in np.bincount(code.ravel(), minlength=9)[4:])
+    # bins 0-3 or 6, and the live outcomes in tn 4, fn 5, fp 7, tp 8. The
+    # code is counted in blocks, as bincount casts it to intp, 8 bytes a cell.
+    s, o = sim.values.ravel(), obs.values.ravel()
+    counts = np.zeros(9, np.int64)
+    for i in range(0, s.size, _BLOCK_CELLS):
+        code = ((s[i : i + _BLOCK_CELLS] + 1) * 3 + (o[i : i + _BLOCK_CELLS] + 1)).view(np.uint8)
+        counts += np.bincount(code, minlength=9)
+    tn, fn, _, fp, tp = (int(c) for c in counts[4:])
     if tp + fp + fn + tn == 0:
         raise ValueError("no jointly non-excluded cells to compare")
     return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)

@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -191,9 +191,7 @@ class Grid(_Raster):
 
     def nodata_mask(self) -> NDArray[np.bool_]:
         """Boolean array, True where the cell holds the nodata sentinel (NaN matches NaN)."""
-        if math.isnan(self.nodata):
-            return np.isnan(self.values)
-        return self.values == self.nodata
+        return _nodata_mask(self.values, self.nodata)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +252,15 @@ class ScoreGrid(_Raster):
             mask = _read_only(self.excluded, np.bool_)
         if mask.shape != arr.shape:
             raise ValueError(f"exclusion mask shape {mask.shape} != score shape {arr.shape}")
-        live = arr[~mask]
-        if live.size:
-            lo = np.min(live)  # NaN if any live score is NaN
+        # Every cell is checked first, as `to_scores` stores 0.0 under the
+        # excluded ones; only if one fails are the live cells checked alone,
+        # without copying them (inf and -inf when there are none).
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # a NaN fails min
+            live = ~mask
+            lo = arr.min(where=live, initial=np.inf)  # NaN if any live score is NaN
             if math.isnan(lo):
                 raise ValueError("NaN scores on non-excluded cells")
-            if lo < 0.0 or np.max(live) > 1.0:
+            if lo < 0.0 or arr.max(where=live, initial=-np.inf) > 1.0:
                 raise ValueError("scores outside [0, 1] on non-excluded cells")
         object.__setattr__(self, "excluded", mask)
 
@@ -275,6 +276,16 @@ class ScoreGrid(_Raster):
 # ---------------------------------------------------------------------------
 
 
+class _Header(NamedTuple):
+    """What a raster file's header says: its shape, placement and nodata sentinel."""
+
+    shape: tuple[int, int]
+    cell_size: float
+    origin_x: float
+    origin_y: float
+    nodata: float
+
+
 def load_grid(path: str | Path) -> Grid:
     """Read an ASCII grid raster from disk.
 
@@ -287,6 +298,58 @@ def load_grid(path: str | Path) -> Grid:
             and nrows must be positive integers, cellsize positive and
             finite), bad row count or length, or a non-numeric token; the
             message names the path and the 1-based line number (`.line`).
+    """
+    head, body, marks = _read_raster(path)
+    return _grid(head, _float_values(head, body, marks))
+
+
+def load_binary(path: str | Path, exclusion: Grid | None = None) -> BinaryGrid:
+    """Read an ASCII grid raster from disk as `to_binary(load_grid(path), exclusion)` classifies it.
+
+    A body that the stride decode takes is classified from its digits, and
+    no float copy of it is made; any other body from the float values of
+    `load_grid`'s general route. Values, header fields and errors are those
+    of the composed form.
+
+    Raises:
+        GridFormatError: As `load_grid` raises it.
+        ValueError: As `to_binary` raises it.
+    """
+    head, body, marks = _read_raster(path)
+    nodata = _nodata_mask(body, head.nodata)  # a digit equal to the sentinel is nodata too
+    if marks is not None:
+        nodata |= marks
+    del marks
+    return _binary(body, _excluded_cells(nodata, head, exclusion), head)
+
+
+def load_scores(path: str | Path, exclusion: Grid | None = None) -> ScoreGrid:
+    """Read an ASCII grid raster from disk as `to_scores(load_grid(path), exclusion)` interprets it.
+
+    The parsed values are classified in place, so that no second float copy
+    of them is made. Values, mask, header fields and errors are those of the
+    composed form.
+
+    Raises:
+        GridFormatError: As `load_grid` raises it.
+        ValueError: As `to_scores` raises it.
+    """
+    head, body, marks = _read_raster(path)
+    values = _float_values(head, body, marks)
+    del body, marks
+    return _scores(values, _excluded_cells(_nodata_mask(values, head.nodata), head, exclusion), head)
+
+
+def _read_raster(path: str | Path) -> tuple[_Header, NDArray[Any], NDArray[np.bool_] | None]:
+    """The header of the ASCII grid at `path`, and its body decoded.
+
+    A body in canonical single-digit form comes back as `_stride_body`
+    gives it: uint16 digits and the nodata marks (None without any). Any
+    other body comes back as the float64 values of `_parse_body`, with None
+    for the marks. Either array is owned and writable.
+
+    Raises:
+        GridFormatError: See `load_grid`.
     """
     try:
         data = Path(path).read_bytes()
@@ -320,6 +383,9 @@ def load_grid(path: str | Path) -> Grid:
         nodata_text = parts[1]  # the last header line's value, as written
 
         ncols, nrows = int(header["ncols"]), int(header["nrows"])
+        head = _Header(
+            (nrows, ncols), header["cellsize"], header["xllcorner"], header["yllcorner"], header["nodata_value"]
+        )
 
         # Tolerate trailing newlines (canonical files end with one "\n").
         end = len(data)
@@ -327,35 +393,44 @@ def load_grid(path: str | Path) -> Grid:
             end -= 1
 
         # A body that the stride decode takes has exactly nrows rows.
-        values = _stride_body(data, start, end, nrows, ncols, nodata_text, header["nodata_value"])
-        if values is None:
-            # One copy of the text at a time, as before the stride decode.
-            text = str(memoryview(data)[start:end], "ascii")
-            del data
-            body = text.split("\n") if text else []
-            del text
-            if len(body) != nrows:
-                raise GridFormatError(
-                    f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
-                )
-            values = _parse_body(body, ncols)
-        values.setflags(write=False)  # handed over to the Grid, which keeps it uncopied
-        return Grid(
-            values,
-            cell_size=header["cellsize"],
-            origin_x=header["xllcorner"],
-            origin_y=header["yllcorner"],
-            nodata=header["nodata_value"],
-        )
+        strided = _stride_body(data, start, end, nrows, ncols, nodata_text)
+        if strided is not None:
+            return head, *strided
+        # One copy of the text at a time, as before the stride decode.
+        text = str(memoryview(data)[start:end], "ascii")
+        del data
+        body = text.split("\n") if text else []
+        del text
+        if len(body) != nrows:
+            raise GridFormatError(
+                f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
+            )
+        return head, _parse_body(body, ncols), None
     except GridFormatError as exc:
         exc.args = (f"{path}: {exc}",)  # the line number stays in exc.line
         raise
 
 
+def _float_values(head: _Header, body: NDArray[Any], marks: NDArray[np.bool_] | None) -> FloatArray:
+    """The float64 values of a body that `_read_raster` gave: the digits cast, each mark the nodata sentinel."""
+    if body.dtype == np.float64:
+        return body
+    values = body.astype(np.float64)
+    if marks is not None:
+        np.putmask(values, marks, head.nodata)
+    return values
+
+
+def _grid(head: _Header, values: FloatArray) -> Grid:
+    """A `Grid` of freshly parsed `values`, which it keeps uncopied."""
+    values.setflags(write=False)
+    return Grid(values, head.cell_size, head.origin_x, head.origin_y, head.nodata)
+
+
 def _stride_body(
-    data: bytes, start: int, end: int, nrows: int, ncols: int, nodata_text: str, nodata: float
-) -> FloatArray | None:
-    """The values of the body `data[start:end]`, or None unless it has the single-digit layout.
+    data: bytes, start: int, end: int, nrows: int, ncols: int, nodata_text: str
+) -> tuple[NDArray[np.uint16], NDArray[np.bool_] | None] | None:
+    """The digits and nodata marks of the body `data[start:end]`, or None unless it has the single-digit layout.
 
     The layout: every token is one decimal digit or exactly `nodata_text`,
     tokens are separated by single spaces, and every row, the last included,
@@ -363,6 +438,10 @@ def _stride_body(
     by the byte 0x80, which ASCII text cannot hold, so no other token can
     pass for it. Then cell k of row r is the two bytes at 2 * (r * ncols + k)
     of the body, its digit and its separator, and nothing needs splitting.
+
+    The digits are a uint16 array of shape (nrows, ncols), 0 at a nodata
+    token; the marks are True at the nodata tokens, and None when the body
+    holds none longer than one byte (a one-byte one is a digit).
     """
     if end == len(data):  # the last row has no "\n"
         return None
@@ -386,15 +465,14 @@ def _stride_body(
     zero = np.full(ncols, ord(" ") << 8 | ord("0"), "<u2")
     zero[-1] = ord("\n") << 8 | ord("0")
     digits = cells - zero
+    del cells, data  # freeing the marked copy of the text, if one was made
+    marks = None
     if excess:
-        is_nodata = digits == 0x80 - ord("0")
-        np.putmask(digits, is_nodata, 0)
+        marks = digits == 0x80 - ord("0")
+        np.putmask(digits, marks, 0)
     if digits.max() > 9:
         return None
-    values = digits.astype(np.float64)
-    if excess:
-        np.putmask(values, is_nodata, nodata)
-    return values
+    return digits, marks
 
 
 def _parse_body(body: list[str], ncols: int) -> FloatArray:
@@ -430,8 +508,8 @@ def _parse_body(body: list[str], ncols: int) -> FloatArray:
     return np.array(rows, dtype=np.float64)
 
 
-#: Cells in one block of rows that `write_grid` writes at a time, so that
-#: its working arrays stay small next to the grid.
+#: Cells in one block that `write_grid` writes, or `build_confusion`
+#: tallies, at a time, so that the working arrays stay small next to the grid.
 _BLOCK_CELLS = 1 << 16
 
 #: The text byte of each `BinaryGrid` code, indexed by the code: EXCLUDED (-1) picks the gap mark.
@@ -588,13 +666,17 @@ def check_aligned(
             raise ValueError(f"{a_role} {name} {x!r} != {b_role} {name} {y!r}: the rasters do not line up")
 
 
-def _excluded_cells(grid: Grid, exclusion: Grid | None) -> NDArray[np.bool_]:
-    """Cells that are nodata in `grid` or nonzero (nodata included) in `exclusion`."""
-    excluded = grid.nodata_mask()
+def _nodata_mask(values: NDArray[Any], nodata: float) -> NDArray[np.bool_]:
+    """True where `values` holds `nodata` (NaN matches NaN)."""
+    return np.isnan(values) if math.isnan(nodata) else values == nodata
+
+
+def _excluded_cells(nodata: NDArray[np.bool_], grid: Grid | _Header, exclusion: Grid | None) -> NDArray[np.bool_]:
+    """`nodata`, the nodata cells of `grid`, with the cells nonzero (nodata included) in `exclusion` added."""
     if exclusion is not None:
         check_aligned(exclusion, "exclusion", grid, "grid")
-        excluded |= exclusion.values != 0.0
-    return excluded
+        nodata |= exclusion.values != 0.0
+    return nodata
 
 
 def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
@@ -609,14 +691,21 @@ def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
             `check_aligned`), or an unexpected value outside the exclusion
             (message names the flat cell index).
     """
-    excluded = _excluded_cells(grid, exclusion)
-    ones = grid.values == 1.0
-    known = ones | (grid.values == 0.0) | excluded
+    return _binary(grid.values, _excluded_cells(grid.nodata_mask(), grid, exclusion), grid)
+
+
+def _binary(values: NDArray[Any], excluded: NDArray[np.bool_], grid: Grid | _Header) -> BinaryGrid:
+    """The `BinaryGrid` of `values` (floats, or `_stride_body`'s digits) on `grid`'s cells, by `to_binary`'s rule."""
+    out = np.empty(values.shape, np.int8)
+    np.equal(values, 1, out=out)  # 1 at an event cell, 0 elsewhere
+    known = values == 0
+    known |= excluded
+    known |= out.view(np.bool_)
     if not known.all():
-        idx = int(np.flatnonzero(~known)[0])
-        value = _plain(grid.values.flat[idx])
+        idx = int(np.argmin(known))
+        value = float(values.flat[idx])
         raise ValueError(f"unexpected value {value!r} at flat index {idx}: not 1.0/0.0 and not excluded")
-    out = ones.astype(np.int8)
+    del known
     np.putmask(out, excluded, EXCLUDED)
     out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied
     return BinaryGrid(out, grid.cell_size, grid.origin_x, grid.origin_y)
@@ -624,11 +713,18 @@ def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
 
 def to_scores(grid: Grid, exclusion: Grid | None = None) -> ScoreGrid:
     """Interpret a value grid as scores in [0, 1] with exclusions (stored as 0.0)."""
-    excluded = _excluded_cells(grid, exclusion)
-    vals = np.where(excluded, 0.0, grid.values)
-    vals.setflags(write=False)  # both handed over to the ScoreGrid uncopied
+    return _scores(grid.values.copy(), _excluded_cells(grid.nodata_mask(), grid, exclusion), grid)
+
+
+def _scores(values: FloatArray, excluded: NDArray[np.bool_], grid: Grid | _Header) -> ScoreGrid:
+    """The `ScoreGrid` of `values` on `grid`'s cells, `values` zeroed in place where `excluded`.
+
+    Both arrays are handed over to the ScoreGrid uncopied.
+    """
+    np.putmask(values, excluded, 0.0)
+    values.setflags(write=False)
     excluded.setflags(write=False)
-    return ScoreGrid(vals, excluded, grid.cell_size, grid.origin_x, grid.origin_y)
+    return ScoreGrid(values, excluded, grid.cell_size, grid.origin_x, grid.origin_y)
 
 
 def threshold_scores(
@@ -672,7 +768,11 @@ def threshold_scores(
         if quantity > n_live:
             raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
         # The cut is the quantity-th largest live score; no score reaches inf.
-        cut = np.partition(live_vals, n_live - quantity)[n_live - quantity] if quantity else np.inf
+        if quantity:
+            live_vals.partition(n_live - quantity)  # in place: live_vals is already a copy
+            cut = live_vals[n_live - quantity]
+        else:
+            cut = np.inf
         above = (vals > cut) & live
         ties = np.flatnonzero((vals == cut) & live)[: quantity - np.count_nonzero(above)]
         out = above.astype(np.int8)

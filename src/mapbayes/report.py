@@ -42,8 +42,8 @@ from .convergence import (
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import (
-    BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_grid, threshold_scores, to_binary,
-    to_scores,
+    BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_binary, load_grid, load_scores,
+    threshold_scores,
 )
 from .tableio import column_rows, int64_id, read_csv, unit_value, write_csv, write_json
 
@@ -225,7 +225,7 @@ class PairAssessment:
 def load_observed(obs: Path, exclusion: Path | None) -> tuple[Grid | None, BinaryGrid]:
     """Load an exclusion map (None without one) and classify the observed map under it."""
     excl = load_grid(exclusion) if exclusion is not None else None
-    return excl, to_binary(load_grid(obs), exclusion=excl)
+    return excl, load_binary(obs, exclusion=excl)
 
 
 def assess_pair(
@@ -243,15 +243,16 @@ def assess_pair(
     """
     exclusion, obs = observed
     if input_kind(kind) == "binary":
-        pred = to_binary(load_grid(sim), exclusion=exclusion)
+        pred = load_binary(sim, exclusion=exclusion)
     else:
-        scores = to_scores(load_grid(sim), exclusion=exclusion)
+        scores = load_scores(sim, exclusion=exclusion)
         if threshold.kind == "value":
             pred = threshold_scores(scores, value=threshold.value)
         elif threshold.kind == "quantity":
             pred = threshold_scores(scores, quantity=threshold.value)
         else:
             pred = threshold_scores(scores, quantity=obs.n_ones)
+        del scores  # released before the tally
 
     matrix = build_confusion(pred, obs)
     rates = agreement_rates(matrix)

@@ -117,8 +117,8 @@ NO_SCALAR = {
     "Convention", "diagnostic_odds_ratio", "likelihood_ratios", "prevalence_sweep", "agreement_rates",
     "build_confusion", "perfect_agreement_gap", "FitGrid", "RunTable", "asymmetric_family", "dominance_table",
     "factor_timeline", "factor_values", "fit_by_form", "fit_normal_ml", "density_intersection", "find_crossings",
-    "silverman_bandwidth", "check_aligned", "load_grid", "to_binary", "to_scores", "write_grid", "classify_pools",
-    "generate_pair", "BoxTable",
+    "silverman_bandwidth", "check_aligned", "load_binary", "load_grid", "load_scores", "to_binary", "to_scores",
+    "write_grid", "classify_pools", "generate_pair", "BoxTable",
 }
 
 #: Results and errors that the library fills in; they check nothing.

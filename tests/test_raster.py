@@ -207,7 +207,7 @@ class TestLoadGrid:
     @pytest.mark.parametrize(
         "body, step",
         [
-            ("1 0 -9999\n0 1 0\n", "_stride_body"),
+            ("1 0 -9999\n0 1 0\n", "_float_values"),  # the stride decode's digits, cast
             ("1 0 -9999\n0.25 1 0\n", "_parse_body"),
             ("1 0 -9999\n0.25 1 1_0\n", "_parse_body"),
         ],

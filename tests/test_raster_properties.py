@@ -13,13 +13,21 @@ is written as its `as_grid()` value grid is, whatever its excluded cells hold.
 `tableio.read_csv` parses each CSV row as it reads it; it is pinned to the
 row-by-row reference reader in conftest.py. The classify tests pin the linear
 top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
-tally to the cells live in both maps. The predictive values of any tally lie
-in [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
+tally to the cells live in both maps. `load_binary` and `load_scores` are
+pinned to `to_binary` and `to_scores` after `load_grid`, value, mask, header
+and error alike, over stride and general bodies, one-byte and NaN nodata,
+and exclusion grids that line up, cover every cell or do not line up; three
+tracemalloc guards hold what they and the blocked tally save on a
+1000x1000 map. `ScoreGrid` refuses a NaN or out-of-range live score as a
+copy of its live cells would. The predictive values of any tally lie in
+[0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
 """
 
 import csv
 import io
 import math
+import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -40,10 +48,13 @@ from mapbayes import (
     agreement_rates,
     build_confusion,
     likelihood_ratios,
+    load_binary,
     load_grid,
+    load_scores,
     predictive_values,
     threshold_scores,
     to_binary,
+    to_scores,
     write_grid,
 )
 from mapbayes import raster, tableio
@@ -586,6 +597,202 @@ def test_to_binary_matches_per_cell_reference(layers, nodata):
             to_binary(grid, exclusion=Grid(exclusion))
     else:
         assert to_binary(grid, exclusion=Grid(exclusion)).values.tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Loaders that classify as they parse, against their composed forms
+# ---------------------------------------------------------------------------
+
+#: Nodata texts of classified maps: the usual sentinel, NaN, one-byte texts
+#: that are digits (their cells must come back excluded), and texts that
+#: equal a digit's value.
+CLASSIFIED_NODATA = ["-9999", "nan", "0", "1", "5", "1.0", "-0", "-1"]
+#: Tokens that only the general route reads.
+GENERAL_TOKENS = ["1.0", "0.0", "-0", "0.5", "1e0", "0.25"]
+#: How the body is laid out. "\r\n" endings read as "\n", so the first two
+#: are the single-digit layout; the others are, only when they happen not
+#: to double a space or not to hold a general token.
+LAYOUTS = ["stride", "crlf", "double-space", "general-tokens"]
+#: The exclusion grid: none, on the same cells, covering every cell, or not lining up.
+EXCLUSIONS = ["none", "aligned", "all-excluded", "wrong-shape", "shifted"]
+
+
+@st.composite
+def classified_maps(draw):
+    """A raster file's text (digits 0-9, nodata tokens, some general tokens) and an exclusion grid."""
+    nrows, ncols = draw(digit_shapes)
+    nodata = draw(st.sampled_from(CLASSIFIED_NODATA))
+    layout = draw(st.sampled_from(LAYOUTS))
+    cell = st.sampled_from("0011") | st.integers(0, 9).map(str) | st.just(nodata)
+    if layout == "general-tokens":
+        cell = cell | st.sampled_from(GENERAL_TOKENS)
+    if draw(st.integers(0, 9)):
+        rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    else:  # every cell nodata
+        rows = [[nodata] * ncols] * nrows
+    sep = "  " if layout == "double-space" else " "
+    end = "\r\n" if layout == "crlf" else "\n"
+    text = grid_text(nrows, ncols, nodata, "".join(sep.join(r) + end for r in rows))
+    kind = draw(st.sampled_from(EXCLUSIONS))
+    if kind == "none":
+        return text, layout, None
+    shape = (nrows, ncols + 1) if kind == "wrong-shape" else (nrows, ncols)
+    if kind == "all-excluded":
+        values = np.ones(shape)
+    else:
+        excluding = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 3.0, -9999.0, math.nan])
+        values = draw(arrays(np.float64, shape, elements=excluding))
+    return text, layout, Grid(values, origin_x=30.0 if kind == "shifted" else 0.0)
+
+
+def composed_binary(path, exclusion):
+    return to_binary(load_grid(path), exclusion)
+
+
+def composed_scores(path, exclusion):
+    return to_scores(load_grid(path), exclusion)
+
+
+def classify_outcome(load, path, exclusion):
+    """What `load` gives or raises, and whether the stride decode took the body."""
+    strided = []
+
+    def stride(*args):
+        strided.append(stride_body(*args))
+        return strided[-1]
+
+    stride_body = raster._stride_body
+    with mock.patch.object(raster, "_stride_body", stride):
+        try:
+            got = load(path, exclusion)
+        except ValueError as exc:  # GridFormatError included
+            got = exc
+    return got, bool(strided) and strided[0] is not None
+
+
+def assert_same_container(got, expected):
+    assert type(got) is type(expected), got
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        assert getattr(got, "line", None) == getattr(expected, "line", None)
+        return
+    assert got.values.dtype == expected.values.dtype
+    assert got.values.shape == expected.values.shape
+    assert got.values.tobytes() == expected.values.tobytes()  # bitwise, -0.0 included
+    assert not got.values.flags.writeable
+    if isinstance(expected, ScoreGrid):
+        assert got.excluded.tolist() == expected.excluded.tolist()
+    fields = ("cell_size", "origin_x", "origin_y")
+    assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(expected, f)) for f in fields]
+
+
+@settings(max_examples=500, deadline=None)
+@given(classified_maps())
+def test_classifying_loaders_match_their_composed_forms(grid_path, case):
+    text, layout, exclusion = case
+    grid_path.write_bytes(text.encode("ascii"))
+    got, strided = classify_outcome(load_binary, grid_path, exclusion)
+    assert strided or layout not in ("stride", "crlf")
+    assert_same_container(got, classify_outcome(composed_binary, grid_path, exclusion)[0])
+    got, strided = classify_outcome(load_scores, grid_path, exclusion)
+    assert_same_container(got, classify_outcome(composed_scores, grid_path, exclusion)[0])
+
+
+@pytest.mark.parametrize(
+    "exclusion, expected",
+    [
+        (None, "unexpected value 7.0 at flat index 1: not 1.0/0.0 and not excluded"),
+        ([[0.0, 1.0, 0.0]], [[1, EXCLUDED, 0]]),
+        ([[0.0, math.nan, 0.0]], [[1, EXCLUDED, 0]]),
+    ],
+    ids=["live", "excluded", "nodata-in-exclusion"],
+)
+def test_load_binary_takes_a_digit_above_one_only_where_excluded(grid_path, exclusion, expected):
+    grid_path.write_text(grid_text(1, 3, "-9999", "1 7 0\n"))
+    excl = None if exclusion is None else Grid(np.array(exclusion))
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            load_binary(grid_path, excl)
+    else:
+        assert load_binary(grid_path, excl).values.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "nodata, codes",
+    [("0", [[EXCLUDED, 1], [1, EXCLUDED]]), ("1", [[0, EXCLUDED], [EXCLUDED, 0]])],
+)
+def test_one_byte_nodata_tokens_come_back_excluded(grid_path, nodata, codes):
+    grid_path.write_text(grid_text(2, 2, nodata, "0 1\n1 0\n"))
+    assert load_binary(grid_path).values.tolist() == codes
+    scores = load_scores(grid_path)
+    assert scores.excluded.tolist() == (np.array(codes) == EXCLUDED).tolist()
+    assert scores.values.tolist() == np.where(scores.excluded, 0.0, [[0.0, 1.0], [1.0, 0.0]]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.5, 2.0, math.nan, math.inf])),
+            arrays(np.bool_, shape),
+        )
+    )
+)
+def test_score_grid_checks_its_live_cells_as_a_copy_of_them_would(case):
+    values, excluded = case
+    live = values[~excluded]
+    if np.isnan(live).any():
+        expected = "NaN scores on non-excluded cells"
+    elif ((live < 0.0) | (live > 1.0)).any():
+        expected = "scores outside [0, 1] on non-excluded cells"
+    else:
+        ScoreGrid(values, excluded)
+        return
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        ScoreGrid(values, excluded)
+
+
+# The guards below hold what classifying on load saves on a 1000x1000 map.
+# The composed forms, and a tally over a per-cell cast, break each of them.
+
+CELLS = 1000 * 1000
+FLOAT_COPY = 8 * CELLS  # bytes of one float64 array of the grid
+
+
+@pytest.fixture(scope="module")
+def large_maps(tmp_path_factory):
+    """A 1000x1000 binary map with 15% nodata cells, and six-decimal scores on the same cells."""
+    rng = np.random.default_rng(5)
+    excluded = rng.random((1000, 1000)) < 0.15
+    root = tmp_path_factory.mktemp("large")
+    write_grid(BinaryGrid(np.where(excluded, EXCLUDED, rng.integers(0, 2, excluded.shape))), root / "b.asc")
+    write_grid(ScoreGrid(np.round(rng.random(excluded.shape), 6), excluded), root / "s.asc")
+    return root
+
+
+def traced_peak(fn, *args):
+    """The peak of traced allocations while `fn(*args)` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_binary_builds_no_float_copy(large_maps):
+    assert traced_peak(load_binary, large_maps / "b.asc") < FLOAT_COPY
+
+
+def test_load_scores_holds_no_more_than_the_parse_does(large_maps):
+    path = large_maps / "s.asc"
+    assert traced_peak(load_scores, path) < traced_peak(load_grid, path) + FLOAT_COPY // 4
+
+
+def test_tally_casts_no_per_cell_code(large_maps):
+    obs = load_binary(large_maps / "b.asc")
+    sim = BinaryGrid(np.random.default_rng(6).integers(0, 2, obs.shape))
+    assert traced_peak(build_confusion, sim, obs) < CELLS  # under one byte a cell
 
 
 @st.composite

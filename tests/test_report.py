@@ -35,7 +35,7 @@ from mapbayes import (
     threshold_scores,
     write_grid,
 )
-from mapbayes import cli, report, tableio
+from mapbayes import cli, raster, report, tableio
 from mapbayes.raster import GridFormatError, format_floats
 from mapbayes.bayes import Convention
 from mapbayes.cli import load_job, parse_alpha_grid, parse_config
@@ -929,12 +929,14 @@ class TestSharedObservedMaps:
     def test_each_shared_map_is_parsed_once_per_run(self, tmp_path, monkeypatch):
         inputs = write_shared_map_inputs(tmp_path, self.BOX_MAJOR)
         parsed = []
+        read_raster = raster._read_raster
 
-        def counting_load_grid(path):
+        def counting_read_raster(path):
             parsed.append(Path(path).name)
-            return load_grid(path)
+            return read_raster(path)
 
-        monkeypatch.setattr(report, "load_grid", counting_load_grid)
+        # load_grid, load_binary and load_scores each read through it.
+        monkeypatch.setattr(raster, "_read_raster", counting_read_raster)
         manifest = run_job(shared_map_job(inputs, tmp_path / "out"))
         assert manifest["failures"] == []
         # 2 boxes x (observed + exclusion) + 6 predictions, not 6 x 3.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
-import logging
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -38,9 +37,9 @@ _DEFERRED: dict[str, tuple[str, ...]] = {
     "convergence": ("asymmetric_family",),
     "kde": ("GRID", "balance_point", "check_bandwidth", "find_crossings", "fit_kde"),
     "report": (
-        "_BAYES_HEADER", "_CONFUSION_HEADER", "DEFAULT_THRESHOLD", "AssessmentJob", "ThresholdPolicy",
-        "analyze_scopes", "assess_pair", "load_observed", "read_inputs_manifest", "read_runs_csv", "run_job",
-        "write_runs_csv",
+        "_BAYES_HEADER", "_CONFUSION_HEADER", "DEFAULT_ALPHA_GRID", "DEFAULT_THRESHOLD", "AssessmentJob",
+        "ThresholdPolicy", "analyze_scopes", "assess_pair", "load_observed", "read_inputs_manifest", "read_runs_csv",
+        "run_job", "write_runs_csv", "write_tree",
     ),
     "sampling": ("DEFAULT_QUANTILES", "classify_pools", "draw_quantile_sample", "tile_region"),
     "synth": ("SynthConfig", "generate_pair", "generate_run_table"),
@@ -64,13 +63,9 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-log = logging.getLogger(__name__)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -350,8 +345,15 @@ def cmd_converge(args) -> int:
     settings = _settings(args, "out")
     out = settings.pop("out")
     runs = read_runs_csv(args.runs)
-    _, scope_summaries = analyze_scopes(runs, out, **settings)  # alpha_grid, bandwidth and final_cycle
-    write_json(out / "summary.json", {"scopes": scope_summaries})
+    scope_summaries: dict[str, Any] = {}
+
+    def write(stage: Path) -> list[dict[str, str]]:
+        scope_summaries.update(analyze_scopes(runs, stage, **settings))  # alpha_grid, bandwidth and final_cycle
+        write_json(stage / "summary.json", {"scopes": scope_summaries})
+        return []
+
+    write_tree(out, write, alpha_grid=format_floats(settings.get("alpha_grid", DEFAULT_ALPHA_GRID)),
+               bandwidth=format_float(settings.get("bandwidth")), final_cycle=settings.get("final_cycle"))
     for scope in sorted(scope_summaries):
         sel = scope_summaries[scope].get("selected_alpha")
         print(f"{scope} selected_alpha {format_float(sel) if sel is not None else 'none'}")
@@ -373,7 +375,7 @@ def cmd_sample(args) -> int:
             drawn = draw_quantile_sample(pool, n_quantiles, label=label, **settings)  # seed
             chosen[np.isin(boxes.box_id, drawn.box_id)] += label
         else:
-            log.warning("pool %s has %d boxes; fewer than %d quantiles, skipped", label, len(pool), n_quantiles)
+            print(f"skipped_pool {label} {len(pool)}", file=sys.stderr)
     columns = (boxes.box_id, boxes.row0, boxes.col0, boxes.pct_urban_change, boxes.pct_exclusionary, boxes.index)
     header = ("box_id", "row0", "col0", "pct_urban", "pct_excl", "index", "pools", "selected_for")
     _emit_csv(out, "sample.csv", header, column_rows(*columns, in_pools, chosen))

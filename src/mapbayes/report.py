@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import logging
+import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,26 +30,15 @@ from .bayes import (
 )
 from .confusion import AgreementRates, ConfusionMatrix, agreement_rates, build_confusion
 from .convergence import (
-    DEFAULT_ALPHA_GRID,
-    MIN_PP_POINTS,
-    RunRecord,
-    RunTable,
-    asymmetric_family,
-    check_final_cycle,
-    dominance_table,
-    factor_timeline,
-    fit_by_form,
-    pp_curve,
-    split_robustness,
+    DEFAULT_ALPHA_GRID, MIN_PP_POINTS, RunRecord, RunTable, asymmetric_family, check_final_cycle, dominance_table,
+    factor_timeline, fit_by_form, pp_curve, split_robustness,
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import (
     BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_binary, load_grid, load_scores,
     threshold_scores,
 )
-from .tableio import column_rows, int64_id, read_csv, unit_value, write_csv, write_json
-
-log = logging.getLogger(__name__)
+from .tableio import column_rows, int64_id, read_csv, read_utf8, unit_value, write_csv, write_json
 
 #: Scope label covering every run regardless of group.
 SCOPE_ALL = "all"
@@ -311,11 +302,11 @@ _BAYES_HEADER = ("box_id", "cycle", "convention", "prevalence", "ppv", "npv", "l
 
 
 def run_job(job: AssessmentJob) -> dict[str, Any]:
-    """Run a full assessment job and write the output tree.
+    """Run a full assessment job and write the output tree with `write_tree`.
 
     Writes confusion.csv, bayes.csv, runs.csv, timeline.csv, per-scope
     kde_/ppcurve_ CSVs, fits.csv, dominance.csv, summary.json, and
-    manifest.json into the job's output directory. Returns the manifest
+    manifest.json as the job's output directory. Returns the manifest
     (also written to disk). Failures of individual inputs or per-scope
     analyses are recorded rather than raised; so is a `final_cycle` that
     the scored runs no longer reach (`scopes_error`), and so are the caveats
@@ -323,20 +314,19 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     more groups carry a finite mean DOR, and each scope's `pp_coarse` when
     its P-P curve has fewer than `MIN_PP_POINTS` points.
     """
-    out_dir = Path(job.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    return write_tree(job.out_dir, lambda stage: _write_job(job, stage), convention=job.convention.value,
+                      threshold=job.threshold.describe(), alpha_grid=format_floats(job.alpha_grid),
+                      bandwidth=format_float(job.bandwidth), seed=job.seed)
 
+
+def _write_job(job: AssessmentJob, out_dir: Path) -> list[dict[str, str]]:
+    """Assess the job's pairs and write its files, bar manifest.json, into `out_dir`; return its failures."""
     assessed: list[tuple[JobInput, PairAssessment]] = []
     failures: list[dict[str, str]] = []
 
     def fail(inp: JobInput, exc: Exception) -> None:
-        log.warning("input %s (box %s, cycle %s) failed: %s", inp.sim, inp.box_id, inp.cycle, exc)
-        failures.append(
-            {
-                "sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle),
-                "error": str(exc), "error_type": type(exc).__name__,
-            }
-        )
+        failures.append({"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle),
+                         "error": str(exc), "error_type": type(exc).__name__})
 
     # A box's observed and exclusion maps repeat over its cycles: they are
     # parsed once per run of consecutive inputs that share them, and dropped
@@ -361,10 +351,8 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
         (inp.box_id, inp.cycle, job.convention.value, *format_floats((a.rates.prevalence_observed, *a.ratios())))
         for inp, a in assessed
     ]
-    files = [
-        write_csv(out_dir / "confusion.csv", _CONFUSION_HEADER, confusion),
-        write_csv(out_dir / "bayes.csv", _BAYES_HEADER, bayes),
-    ]
+    write_csv(out_dir / "confusion.csv", _CONFUSION_HEADER, confusion)
+    write_csv(out_dir / "bayes.csv", _BAYES_HEADER, bayes)
 
     scored = [(inp, a.pv) for inp, a in assessed if a.pv is not None and None not in (a.pv.ppv, a.pv.npv)]
     runs = RunTable(
@@ -374,7 +362,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
         [pv.ppv for _, pv in scored],
         [pv.npv for _, pv in scored],
     )
-    files.append(write_runs_csv(out_dir / "runs.csv", runs))
+    write_runs_csv(out_dir / "runs.csv", runs)
 
     summary: dict[str, Any] = {
         "convention": job.convention.value,
@@ -395,29 +383,51 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
         dor = summary["dor_by_group"] = _dor_by_group(assessed)
         summary["dor_caveat"] = sum(v is not None and math.isfinite(v) for v in dor.values()) >= 2
         try:
-            scope_files, summary["scopes"] = analyze_scopes(
+            summary["scopes"] = analyze_scopes(
                 runs, out_dir, alpha_grid=job.alpha_grid, bandwidth=job.bandwidth, final_cycle=job.final_cycle
             )
-            files.extend(scope_files)
         except ValueError as exc:  # failed or unscored inputs can leave no run past the manifest's final_cycle
             summary["scopes_error"] = str(exc)
+    write_json(out_dir / "summary.json", summary)
+    return failures
 
-    summary_path = out_dir / "summary.json"
-    write_json(summary_path, summary)
-    files.append(summary_path)
 
-    manifest = {
-        "outputs": {f.name: _sha256(f) for f in sorted(files, key=lambda p: p.name)},
-        "failures": failures,
-        "settings": {
-            "convention": job.convention.value,
-            "threshold": job.threshold.describe(),
-            "alpha_grid": [format_float(a) for a in job.alpha_grid],
-            "bandwidth": format_float(job.bandwidth),
-            "seed": job.seed,
-        },
-    }
-    write_json(out_dir / "manifest.json", manifest)
+def write_tree(out_dir: str | Path, write: Callable[[Path], list], **settings: Any) -> dict[str, Any]:
+    """Write a command's files and their manifest.json in place of the tree at `out_dir`; return the manifest.
+
+    `write(stage)` writes the files into a fresh directory beside `out_dir`
+    and returns the failures to record; the manifest holds the sha256 of each
+    file found there, those failures and the `settings` given. Only then are
+    the files that the old tree's manifest.json lists deleted and the new tree
+    renamed into place, so a `write` that raises leaves `out_dir` as it was.
+    An `out_dir` that holds any other file is refused before anything is
+    written.
+    """
+    out_dir = Path(out_dir).resolve()  # a symlink's target, which is what is replaced
+    old = list(out_dir.iterdir()) if out_dir.exists() else None
+    try:
+        listed = {*json.loads(read_utf8(out_dir / "manifest.json"))["outputs"], "manifest.json"}
+    except (OSError, ValueError, LookupError, TypeError):  # no manifest.json, or one that lists no outputs
+        listed = set()
+    if foreign := sorted(f.name for f in old or () if f.name not in listed or not f.is_file()):
+        raise ValueError(f"{out_dir} holds {', '.join(foreign)}, which no manifest.json there lists")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    stage.rmdir()  # made again under the umask, as `out_dir` would be, not private as mkdtemp makes it
+    stage.mkdir()
+    try:
+        failures = write(stage)
+        outputs = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(stage.iterdir())}
+        manifest = {"outputs": outputs, "failures": failures, "settings": settings}
+        write_json(stage / "manifest.json", manifest)
+    except BaseException:
+        shutil.rmtree(stage)  # the fresh stage, never `out_dir`
+        raise
+    if old is not None:
+        for f in old:
+            f.unlink()
+        out_dir.rmdir()
+    stage.rename(out_dir)
     return manifest
 
 
@@ -428,14 +438,13 @@ def analyze_scopes(
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
     bandwidth: float | None = None,
     final_cycle: int | None = None,
-) -> tuple[list[Path], dict[str, Any]]:
+) -> dict[str, Any]:
     """Density and convergence analyses for the full run set and each group.
 
     Writes timeline.csv, per-scope kde_/ppcurve_ CSVs, fits.csv and
-    dominance.csv under `out_dir`, which it creates; returns the written
-    files plus a per-scope summary mapping. Scope-level failures (too few
-    runs, degenerate fits, no density crossing) are recorded in the summary
-    instead of raised.
+    dominance.csv under the directory `out_dir`; returns a per-scope summary
+    mapping. Scope-level failures (too few runs, degenerate fits, no density
+    crossing) are recorded in the summary instead of raised.
 
     Raises:
         ValueError: A group labelled `SCOPE_ALL` (see `group_label`) or a
@@ -448,16 +457,15 @@ def analyze_scopes(
     forms = asymmetric_family(alpha_grid)
     labels = [f.label for f in forms]
     timeline = factor_timeline(runs, forms)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [(cycle, *format_floats([means[lbl] for lbl in labels])) for cycle, means in timeline]
-    files = [write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)]
+    write_csv(out_dir / "timeline.csv", ["cycle"] + [f"mean_{lbl}" for lbl in labels], rows)
 
     fits_rows: list[tuple[Any, ...]] = []
     dom_rows: list[dict[str, str]] = []
     summaries: dict[str, Any] = {}
     for scope, batch in scopes.items():
         entry: dict[str, Any] = {"n_runs": len(batch)}
-        entry.update(_kde_analysis(scope, batch, bandwidth, out_dir, files))
+        entry.update(_kde_analysis(scope, batch, bandwidth, out_dir))
         try:
             groups = split_robustness(batch, final_cycle)
             grid = fit_by_form(groups, forms)
@@ -491,7 +499,7 @@ def analyze_scopes(
         best = table.selected
         curve = pp_curve(grid.values[best][0], grid.mu[best, 0], grid.sigma[best, 0])
         pp_rows = column_rows(curve.p, curve.fitted)
-        files.append(write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows))
+        write_csv(out_dir / f"ppcurve_{scope}.csv", ("p_empirical", "p_fitted"), pp_rows)
         entry["pp_prevalence_estimate"] = curve.prevalence_estimate
         entry["pp_net_gain"] = curve.net_gain
         entry["pp_crossings"] = list(curve.crossings)
@@ -499,26 +507,20 @@ def analyze_scopes(
         summaries[scope] = entry
 
     if fits_rows:
-        files.append(write_csv(out_dir / "fits.csv", ("scope", "group", "form", "alpha", "mu", "sigma"), fits_rows))
+        write_csv(out_dir / "fits.csv", ("scope", "group", "form", "alpha", "mu", "sigma"), fits_rows)
     if dom_rows:
         # Every scope has the same robustness groups and forms, so the same keys.
-        files.append(write_csv(out_dir / "dominance.csv", dom_rows[0], [row.values() for row in dom_rows]))
-    return files, summaries
+        write_csv(out_dir / "dominance.csv", dom_rows[0], [row.values() for row in dom_rows])
+    return summaries
 
 
-def _kde_analysis(
-    scope: str,
-    batch: RunTable,
-    bandwidth: float | None,
-    out_dir: Path,
-    files: list[Path],
-) -> dict[str, Any]:
+def _kde_analysis(scope: str, batch: RunTable, bandwidth: float | None, out_dir: Path) -> dict[str, Any]:
     entry: dict[str, Any] = {}
     try:
         f_pos = fit_kde(batch.ppv, bandwidth)
         f_neg = fit_kde(batch.npv, bandwidth)
         rows = column_rows(GRID, f_pos.on_grid, f_neg.on_grid)
-        files.append(write_csv(out_dir / f"kde_{scope}.csv", ("x", "f_pos", "f_neg"), rows))
+        write_csv(out_dir / f"kde_{scope}.csv", ("x", "f_pos", "f_neg"), rows)
         entry["kde_bandwidth_pos"] = f_pos.bandwidth
         entry["kde_bandwidth_neg"] = f_neg.bandwidth
         crossings = find_crossings(f_pos, f_neg)
@@ -556,7 +558,3 @@ def write_runs_csv(path: Path, runs: RunTable | Sequence[RunRecord]) -> Path:
     t = RunTable.of(runs)
     rows = column_rows(t.box_id, t.group, t.cycle, t.ppv, t.npv)
     return write_csv(path, tuple(_RUNS_CSV), rows)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -218,3 +218,48 @@ class TestStandardAgainstCounts:
         rates = self.standard(tp, fp, fn, tn)
         dor = diagnostic_odds_ratio(likelihood_ratios(rates, Convention.STANDARD))
         assert math.isclose(dor, tp * tn / (fp * fn), rel_tol=1e-9, abs_tol=0.0)
+
+
+class TestConventionLimits:
+    """Where the two conventions' formulas meet, over generated rates and prevalences."""
+
+    unit = st.floats(0.0, 1.0)
+    conventions = st.sampled_from(Convention)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(unit, unit, unit, conventions)
+    def test_predictive_values_stay_in_the_unit_interval(self, s, t, p, convention):
+        pv = predictive_values(rates(s, t), p, convention)
+        for v in (pv.ppv, pv.npv):
+            assert v is None or 0.0 <= v <= 1.0
+
+    @settings(max_examples=1000, deadline=None)
+    @given(unit, unit)
+    def test_the_conventions_give_one_ppv_where_sensitivity_equals_tn_rate(self, s, p):
+        # Both updates weigh s p against (1 - s)(1 - p) when t = s.
+        paper, standard = (predictive_values(rates(s, s), p, c) for c in (Convention.PAPER, Convention.STANDARD))
+        assert paper.ppv == standard.ppv
+
+    @settings(max_examples=1000, deadline=None)
+    @given(unit, unit)
+    def test_the_conventions_give_one_npv_where_sensitivity_is_one_half(self, t, p):
+        # Paper weighs t (1 - p) against s p, standard against (1 - s) p: the same at s = 1/2.
+        paper, standard = (predictive_values(rates(0.5, t), p, c) for c in (Convention.PAPER, Convention.STANDARD))
+        assert paper.npv == standard.npv
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(0.0, 1.0, allow_subnormal=False), unit)
+    def test_paper_ppv_at_prevalence_one_half_is_the_sensitivity(self, s, t):
+        # s/2 / (s/2 + (1 - s)/2) = s, and the rounded 1 - s adds back to 1.
+        # A subnormal s is the test below.
+        assert predictive_values(rates(s, t), 0.5, Convention.PAPER).ppv == s
+
+    # Fails: s * 0.5 is not exact for a subnormal s with an odd last bit
+    # (5e-324 halves to 0, so its PPV is 0). No tally gives such a rate
+    # (tp/(tp+fn) >= 1e-19 for int64 counts), but a library caller may.
+    # Remove the mark once it holds.
+    @pytest.mark.xfail(strict=True, reason="s * p rounds for a subnormal sensitivity")
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2.2250738585072014e-308, exclude_max=True), unit)
+    def test_paper_ppv_at_prevalence_one_half_is_a_subnormal_sensitivity(self, s, t):
+        assert predictive_values(rates(s, t), 0.5, Convention.PAPER).ppv == s

@@ -626,6 +626,20 @@ class TestSample:
         second = self.run_sample(region, capsys)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "n_quantiles, notice",
+        [("3", ""), ("4", "skipped_pool C 3\n"), ("10", "skipped_pool A 6\nskipped_pool B 4\nskipped_pool C 3\n")],
+    )
+    def test_a_pool_smaller_than_the_quantiles_is_named_on_stderr(self, region, capsys, n_quantiles, notice):
+        # Pools A, B and C hold 6, 4 and 3 boxes; a skipped pool has no draw in selected_for.
+        change, excl = region
+        argv = ["sample", "--change", change, "--exclusion", excl, "--box-cells", "4", "--n-quantiles", n_quantiles]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == notice
+        drawn = {label for row in read_csv_text(captured.out)[1:] for label in row[7]}
+        assert drawn == set("ABC") - {line.split()[1] for line in notice.splitlines()}
+
 
     def test_pools_column_matches_classify_pools(self, tmp_path, capsys):
         # 20x20 boxes of 4x4 cells; change rises west to east and exclusion
@@ -649,6 +663,117 @@ class TestSample:
         assert 0 < len(expected["C"]) < len(expected["B"]) < 400
         for label in "ABC":
             assert {int(r[0]) for r in body if label in r[6]} == expected[label]
+
+
+def tree_bytes(directory):
+    """Every entry of `directory`, by name, with its bytes (None for a directory)."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+class TestOutputTree:
+    """`converge` and `report` write their tree beside `--out` and rename it into place."""
+
+    @pytest.fixture
+    def runs_files(self, tmp_path):
+        """runs.csv files of groups A to C, and of its A and B rows alone."""
+        runs = read_runs_csv(write_runs_csv(tmp_path / "abc.csv", generate_run_table(SynthConfig(seed=3))))
+        assert sorted(set(runs.group.tolist())) == ["A", "B", "C"]
+        return str(tmp_path / "abc.csv"), str(write_runs_csv(tmp_path / "ab.csv", runs[runs.group != "C"]))
+
+    def converge(self, runs_csv, out_dir, *flags):
+        return main(["converge", "--runs", runs_csv, "--out", str(out_dir), *flags])
+
+    def test_a_rerun_on_fewer_groups_gives_the_tree_of_a_fresh_run(self, runs_files, tmp_path, capsys):
+        abc, ab = runs_files
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert self.converge(abc, reused) == 0
+        assert {"kde_C.csv", "ppcurve_C.csv"} <= set(tree_bytes(reused))
+        assert self.converge(ab, reused) == 0
+        assert self.converge(ab, fresh) == 0
+        assert tree_bytes(reused) == tree_bytes(fresh)
+        assert "kde_C.csv" not in tree_bytes(fresh)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.csv", "abc.csv", "fresh", "reused"]
+
+    def test_the_manifest_hashes_every_other_file(self, runs_files, tmp_path, capsys):
+        assert self.converge(runs_files[0], tmp_path / "out", "--final-cycle", "9") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"}
+        assert manifest["outputs"] == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        assert manifest["failures"] == []
+        assert manifest["settings"] == {
+            "alpha_grid": ["0", "0.25", "0.5", "0.75", "1"], "bandwidth": "", "final_cycle": 9,
+        }
+
+    @pytest.mark.parametrize("command", ["converge", "report"])
+    def test_a_file_the_manifest_does_not_list_is_refused_before_anything_is_written(
+        self, runs_files, tmp_path, capsys, monkeypatch, command
+    ):
+        config, _ = build_job_tree(tmp_path / "job")
+        out_dir = tmp_path / "out"
+        argv = {
+            "converge": ["converge", "--runs", runs_files[0]],
+            "report": ["report", "--config", str(config)],
+        }[command] + ["--out", str(out_dir)]
+        assert main(argv) == 0
+        (out_dir / "notes.txt").write_text("mine\n")
+        before = tree_bytes(out_dir)
+        for module in (report, cli):
+            monkeypatch.setattr(module, "analyze_scopes", lambda *args, **kwargs: pytest.fail("the command ran"))
+        capsys.readouterr()
+        expect_failure(argv)
+        assert capsys.readouterr().err == f"error: {out_dir} holds notes.txt, which no manifest.json there lists\n"
+        assert tree_bytes(out_dir) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.csv", "abc.csv", "job", "out"]
+
+    def test_an_empty_directory_is_taken(self, runs_files, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        assert self.converge(runs_files[0], tmp_path / "out") == 0
+        assert {"manifest.json", "summary.json"} <= set(tree_bytes(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "entries, refused",
+        [
+            ({"summary.json": "{}\n"}, "summary.json"),  # no manifest.json
+            ({"manifest.json": '{"outputs": '}, "manifest.json"),  # one that does not parse
+            ({"manifest.json": '{"outputs": ["kde_A.csv"]}', "kde_A.csv": None}, "kde_A.csv"),  # a directory
+        ],
+    )
+    def test_a_directory_that_no_manifest_lists_is_refused(self, runs_files, tmp_path, capsys, entries, refused):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name, text in entries.items():
+            (out_dir / name).mkdir() if text is None else (out_dir / name).write_text(text)
+        before = tree_bytes(out_dir)
+        expect_failure(["converge", "--runs", runs_files[0], "--out", str(out_dir)])
+        assert capsys.readouterr().err == f"error: {out_dir} holds {refused}, which no manifest.json there lists\n"
+        assert tree_bytes(out_dir) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.csv", "abc.csv", "out"]
+
+    def test_a_failed_rerun_leaves_the_tree_as_it_was(self, runs_files, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert self.converge(runs_files[0], out_dir) == 0
+        before = tree_bytes(out_dir)
+        capsys.readouterr()
+        expect_failure(["converge", "--runs", runs_files[1], "--out", str(out_dir), "--final-cycle", "1"])
+        assert capsys.readouterr().err.startswith("error: final_cycle must be above the first cycle")
+        assert tree_bytes(out_dir) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.csv", "abc.csv", "out"]
+
+    def test_a_link_to_a_tree_is_followed(self, runs_files, tmp_path, capsys):
+        target, link = tmp_path / "target", tmp_path / "link"
+        assert self.converge(runs_files[0], target) == 0
+        link.symlink_to(target, target_is_directory=True)
+        assert self.converge(runs_files[1], link) == 0
+        assert self.converge(runs_files[1], tmp_path / "fresh") == 0
+        assert link.is_symlink() and tree_bytes(target) == tree_bytes(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ab.csv", "abc.csv", "fresh", "link", "target"]
+
+    def test_a_missing_parent_is_made(self, runs_files, tmp_path, capsys):
+        out_dir = tmp_path / "a" / "b" / "out"
+        assert self.converge(runs_files[0], out_dir) == 0
+        assert "summary.json" in tree_bytes(out_dir)
+        assert [p.name for p in out_dir.parent.iterdir()] == ["out"]
+        assert oct(out_dir.stat().st_mode & 0o777) == oct(out_dir.parent.stat().st_mode & 0o777)
 
 
 class TestSynth:

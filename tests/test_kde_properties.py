@@ -174,8 +174,8 @@ def test_analyze_scopes_writes_what_the_runs_hold(records, final_cycle):
             assert list(Path(tmp).iterdir()) == []
         return
     with tempfile.TemporaryDirectory() as tmp:
-        written, summaries = analyze_scopes(runs, Path(tmp), final_cycle=final_cycle)
-        files = {f.name: f.read_bytes() for f in written}
+        summaries = analyze_scopes(runs, Path(tmp), final_cycle=final_cycle)
+        files = {f.name: f.read_bytes() for f in Path(tmp).iterdir()}
     groups = sorted({r.group for r in records})
     assert list(summaries) == ["all"] + groups
     assert [summaries[g]["n_runs"] for g in groups] == [sum(r.group == g for r in records) for g in groups]

@@ -92,6 +92,11 @@ class TestFormatFloat:
         assert functions_spelling(".6g") == {("raster.py", "format_floats")}
 
 
+def tree_bytes(directory):
+    """Every file of `directory`, by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def functions_spelling(pattern):
     """(file, innermost function) of each line of src/mapbayes/*.py that matches `pattern`."""
     places = set()
@@ -173,6 +178,10 @@ class TestNoWarnings:
     def test_the_library_issues_no_warnings(self):
         # A caveat on a result is a summary field: the output tree keeps it, a warning is lost.
         assert functions_spelling(r"warnings\.") == set()
+
+    def test_the_library_logs_nothing(self):
+        # Every record of a run is in its output tree or on stdout and stderr; a log line only repeats one.
+        assert functions_spelling(r"\blogging\b|\blog\.") == set()
 
 
 class TestThresholdPolicy:
@@ -838,6 +847,45 @@ class TestRunJob:
         for p in sorted(out_dir.iterdir()):
             assert (second_out / p.name).read_bytes() == p.read_bytes(), p.name
 
+    def test_a_rerun_without_a_group_gives_the_tree_of_a_fresh_run(self, job_tree, tmp_path):
+        config_path, out_dir = job_tree
+        run_job(load_job(config_path))
+        assert {"kde_B.csv", "ppcurve_B.csv"} <= {p.name for p in out_dir.iterdir()}
+        inputs = config_path.parent / "data" / "inputs.csv"
+        header, *rows = inputs.read_text().splitlines(keepends=True)
+        inputs.write_text("".join([header, *(row for row in rows if row.split(",")[5] != "B")]))
+        run_job(load_job(config_path))
+        fresh = run_job(load_job(config_path, flags={"out": str(tmp_path / "fresh")}))
+        assert set(fresh["outputs"]) == EXPECTED_FILES - {"manifest.json", "kde_B.csv", "ppcurve_B.csv"}
+        assert tree_bytes(out_dir) == tree_bytes(tmp_path / "fresh")
+
+    def test_the_order_of_the_inputs_changes_only_the_order_of_the_per_pair_rows(self, job_tree, tmp_path):
+        config_path, out_dir = job_tree
+        run_job(load_job(config_path))
+        inputs = config_path.parent / "data" / "inputs.csv"
+        header, *rows = inputs.read_text().splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(rows))
+        assert list(order) != sorted(order)
+        inputs.write_text("".join([header, *(rows[i] for i in order)]))
+        shuffled = tmp_path / "shuffled"
+        run_job(load_job(config_path, flags={"out": str(shuffled)}))
+        first, second = tree_bytes(out_dir), tree_bytes(shuffled)
+        per_pair = {"confusion.csv", "bayes.csv", "runs.csv"}
+        for name in per_pair:
+            head_a, *body_a = first[name].splitlines()
+            head_b, *body_b = second[name].splitlines()
+            assert head_a == head_b and body_a != body_b and sorted(body_a) == sorted(body_b), name
+        manifests = [json.loads(tree.pop("manifest.json")) for tree in (first, second)]
+        changed = {k for k in manifests[0]["outputs"] if manifests[0]["outputs"][k] != manifests[1]["outputs"][k]}
+        assert changed == per_pair
+        for m in manifests:
+            for name in per_pair:
+                del m["outputs"][name]
+        assert manifests[0] == manifests[1]
+        assert {k: v for k, v in first.items() if k not in per_pair} == {
+            k: v for k, v in second.items() if k not in per_pair
+        }
+
     def test_failing_input_is_isolated(self, job_tree):
         config_path, out_dir = job_tree
         data_dir = config_path.parent / "data"
@@ -983,8 +1031,8 @@ class TestAnalyzeScopes:
         from mapbayes import SynthConfig, generate_run_table
 
         runs = RunTable.of(generate_run_table(SynthConfig(seed=3, planted_offset=0.25)))
-        files, summaries = analyze_scopes(runs, tmp_path)
-        names = {f.name for f in files}
+        summaries = analyze_scopes(runs, tmp_path)
+        names = {f.name for f in tmp_path.iterdir()}
         assert "timeline.csv" in names
         assert "fits.csv" in names
         assert "dominance.csv" in names
@@ -1018,7 +1066,7 @@ class TestAnalyzeScopes:
 
         monkeypatch.setattr(KdeModel, "evaluate", counting_evaluate)
         runs = RunTable.of(generate_run_table(SynthConfig(seed=3, planted_offset=0.5)))
-        _, summaries = analyze_scopes(runs, tmp_path)
+        summaries = analyze_scopes(runs, tmp_path)
         scopes = {"all", "A", "B", "C"}
         assert scopes <= set(summaries)
         assert all("kde_prevalence" in summaries[s] for s in scopes)
@@ -1053,7 +1101,7 @@ class TestAnalyzeScopes:
             for i in range(4)
             for c in (1, 2)
         ])
-        files, summaries = analyze_scopes(runs, tmp_path)
+        summaries = analyze_scopes(runs, tmp_path)
         entry = summaries["all"]
         # Identical predictive values everywhere: no density spread, no
         # usable likelihood fit - both failures are reported, not raised.

@@ -10,11 +10,12 @@ newline endings, and they reload byte-identically.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -303,7 +304,7 @@ def load_grid(path: str | Path) -> Grid:
     return _grid(head, _float_values(head, body, marks))
 
 
-def load_binary(path: str | Path, exclusion: Grid | None = None) -> BinaryGrid:
+def load_binary(path: str | Path, exclusion: Grid | BinaryGrid | None = None) -> BinaryGrid:
     """Read an ASCII grid raster from disk as `to_binary(load_grid(path), exclusion)` classifies it.
 
     A body that the stride decode takes is classified from its digits, and
@@ -323,7 +324,7 @@ def load_binary(path: str | Path, exclusion: Grid | None = None) -> BinaryGrid:
     return _binary(body, _excluded_cells(nodata, head, exclusion), head)
 
 
-def load_scores(path: str | Path, exclusion: Grid | None = None) -> ScoreGrid:
+def load_scores(path: str | Path, exclusion: Grid | BinaryGrid | None = None) -> ScoreGrid:
     """Read an ASCII grid raster from disk as `to_scores(load_grid(path), exclusion)` interprets it.
 
     The parsed values are classified in place, so that no second float copy
@@ -396,16 +397,11 @@ def _read_raster(path: str | Path) -> tuple[_Header, NDArray[Any], NDArray[np.bo
         strided = _stride_body(data, start, end, nrows, ncols, nodata_text)
         if strided is not None:
             return head, *strided
-        # One copy of the text at a time, as before the stride decode.
-        text = str(memoryview(data)[start:end], "ascii")
-        del data
-        body = text.split("\n") if text else []
-        del text
-        if len(body) != nrows:
-            raise GridFormatError(
-                f"expected {nrows} rows of values, found {len(body)}", line=len(_HEADER_KEYS) + len(body) + 1
-            )
-        return head, _parse_body(body, ncols), None
+        # Counted first: the parse reads no more than nrows rows.
+        found = data.count(b"\n", start, end) + 1 if end > start else 0
+        if found != nrows:
+            raise GridFormatError(f"expected {nrows} rows of values, found {found}", line=len(_HEADER_KEYS) + found + 1)
+        return head, _parse_body(data, start, end, nrows, ncols), None
     except GridFormatError as exc:
         exc.args = (f"{path}: {exc}",)  # the line number stays in exc.line
         raise
@@ -453,6 +449,11 @@ def _stride_body(
         return None
     if excess:
         token = nodata_text.encode("ascii")
+        # The first row is checked alone before the whole text is counted
+        # and copied: it is 2 * ncols bytes plus `shrink` per nodata token.
+        row_end = data.find(b"\n", start) + 1  # found: the body ends in "\n"
+        if row_end - start != 2 * ncols + data.count(token, start, row_end) * shrink:
+            return None
         start -= data.count(token, 0, start) * shrink  # no token spans the newline before the body
         tail = len(data) - end  # only newlines, so the same after the replace
         data = data.replace(token, b"\x80")
@@ -475,26 +476,26 @@ def _stride_body(
     return digits, marks
 
 
-def _parse_body(body: list[str], ncols: int) -> FloatArray:
-    """Values of the body rows, one row per line.
+def _parse_body(data: bytes, start: int, end: int, nrows: int, ncols: int) -> FloatArray:
+    """Values of the body `data[start:end]`: nrows lines of ncols values each.
 
-    Well-formed rows go through numpy's C reader. Anything else goes through
-    the per-line loop, which raises on the first bad line and also takes the
+    Well-formed rows go through numpy's C reader, straight from the bytes
+    and into one array of nrows rows. Anything else goes through the
+    per-line loop, which raises on the first bad line and also takes the
     tokens that `float` accepts and numpy does not (such as "1_0").
     """
-    # loadtxt skips blank lines (the shape check catches those) and warns
-    # when none is left, so an all-blank body goes straight to the loop.
-    if body[0].strip():
-        try:
-            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if values.shape == (len(body), ncols):
-                return values
+    fh = io.BytesIO(data)  # shares the bytes
+    fh.seek(start)
+    try:
+        values = np.loadtxt(_unblank_lines(fh), dtype=np.float64, comments=None, max_rows=nrows, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if values.shape == (nrows, ncols):
+            return values
 
     rows = []
-    for r, line in enumerate(body):
+    for r, line in enumerate(str(memoryview(data)[start:end], "ascii").split("\n")):
         lineno = len(_HEADER_KEYS) + r + 1
         tokens = line.split()
         # Checked before anything is allocated: the header's ncols may be huge.
@@ -508,8 +509,21 @@ def _parse_body(body: list[str], ncols: int) -> FloatArray:
     return np.array(rows, dtype=np.float64)
 
 
-#: Cells in one block that `write_grid` writes, or `build_confusion`
-#: tallies, at a time, so that the working arrays stay small next to the grid.
+def _unblank_lines(lines: Iterable[bytes]) -> Iterator[bytes]:
+    """Yield `lines`, and raise ValueError at the first blank one.
+
+    Under `max_rows`, loadtxt would skip a blank line with a warning; the
+    per-line loop names it instead.
+    """
+    for line in lines:
+        if line.decode("ascii").isspace():  # as loadtxt reads whitespace, "\x1c" included
+            raise ValueError("blank line")
+        yield line
+
+
+#: Cells in one block that `write_grid` writes, `build_confusion` tallies or
+#: `_nth_largest` bins at a time, so that the working arrays stay small next
+#: to the grid.
 _BLOCK_CELLS = 1 << 16
 
 #: The text byte of each `BinaryGrid` code, indexed by the code: EXCLUDED (-1) picks the gap mark.
@@ -671,15 +685,17 @@ def _nodata_mask(values: NDArray[Any], nodata: float) -> NDArray[np.bool_]:
     return np.isnan(values) if math.isnan(nodata) else values == nodata
 
 
-def _excluded_cells(nodata: NDArray[np.bool_], grid: Grid | _Header, exclusion: Grid | None) -> NDArray[np.bool_]:
+def _excluded_cells(
+    nodata: NDArray[np.bool_], grid: Grid | _Header, exclusion: Grid | BinaryGrid | None
+) -> NDArray[np.bool_]:
     """`nodata`, the nodata cells of `grid`, with the cells nonzero (nodata included) in `exclusion` added."""
     if exclusion is not None:
         check_aligned(exclusion, "exclusion", grid, "grid")
-        nodata |= exclusion.values != 0.0
+        nodata |= exclusion.values != 0
     return nodata
 
 
-def to_binary(grid: Grid, exclusion: Grid | None = None) -> BinaryGrid:
+def to_binary(grid: Grid, exclusion: Grid | BinaryGrid | None = None) -> BinaryGrid:
     """Classify a grid of 1.0 (event) and 0.0 (non-event) cells into a BinaryGrid.
 
     Cells that are nodata in `grid`, or nonzero in `exclusion` (its nodata
@@ -711,7 +727,7 @@ def _binary(values: NDArray[Any], excluded: NDArray[np.bool_], grid: Grid | _Hea
     return BinaryGrid(out, grid.cell_size, grid.origin_x, grid.origin_y)
 
 
-def to_scores(grid: Grid, exclusion: Grid | None = None) -> ScoreGrid:
+def to_scores(grid: Grid, exclusion: Grid | BinaryGrid | None = None) -> ScoreGrid:
     """Interpret a value grid as scores in [0, 1] with exclusions (stored as 0.0)."""
     return _scores(grid.values.copy(), _excluded_cells(grid.nodata_mask(), grid, exclusion), grid)
 
@@ -744,10 +760,9 @@ def threshold_scores(
             non-excluded cells, ties broken by row-major cell index (lower
             index wins). Matches the practice of pinning the predicted amount
             of change to a known quantity. The selection is linear: the cut
-            is the quantity-th largest live score, found with `np.partition`;
-            every live cell above the cut becomes 1, and then the
-            lowest-indexed live cells equal to it fill the count (-0.0
-            equals 0.0).
+            is the quantity-th largest live score (`_nth_largest`); every
+            live cell above the cut becomes 1, and then the lowest-indexed
+            live cells equal to it fill the count (-0.0 equals 0.0).
 
     Raises:
         ValueError: Both or neither mode given, value refused by
@@ -763,16 +778,10 @@ def threshold_scores(
     else:
         check_count("quantity", quantity)
         live = ~scores.excluded
-        live_vals = vals[live]
-        n_live = live_vals.size
+        n_live = int(np.count_nonzero(live))
         if quantity > n_live:
             raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
-        # The cut is the quantity-th largest live score; no score reaches inf.
-        if quantity:
-            live_vals.partition(n_live - quantity)  # in place: live_vals is already a copy
-            cut = live_vals[n_live - quantity]
-        else:
-            cut = np.inf
+        cut = _nth_largest(vals, live, quantity) if quantity else np.inf  # no score reaches inf
         above = (vals > cut) & live
         ties = np.flatnonzero((vals == cut) & live)[: quantity - np.count_nonzero(above)]
         out = above.astype(np.int8)
@@ -780,6 +789,39 @@ def threshold_scores(
     np.putmask(out, scores.excluded, EXCLUDED)
     out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied
     return BinaryGrid(out, scores.cell_size, scores.origin_x, scores.origin_y)
+
+
+#: Bins of `_nth_largest`: a live score v falls in bin int(v * _SCORE_BINS), so 1.0 has a bin of its own.
+_SCORE_BINS = 256
+
+
+def _nth_largest(vals: FloatArray, live: NDArray[np.bool_], n: int) -> float:
+    """The n-th largest of the scores `vals` at `live` (1 <= n <= live cells), without a copy of them.
+
+    The live scores, all in [0, 1], are counted into bins in blocks of
+    `_BLOCK_CELLS`; only those in the bin that holds the n-th largest are
+    then gathered and partitioned. Multiplying by a power of two is exact,
+    so bin b holds exactly the scores in [b, b + 1) / _SCORE_BINS.
+    """
+    flat, flat_live = vals.ravel(), live.ravel()
+    counts = np.zeros(_SCORE_BINS + 2, np.intp)
+    for i in range(0, flat.size, _BLOCK_CELLS):
+        bins = flat[i : i + _BLOCK_CELLS] * _SCORE_BINS
+        np.putmask(bins, ~flat_live[i : i + _BLOCK_CELLS], _SCORE_BINS + 1)  # an excluded cell may hold NaN or 5.0
+        counts += np.bincount(bins.astype(np.intp), minlength=_SCORE_BINS + 2)
+    at_or_above = np.cumsum(counts[_SCORE_BINS::-1])[::-1]  # live scores in bin b or higher, at b
+    b = int(np.flatnonzero(at_or_above >= n)[-1])
+    rank = n - int(at_or_above[b] - counts[b])  # of the n-th largest among the scores in bin b
+    lo, hi = b / _SCORE_BINS, (b + 1) / _SCORE_BINS
+    members = np.empty(int(counts[b]), np.float64)
+    filled = 0
+    for i in range(0, flat.size, _BLOCK_CELLS):
+        block = flat[i : i + _BLOCK_CELLS]
+        here = block[(block >= lo) & (block < hi) & flat_live[i : i + _BLOCK_CELLS]]
+        members[filled : filled + here.size] = here
+        filled += here.size
+    members.partition(members.size - rank)
+    return float(members[members.size - rank])
 
 
 def _is_number(token: str) -> bool:

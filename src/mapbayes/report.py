@@ -35,7 +35,7 @@ from .convergence import (
 )
 from .kde import GRID, balance_point, check_bandwidth, find_crossings, fit_kde
 from .raster import (
-    BinaryGrid, Grid, check_count, check_unit, format_float, format_floats, load_binary, load_grid, load_scores,
+    BinaryGrid, check_count, check_unit, format_float, format_floats, load_binary, load_grid, load_scores,
     threshold_scores,
 )
 from .tableio import column_rows, int64_id, read_csv, read_utf8, unit_value, write_csv, write_json
@@ -213,16 +213,25 @@ class PairAssessment:
         return (self.pv.ppv, self.pv.npv, self.lr.lr_pos, self.lr.lr_neg, self.dor)
 
 
-def load_observed(obs: Path, exclusion: Path | None) -> tuple[Grid | None, BinaryGrid]:
-    """Load an exclusion map (None without one) and classify the observed map under it."""
-    excl = load_grid(exclusion) if exclusion is not None else None
+def load_observed(obs: Path, exclusion: Path | None) -> tuple[BinaryGrid | None, BinaryGrid]:
+    """Load an exclusion map as a mask (None without one) and classify the observed map under it.
+
+    The mask is 1 where the map is nonzero (NaN included) and 0 elsewhere,
+    so `load_binary` and `load_scores` exclude the same cells under it as
+    under the map. It costs one byte a cell while the inputs that share it
+    are assessed.
+    """
+    excl = None
+    if exclusion is not None:
+        grid = load_grid(exclusion)
+        excl = BinaryGrid(grid.values != 0, grid.cell_size, grid.origin_x, grid.origin_y)
     return excl, load_binary(obs, exclusion=excl)
 
 
 def assess_pair(
     kind: str,
     sim: Path,
-    observed: tuple[Grid | None, BinaryGrid],
+    observed: tuple[BinaryGrid | None, BinaryGrid],
     threshold: ThresholdPolicy,
     convention: Convention,
 ) -> PairAssessment:
@@ -316,7 +325,7 @@ def run_job(job: AssessmentJob) -> dict[str, Any]:
     """
     return write_tree(job.out_dir, lambda stage: _write_job(job, stage), convention=job.convention.value,
                       threshold=job.threshold.describe(), alpha_grid=format_floats(job.alpha_grid),
-                      bandwidth=format_float(job.bandwidth), seed=job.seed)
+                      bandwidth=format_float(job.bandwidth), final_cycle=job.final_cycle, seed=job.seed)
 
 
 def _write_job(job: AssessmentJob, out_dir: Path) -> list[dict[str, str]]:

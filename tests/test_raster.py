@@ -309,6 +309,49 @@ class TestLoadGrid:
         assert str(err.value) == f"{p}: {message}"
 
     @pytest.mark.parametrize(
+        "body, newline, expected",
+        [
+            # numpy's reader stops at nrows rows, so a row past them must be counted first.
+            ("1 0 -9999\n0.25 1 0\n0 0 0\n", "\n", ("expected 2 rows of values, found 3", 10)),
+            ("1 0 -9999\n0.25 1 0\n0 0\n", "\n", ("expected 2 rows of values, found 3", 10)),
+            ("1 0 -9999\n0.25 1 0\n0 0 0\n", "\r", ("expected 2 rows of values, found 3", 10)),
+            ("1 0 -9999\n", "\n", ("expected 2 rows of values, found 1", 8)),
+            ("0.25 1 0", "\n", ("expected 2 rows of values, found 1", 8)),
+            ("", "\n", ("expected 2 rows of values, found 0", 7)),
+            # It would skip a blank line too, which the row count then misses.
+            ("\n0.25 1 0\n", "\n", ("expected 3 values, found 0", 7)),
+            ("0.25 1 0\n \n", "\n", ("expected 3 values, found 0", 8)),
+            ("0.25 1 0\n\x1c\n", "\n", ("expected 3 values, found 0", 8)),
+            ("1 0 -9999\n\n0.25 1 0\n", "\n", ("expected 2 rows of values, found 3", 10)),
+            (" \n\t\n", "\n", ("expected 3 values, found 0", 7)),
+            ("1 0 -9999\n0.25 1 0\n\n\n", "\n", [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]),
+            ("1 0 -9999\n0.25 1 0", "\n", [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]),
+            ("1 0 -9999\n0.25 1\n", "\n", ("expected 3 values, found 2", 8)),
+            ("1 0 -9999\n0.25 1\n", "\r\n", ("expected 3 values, found 2", 8)),
+            ("1 0 -9999\n0.25 x 0\n", "\n", ("non-numeric value 'x'", 8)),
+            ("1 0 -9999\n0.25 1_0 0\n", "\n", [[1.0, 0.0, -9999.0], [0.25, 10.0, 0.0]]),
+            ("1 0 -9999\n0.25 1 0\n", "\r\n", [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]),
+            ("1 0 -9999\n0.25 1 0\n", "\r", [[1.0, 0.0, -9999.0], [0.25, 1.0, 0.0]]),
+        ],
+        ids=[
+            "extra-row", "extra-short-row", "extra-row-cr", "missing-row", "one-unended-row", "no-body",
+            "blank-first", "blank-last", "unit-separator-last", "blank-counted", "all-blank", "trailing-newlines",
+            "unended", "short-row", "short-row-crlf", "non-numeric", "underscore", "crlf", "cr",
+        ],
+    )
+    def test_general_route_outcomes(self, tmp_path, body, newline, expected):
+        # Bodies outside the stride layout (0.25 is no digit), each with the
+        # values or the message and line that the row-string parser gave.
+        p = tmp_path / "g.asc"
+        p.write_bytes((CANONICAL[: CANONICAL.index("1 0 -9999")] + body).replace("\n", newline).encode("ascii"))
+        if isinstance(expected, list):
+            assert load_grid(p).values.tolist() == expected
+        else:
+            with pytest.raises(GridFormatError) as err:
+                load_grid(p)
+            assert (str(err.value), err.value.line) == (f"{p}: line {expected[1]}: {expected[0]}", expected[1])
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (CANONICAL.replace("1 0 -9999", "0 \u00e9 -9999"), "line 7: non-ASCII byte 0xc3"),

@@ -16,14 +16,16 @@ top-n selection to a stable argsort, `to_binary` to a per-cell rule, and the
 tally to the cells live in both maps. `load_binary` and `load_scores` are
 pinned to `to_binary` and `to_scores` after `load_grid`, value, mask, header
 and error alike, over stride and general bodies, one-byte and NaN nodata,
-and exclusion grids that line up, cover every cell or do not line up; three
-tracemalloc guards hold what they and the blocked tally save on a
-1000x1000 map. `ScoreGrid` refuses a NaN or out-of-range live score as a
-copy of its live cells would. The predictive values of any tally lie in
+and exclusion grids that line up, cover every cell or do not line up, and
+an exclusion map kept as a one-byte mask classifies as the map does.
+Tracemalloc guards hold what they, the general parse, the stride check, the
+`quantity` cut and the blocked tally save on a 1000x1000 map. `ScoreGrid`
+refuses a NaN or out-of-range live score as a copy of its live cells would. The predictive values of any tally lie in
 [0, 1] or are undefined, and the two conventions agree at s = t = 1/2.
 """
 
 import csv
+import functools
 import io
 import math
 import re
@@ -57,7 +59,7 @@ from mapbayes import (
     to_scores,
     write_grid,
 )
-from mapbayes import raster, tableio
+from mapbayes import raster, report, tableio
 from mapbayes.confusion import AgreementRates
 
 from conftest import reference_read_csv
@@ -182,15 +184,16 @@ def test_well_formed_bodies_parse_bitwise_equal(grid_path, data):
 
 def general_outcome(path, ncols, nrows):
     """What the general path gives for the body: `_parse_body`'s values, or its error named as `load_grid` names it."""
-    with open(path, "r", encoding="ascii") as fh:
-        body = fh.read().split("\n")[HEADER_LINES:]
-    while body and body[-1] == "":
-        body.pop()
+    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = 0
+    for _ in range(HEADER_LINES):
+        start = data.index(b"\n", start) + 1
+    end = len(data.rstrip(b"\n"))
     try:
-        if len(body) != nrows:
-            found = len(body)
+        found = len(data[start:end].split(b"\n")) if end > start else 0
+        if found != nrows:
             raise GridFormatError(f"expected {nrows} rows of values, found {found}", line=HEADER_LINES + found + 1)
-        return raster._parse_body(body, ncols)
+        return raster._parse_body(data, start, end, nrows, ncols)
     except GridFormatError as exc:
         exc.args = (f"{path}: {exc}",)
         return exc
@@ -543,9 +546,30 @@ def score_cases(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(score_cases())
-def test_top_n_selection_matches_stable_argsort(case):
+@given(score_cases(), st.sampled_from([1, 5, 16, raster._BLOCK_CELLS]), st.sampled_from([1, 2, raster._SCORE_BINS]))
+def test_top_n_selection_matches_stable_argsort(case, block_cells, bins):
+    # Small blocks split a grid into several; few bins put many scores in the cut's bin.
     scores, excluded, n = case
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells), mock.patch.object(raster, "_SCORE_BINS", bins):
+        got = threshold_scores(ScoreGrid(scores, excluded), quantity=n).values
+    assert got.tolist() == reference_top_n(scores, excluded, n).tolist()
+
+
+@pytest.mark.parametrize("share", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("pattern", ["two-decimals", "unrounded", "ones", "signed-zeros"])
+def test_top_n_selection_past_one_block_matches_stable_argsort(pattern, share):
+    # 90,000 cells, two blocks: each two-decimal score is tied across both.
+    rng = np.random.default_rng(len(pattern))
+    shape = (300, 300)
+    live = {
+        "two-decimals": np.round(rng.random(shape), 2),
+        "unrounded": rng.random(shape),
+        "ones": np.ones(shape),
+        "signed-zeros": rng.choice([0.0, -0.0], shape),
+    }[pattern]
+    excluded = rng.random(shape) < 0.2
+    scores = np.where(excluded, rng.choice([math.nan, 5.0], shape), live)
+    n = round(share * np.count_nonzero(~excluded))
     got = threshold_scores(ScoreGrid(scores, excluded), quantity=n).values
     assert got.tolist() == reference_top_n(scores, excluded, n).tolist()
 
@@ -698,6 +722,26 @@ def test_classifying_loaders_match_their_composed_forms(grid_path, case):
     assert_same_container(got, classify_outcome(composed_scores, grid_path, exclusion)[0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(classified_maps(), st.sampled_from([-9999.0, math.nan, 0.0]))
+def test_an_exclusion_mask_classifies_as_its_map(grid_path, case, nodata):
+    # `report.load_observed` keeps an exclusion map as a one-byte mask.
+    text, _, exclusion = case
+    if exclusion is None:
+        return
+    grid_path.write_bytes(text.encode("ascii"))
+    excl_path, obs_path = grid_path.with_name("excl.asc"), grid_path.with_name("obs.asc")
+    write_grid(Grid(exclusion.values, origin_x=exclusion.origin_x, nodata=nodata), excl_path)
+    write_grid(BinaryGrid(np.zeros(exclusion.shape), origin_x=exclusion.origin_x), obs_path)
+    excl = load_grid(excl_path)
+    mask = report.load_observed(obs_path, excl_path)[0]
+    assert mask.values.dtype == np.int8
+    assert mask.values.tolist() == (excl.values != 0.0).tolist()
+    for load in (load_binary, load_scores, composed_binary, composed_scores):
+        got, _ = classify_outcome(load, grid_path, mask)
+        assert_same_container(got, classify_outcome(load, grid_path, excl)[0])
+
+
 @pytest.mark.parametrize(
     "exclusion, expected",
     [
@@ -787,6 +831,26 @@ def test_load_binary_builds_no_float_copy(large_maps):
 def test_load_scores_holds_no_more_than_the_parse_does(large_maps):
     path = large_maps / "s.asc"
     assert traced_peak(load_scores, path) < traced_peak(load_grid, path) + FLOAT_COPY // 4
+
+
+def test_general_route_holds_the_text_and_one_float_copy(large_maps):
+    path = large_maps / "s.asc"  # six-decimal scores: outside the stride layout
+    assert traced_peak(load_grid, path) < path.stat().st_size + 1.06 * FLOAT_COPY
+
+
+def test_quantity_cut_copies_no_live_score(large_maps):
+    scores = load_scores(large_maps / "s.asc")
+    quantity = load_binary(large_maps / "b.asc").n_ones
+    assert traced_peak(functools.partial(threshold_scores, scores, quantity=quantity)) < 5 * CELLS
+
+
+def test_stride_check_refuses_a_body_from_its_first_row():
+    # Ten "-9999" and 990 "0.5" a row: the body's length passes the
+    # whole-body arithmetic, as a score file's may, and its first row does not.
+    data = grid_text(1000, 1000, "-9999", ("-9999 " * 10 + "0.5 " * 989 + "0.5\n") * 1000).encode("ascii")
+    args = (data, data.index(b"-9999 "), len(data) - 1, 1000, 1000, "-9999")
+    assert raster._stride_body(*args) is None
+    assert traced_peak(raster._stride_body, *args) < CELLS // 100  # no copy of the text
 
 
 def test_tally_casts_no_per_cell_code(large_maps):

@@ -811,6 +811,14 @@ class TestRunJob:
         written = {p.name for p in out_dir.iterdir()}
         assert written == {"confusion.csv", "bayes.csv", "runs.csv", "summary.json", "manifest.json"}
 
+    def test_trees_cut_at_different_final_cycles_differ_in_their_settings(self, tmp_path):
+        layout = JOB_LAYOUT + [(box, group, 3, kind) for box, group, cycle, kind in JOB_LAYOUT if cycle == 2]
+        config_path, _ = build_job_tree(tmp_path, layout)
+        cut = {c: run_job(load_job(config_path, {"final_cycle": c})) for c in (None, "2", "3")}
+        assert [cut[c]["settings"]["final_cycle"] for c in cut] == [None, 2, 3]
+        assert cut["2"]["settings"] == {**cut["3"]["settings"], "final_cycle": 2}
+        assert cut["2"]["outputs"]["dominance.csv"] != cut["3"]["outputs"]["dominance.csv"]
+
     def test_manifest_hashes_are_correct(self, job_tree):
         config_path, out_dir = job_tree
         manifest = run_job(load_job(config_path))

@@ -688,7 +688,7 @@ def _nodata_mask(values: NDArray[Any], nodata: float) -> NDArray[np.bool_]:
 def _excluded_cells(
     nodata: NDArray[np.bool_], grid: Grid | _Header, exclusion: Grid | BinaryGrid | None
 ) -> NDArray[np.bool_]:
-    """`nodata`, the nodata cells of `grid`, with the cells nonzero (nodata included) in `exclusion` added."""
+    """`nodata`, the nodata cells of `grid`, with the cells nonzero (NaN included) in `exclusion` added."""
     if exclusion is not None:
         check_aligned(exclusion, "exclusion", grid, "grid")
         nodata |= exclusion.values != 0
@@ -698,9 +698,11 @@ def _excluded_cells(
 def to_binary(grid: Grid, exclusion: Grid | BinaryGrid | None = None) -> BinaryGrid:
     """Classify a grid of 1.0 (event) and 0.0 (non-event) cells into a BinaryGrid.
 
-    Cells that are nodata in `grid`, or nonzero in `exclusion` (its nodata
-    cells count as exclusionary: suitability there is unknown), become
-    EXCLUDED. Every remaining cell must hold exactly 1.0 or 0.0.
+    Cells that are nodata in `grid`, or nonzero in `exclusion`, become
+    EXCLUDED. The exclusion rule reads only the values: a NaN cell is
+    nonzero, so a NaN nodata sentinel excludes its cells, while a nodata
+    sentinel of 0 is zero and leaves its cells live. Every remaining cell
+    must hold exactly 1.0 or 0.0.
 
     Raises:
         ValueError: An exclusion grid that does not line up (see
@@ -782,46 +784,88 @@ def threshold_scores(
         if quantity > n_live:
             raise ValueError(f"quantity {quantity} outside [0, {n_live}] non-excluded cells")
         cut = _nth_largest(vals, live, quantity) if quantity else np.inf  # no score reaches inf
-        above = (vals > cut) & live
-        ties = np.flatnonzero((vals == cut) & live)[: quantity - np.count_nonzero(above)]
-        out = above.astype(np.int8)
-        np.put(out, ties, 1)
+        out = np.empty(vals.shape, np.int8)
+        above = out.view(np.bool_)
+        np.greater(vals, cut, out=above)
+        above &= live
+        need = quantity - int(np.count_nonzero(above))
+        flat, flat_live, flat_out = vals.ravel(), live.ravel(), out.ravel()
+        for i in range(0, flat.size, _BLOCK_CELLS):  # the lowest-indexed ties, a block at a time, until the count
+            if not need:
+                break
+            ties = np.flatnonzero((flat[i : i + _BLOCK_CELLS] == cut) & flat_live[i : i + _BLOCK_CELLS])[:need]
+            flat_out[i + ties] = 1
+            need -= ties.size
     np.putmask(out, scores.excluded, EXCLUDED)
     out.setflags(write=False)  # handed over to the BinaryGrid, which keeps it uncopied
     return BinaryGrid(out, scores.cell_size, scores.origin_x, scores.origin_y)
 
 
-#: Bins of `_nth_largest`: a live score v falls in bin int(v * _SCORE_BINS), so 1.0 has a bin of its own.
+#: Bins of `_nth_largest` at each level: at the first, a live score v falls in
+#: bin int(v * _SCORE_BINS), so 1.0 has a bin of its own.
 _SCORE_BINS = 256
+
+#: Levels of `_nth_largest`'s bins at most: the finest are 256**-6 = 2**-48 wide.
+_SCORE_LEVELS = 6
 
 
 def _nth_largest(vals: FloatArray, live: NDArray[np.bool_], n: int) -> float:
     """The n-th largest of the scores `vals` at `live` (1 <= n <= live cells), without a copy of them.
 
-    The live scores, all in [0, 1], are counted into bins in blocks of
-    `_BLOCK_CELLS`; only those in the bin that holds the n-th largest are
-    then gathered and partitioned. Multiplying by a power of two is exact,
-    so bin b holds exactly the scores in [b, b + 1) / _SCORE_BINS.
+    The live scores, all in [0, 1], are counted into `_SCORE_BINS` bins, a
+    block of `_BLOCK_CELLS` cells at a time. When the bin that holds the n-th
+    largest holds more than a block of scores, they are checked for a single
+    value, which is then the answer; if they hold more than one, that bin is
+    split into bins of its own and counted again, for at most
+    `_SCORE_LEVELS` levels. Only the scores of the last bin are gathered and
+    partitioned. Bin b of a level holds exactly the scores in
+    [lo + b / scale, lo + (b + 1) / scale): lo is a sum of powers of two,
+    either 0 or at least as wide as the level's range, so for a score v in
+    the range, v * scale - lo * scale is exact.
     """
     flat, flat_live = vals.ravel(), live.ravel()
-    counts = np.zeros(_SCORE_BINS + 2, np.intp)
-    for i in range(0, flat.size, _BLOCK_CELLS):
-        bins = flat[i : i + _BLOCK_CELLS] * _SCORE_BINS
-        np.putmask(bins, ~flat_live[i : i + _BLOCK_CELLS], _SCORE_BINS + 1)  # an excluded cell may hold NaN or 5.0
-        counts += np.bincount(bins.astype(np.intp), minlength=_SCORE_BINS + 2)
-    at_or_above = np.cumsum(counts[_SCORE_BINS::-1])[::-1]  # live scores in bin b or higher, at b
-    b = int(np.flatnonzero(at_or_above >= n)[-1])
+    lo, scale = 0.0, float(_SCORE_BINS)
+    for level in range(_SCORE_LEVELS):
+        counts = np.zeros(_SCORE_BINS + 2, np.intp)
+        for i in range(0, flat.size, _BLOCK_CELLS):
+            bins = flat[i : i + _BLOCK_CELLS] * scale
+            dump = ~flat_live[i : i + _BLOCK_CELLS]  # an excluded cell may hold NaN or 5.0
+            if level:  # the first level's range, [0, 1], holds every live score; a finer one may not
+                bins -= lo * scale
+                np.minimum(bins, _SCORE_BINS, out=bins)  # every score above the range shares its top bin
+                dump |= bins < 0
+            np.putmask(bins, dump, _SCORE_BINS + 1)
+            counts += np.bincount(bins.astype(np.intp), minlength=_SCORE_BINS + 2)
+        at_or_above = np.cumsum(counts[_SCORE_BINS::-1])[::-1]  # live scores in bin b or higher, at b
+        b = int(np.flatnonzero(at_or_above >= n)[-1])
+        lo, hi = lo + b / scale, lo + (b + 1) / scale
+        if counts[b] <= _BLOCK_CELLS or level == _SCORE_LEVELS - 1:
+            break
+        least, most = np.inf, -np.inf
+        for block, here in _in_range(flat, flat_live, lo, hi):
+            least = min(least, np.min(block, where=here, initial=np.inf))
+            most = max(most, np.max(block, where=here, initial=-np.inf))
+        if least == most:
+            return float(least)
+        scale *= _SCORE_BINS
     rank = n - int(at_or_above[b] - counts[b])  # of the n-th largest among the scores in bin b
-    lo, hi = b / _SCORE_BINS, (b + 1) / _SCORE_BINS
     members = np.empty(int(counts[b]), np.float64)
     filled = 0
-    for i in range(0, flat.size, _BLOCK_CELLS):
-        block = flat[i : i + _BLOCK_CELLS]
-        here = block[(block >= lo) & (block < hi) & flat_live[i : i + _BLOCK_CELLS]]
-        members[filled : filled + here.size] = here
-        filled += here.size
+    for block, here in _in_range(flat, flat_live, lo, hi):
+        found = block[here]
+        members[filled : filled + found.size] = found
+        filled += found.size
     members.partition(members.size - rank)
     return float(members[members.size - rank])
+
+
+def _in_range(
+    flat: FloatArray, flat_live: NDArray[np.bool_], lo: float, hi: float
+) -> Iterator[tuple[FloatArray, NDArray[np.bool_]]]:
+    """Each block of `_BLOCK_CELLS` scores of `flat`, with its live cells in [lo, hi)."""
+    for i in range(0, flat.size, _BLOCK_CELLS):
+        block = flat[i : i + _BLOCK_CELLS]
+        yield block, (block >= lo) & (block < hi) & flat_live[i : i + _BLOCK_CELLS]
 
 
 def _is_number(token: str) -> bool:

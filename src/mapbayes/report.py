@@ -2,10 +2,10 @@
 
 A job lists raster pairs (with box/group/cycle metadata), a threshold
 policy, and analysis settings; `cli.load_job` builds one from the `report`
-subcommand's settings. `run_job` assesses every pair, pools the
-results into per-group density and convergence analyses, and writes a
-deterministic output tree - CSVs, a summary JSON, and a manifest with a
-content hash per file. Floats are written with six significant digits
+subcommand's settings. `run_job` assesses every pair, in one forked lane
+per CPU, pools the results into per-group density and convergence
+analyses, and writes a deterministic output tree - CSVs, a summary JSON,
+and a manifest with a content hash per file. Floats are written with six significant digits
 (round-half-even) so byte-identical reruns hash identically. One failing
 input does not abort the job; it lands in the manifest's failure list.
 """
@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import shutil
 import tempfile
 from dataclasses import astuple, dataclass
@@ -332,27 +333,18 @@ def _write_job(job: AssessmentJob, out_dir: Path) -> list[dict[str, str]]:
     """Assess the job's pairs and write its files, bar manifest.json, into `out_dir`; return its failures."""
     assessed: list[tuple[JobInput, PairAssessment]] = []
     failures: list[dict[str, str]] = []
-
-    def fail(inp: JobInput, exc: Exception) -> None:
-        failures.append({"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle),
-                         "error": str(exc), "error_type": type(exc).__name__})
-
-    # A box's observed and exclusion maps repeat over its cycles: they are
-    # parsed once per run of consecutive inputs that share them, and dropped
-    # when the run ends, so at most one run's maps are held at a time.
-    for (obs, exclusion), shared in itertools.groupby(job.inputs, key=lambda inp: (inp.obs, inp.exclusion)):
-        run = list(shared)
-        try:
-            observed = load_observed(obs, exclusion)
-        except Exception as exc:
-            for inp in run:
-                fail(inp, exc)
-            continue
-        for inp in run:
-            try:
-                assessed.append((inp, assess_pair(inp.kind, inp.sim, observed, job.threshold, job.convention)))
-            except Exception as exc:
-                fail(inp, exc)
+    # A box's observed and exclusion maps repeat over its cycles: each run of
+    # consecutive inputs that share them is assessed in one lane, which parses
+    # them once for the run.
+    runs = [list(shared) for _, shared in itertools.groupby(job.inputs, key=lambda inp: (inp.obs, inp.exclusion))]
+    for run, outcomes in zip(runs, _assess_in_lanes(runs, job.threshold, job.convention)):
+        for inp, outcome in zip(run, outcomes):
+            if isinstance(outcome, PairAssessment):
+                assessed.append((inp, outcome))
+            else:
+                error, error_type = outcome
+                failures.append({"sim": str(inp.sim), "box_id": str(inp.box_id), "cycle": str(inp.cycle),
+                                 "error": error, "error_type": error_type})
 
     # The fields of ConfusionMatrix and AgreementRates come in _CONFUSION_HEADER's order.
     confusion = [(inp.box_id, inp.cycle, *astuple(a.matrix), *format_floats(astuple(a.rates))) for inp, a in assessed]
@@ -399,6 +391,121 @@ def _write_job(job: AssessmentJob, out_dir: Path) -> list[dict[str, str]]:
             summary["scopes_error"] = str(exc)
     write_json(out_dir / "summary.json", summary)
     return failures
+
+
+def _assess_run(
+    run: Sequence[JobInput], threshold: ThresholdPolicy, convention: Convention
+) -> list[PairAssessment | tuple[str, str]]:
+    """Each input's `PairAssessment`, or its failure as (message, exception type name), for a run of inputs.
+
+    The run's inputs share one observed and exclusion map, loaded once here and
+    dropped on return, so a lane holds one run's maps at a time.
+    """
+    try:
+        observed = load_observed(run[0].obs, run[0].exclusion)
+    except Exception as exc:
+        return [(str(exc), type(exc).__name__)] * len(run)
+    outcomes: list[PairAssessment | tuple[str, str]] = []
+    for inp in run:
+        try:
+            outcomes.append(assess_pair(inp.kind, inp.sim, observed, threshold, convention))
+        except Exception as exc:
+            outcomes.append((str(exc), type(exc).__name__))
+    return outcomes
+
+
+def _lane_count(n_runs: int) -> int:
+    """The lanes that `n_runs` runs are assessed in: one per CPU this process may use, at most one per run.
+
+    One where there is no `os.fork`.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, n_runs)
+
+
+def _assess_in_lanes(
+    runs: Sequence[Sequence[JobInput]], threshold: ThresholdPolicy, convention: Convention
+) -> list[list[PairAssessment | tuple[str, str]]]:
+    """`_assess_run` on each run, in the order of `runs`, split over `_lane_count` lanes.
+
+    Lane i takes runs[i::k]. This process assesses lane 0 and forks one child
+    for each other lane, which sends its outcomes back pickled through a pipe:
+    a few counts and floats a pair, no raster. With one lane nothing is
+    forked. Every child is reaped before this returns or raises, and killed
+    first if this process's own lane raises.
+
+    Raises:
+        ChildProcessError: A child that ended with a nonzero exit status, or
+            whose payload does not hold its lane's outcomes.
+    """
+    k = _lane_count(len(runs))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), lane 1 first
+    payloads: list[bytes] = []
+    try:
+        for lane in range(1, k):
+            children.append(_fork_lane(runs[lane::k], threshold, convention))
+        mine = [_assess_run(run, threshold, convention) for run in runs[::k]]
+        for _, read_end in children:  # before any wait: a payload can exceed the pipe's buffer
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        if children:
+            import signal  # loaded only to stop the children of a lane that failed
+
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for _, read_end in children:
+            os.close(read_end)
+
+    by_run: list[Any] = [None] * len(runs)
+    by_run[::k] = mine
+    for lane, (status, payload) in enumerate(zip(statuses, payloads), start=1):
+        if status != 0:
+            raise ChildProcessError(f"the child assessing pair lane {lane} of {k} ended with exit status {status}")
+        try:
+            by_run[lane::k] = pickle.loads(payload)
+        except Exception:
+            raise ChildProcessError(
+                f"the child assessing pair lane {lane} of {k} sent {len(payload)} bytes, which do not hold its outcomes"
+            ) from None
+    return by_run
+
+
+def _fork_lane(
+    runs: Sequence[Sequence[JobInput]], threshold: ThresholdPolicy, convention: Convention
+) -> tuple[int, int]:
+    """Fork a child that sends `_assess_run`'s outcomes on `runs`, pickled; return its pid and its pipe's read end.
+
+    The child writes no file, prints nothing and never returns into the
+    caller, whose handlers would delete the stage: it ends with `os._exit`,
+    status 0 once its payload is written and 1 on anything raised.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            payload = pickle.dumps([_assess_run(run, threshold, convention) for run in runs])
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        except BaseException:  # reported by the parent through the status, not as a traceback here
+            pass
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
 
 
 def write_tree(out_dir: str | Path, write: Callable[[Path], list], **settings: Any) -> dict[str, Any]:

@@ -7,20 +7,25 @@ per-scope files. Both pass through `RunTable.group_by`, which splits the
 scopes and the cycles. Two more hold `assess` to account over small
 generated raster pairs: a border of nodata cells around every raster of
 the pair changes no field it prints, and a score raster cut at a value
-prints what the binary raster of that cut prints.
+prints what the binary raster of that cut prints. A fifth swaps 0 and 1 in
+both rasters of a pair and holds what `assess` prints to the relations
+that each convention's formulas imply.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapbayes import (
+    EXCLUDED,
     BinaryGrid,
     Grid,
     RunTable,
@@ -174,3 +179,101 @@ def test_a_score_raster_cut_at_a_value_assesses_as_the_binary_raster_of_the_cut(
         scored = assess(["--score", str(tmp / "score.asc"), "--threshold", f"value:{cut!r}", *flags])
         binary = assess(["--sim", str(tmp / "sim.asc"), *flags])
     assert scored == binary
+
+
+def complement(grid):
+    """The `BinaryGrid` of `grid` with its 0 and 1 cells swapped; its excluded cells stay excluded."""
+    v = grid.values
+    return BinaryGrid(np.where(v == EXCLUDED, EXCLUDED, 1 - v).astype(np.int8))
+
+
+def assess_swapped(rasters, convention, tmp):
+    """`assess`'s exit code, the fields it prints by name, and its stderr, for `rasters` and for them with 0 and 1
+    swapped in sim and obs."""
+    outcomes = []
+    for prefix, swap in (("plain_", lambda g: g), ("swapped_", complement)):
+        argv = ["--convention", convention]
+        for name, grid in rasters.items():
+            path = Path(tmp) / f"{prefix}{name}.asc"
+            write_grid(grid if name == "exclusion" else swap(grid), path)
+            argv += [f"--{name}", str(path)]
+        code, out, err = assess(argv)
+        outcomes.append((code, dict(line.split(" ", 1) for line in out.splitlines()), err))
+    return outcomes
+
+
+def ratio(text):
+    """A printed ratio: None where it is empty (undefined)."""
+    return float(text) if text else None
+
+
+def inverse(x):
+    """1 / x, with 1 / 0 = inf and 1 / inf = 0, as the ratios print them."""
+    return None if x is None else math.inf if x == 0.0 else 1.0 / x
+
+
+def near(text, value):
+    """Whether the printed `text` is `value`, allowing the rounding of six significant digits on both."""
+    if value is None or not text:
+        return text == "" and value is None
+    return text == f"{value:.6g}" or math.isclose(float(text), value, rel_tol=1e-5, abs_tol=1e-6)
+
+
+def likelihood_ratios_are_zero_over_zero(sens, tn_rate, convention):
+    """Whether a likelihood ratio of the pair is 0/0, which prints inf, at rates `sens` and `tn_rate` as printed."""
+    s, t = float(sens), float(tn_rate)
+    if convention == "paper":  # s / t, (1 - s) / (1 - t)
+        return s == t and s in (0.0, 1.0)
+    return s + t == 1.0 and s in (0.0, 1.0)  # s / (1 - t), (1 - s) / t
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.builds(SynthConfig, rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**16)),
+    st.sampled_from([None, 0.25, 0.5, 0.75]),
+    st.sampled_from(["paper", "standard"]),
+    st.booleans(),
+)
+def test_swapping_0_and_1_in_both_maps_swaps_the_tallies(cfg, cut, convention, with_exclusion):
+    obs, scores = generate_pair(cfg)
+    sim = threshold_scores(scores, quantity=obs.n_ones) if cut is None else threshold_scores(scores, value=cut)
+    rasters = {"sim": sim, "obs": obs}
+    if with_exclusion:
+        rng = np.random.default_rng(cfg.seed)
+        rasters["exclusion"] = BinaryGrid((rng.random(obs.shape) < 0.2).astype(np.int8))
+    with tempfile.TemporaryDirectory() as tmp:
+        (code, a, err), (swapped_code, b, swapped_err) = assess_swapped(rasters, convention, tmp)
+    assert (swapped_code, swapped_err) == (code, err)
+    if code:  # every cell excluded: refused alike
+        assert err == "error: no cells to compare\n"
+        return
+    assert (b["tp"], b["fp"], b["fn"], b["tn"]) == (a["tn"], a["fn"], a["fp"], a["tp"])
+    assert (b["sens"], b["tn_rate"], b["pcm"]) == (a["tn_rate"], a["sens"], a["pcm"])
+    assert near(b["prevalence"], 1.0 - float(a["prevalence"]))
+    ratios = ("ppv", "npv", "lr_pos", "lr_neg", "dor")
+    if "" in (a["sens"], a["tn_rate"]):
+        assert [a[k] for k in ratios] == [b[k] for k in ratios] == [""] * 5
+        return
+    ppv, npv, lr_pos, lr_neg, dor = (ratio(a[k]) for k in ratios)
+    if convention == "standard":
+        assert near(b["ppv"], npv) and near(b["npv"], ppv)
+    else:
+        # npv = t(1-p) / (t(1-p) + sp) turns into sp / (sp + t(1-p)). ppv = sp / (sp + (1-s)(1-p))
+        # turns into t(1-p) / (t(1-p) + (1-t)p), which no printed ratio gives.
+        assert near(b["npv"], None if npv is None else 1.0 - npv)
+    if likelihood_ratios_are_zero_over_zero(a["sens"], a["tn_rate"], convention):
+        return  # no relation for a ratio that the formulas leave undefined (see the strict xfail below)
+    if convention == "standard":
+        assert near(b["lr_pos"], inverse(lr_neg)) and near(b["lr_neg"], inverse(lr_pos))
+        assert near(b["dor"], dor)
+    else:  # lr_pos = s / t and lr_neg = (1 - s) / (1 - t) turn into their inverses
+        assert near(b["lr_pos"], inverse(lr_pos)) and near(b["lr_neg"], inverse(lr_neg))
+        assert near(b["dor"], inverse(dor))
+
+
+@pytest.mark.xfail(strict=True, reason="a likelihood ratio of 0/0 prints inf, and so does its inverse")
+def test_a_perfect_prediction_keeps_the_complement_relation_under_paper(tmp_path):
+    # sens = tn_rate = 1: lr_neg = (1 - s) / (1 - t) = 0/0, for the pair and for its complement alike.
+    perfect = BinaryGrid(np.array([[1, 0], [0, 1]], np.int8))
+    (_, a, _), (_, b, _) = assess_swapped({"sim": perfect, "obs": perfect}, "paper", tmp_path)
+    assert near(b["lr_neg"], inverse(ratio(a["lr_neg"])))

@@ -2,10 +2,10 @@
 
 `import mapbayes` loads no submodule; `sample` loads only `cli`, `raster`,
 `sampling` and `tableio`, `kde` only `cli`, `raster`, `tableio` and `kde`,
-and `converge` no `sampling`. No command loads `logging`, and `sample` and
-`kde`, which hash no output tree, load no `hashlib`. Each boundary is
-checked in a fresh interpreter, since this one has loaded every module
-already.
+and `converge` no `sampling`. No command loads `logging`, `sample` and
+`kde`, which hash no output tree, load no `hashlib`, and `report` loads no
+process pool. Each boundary is checked in a fresh interpreter, since this
+one has loaded every module already.
 """
 
 import json
@@ -30,8 +30,10 @@ ANALYSIS = {"mapbayes.report", "mapbayes.kde", "mapbayes.convergence", "mapbayes
             "mapbayes.synth"}
 
 #: Standard-library modules watched at the boundary: mapbayes logs nothing,
-#: and only `report` and `converge` hash the files of their output tree.
+#: only `report` and `converge` hash the files of their output tree, and
+#: `report` forks its own pair lanes rather than running a pool.
 LOGGING, HASHING = {"logging"}, {"hashlib", "_hashlib"}
+POOLS = {"multiprocessing", "concurrent.futures", "subprocess"}
 
 
 def run_fresh(code):
@@ -128,6 +130,14 @@ def test_a_command_that_hashes_no_tree_loads_no_hashlib(tmp_path, command):
 def test_the_tree_writers_hash_their_files(tmp_path):
     # The check above would pass if the watched names were misspelt; `converge` shows they are not.
     assert HASHING <= run_command(command_argv("converge", tmp_path), HASHING)
+
+
+def test_report_loads_no_process_pool(tmp_path):
+    loaded = run_command(command_argv("report", tmp_path), POOLS)
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    assert not loaded & POOLS
+    # The check above would pass if the watched names were misspelt.
+    assert modules_after("import concurrent.futures, multiprocessing, subprocess", POOLS) == POOLS
 
 
 def test_a_wrapper_set_before_its_module_loads_is_the_function_called(tmp_path):

@@ -556,9 +556,14 @@ def test_top_n_selection_matches_stable_argsort(case, block_cells, bins):
 
 
 @pytest.mark.parametrize("share", [0.0, 0.37, 1.0])
-@pytest.mark.parametrize("pattern", ["two-decimals", "unrounded", "ones", "signed-zeros"])
+@pytest.mark.parametrize(
+    "pattern", ["two-decimals", "unrounded", "ones", "signed-zeros", "narrow", "tiny", "below-the-finest-bin"]
+)
 def test_top_n_selection_past_one_block_matches_stable_argsort(pattern, share):
     # 90,000 cells, two blocks: each two-decimal score is tied across both.
+    # More than a block of live scores share the cut's first bin in the last
+    # five patterns; the last three need finer bins, the last one more
+    # levels of them than there are.
     rng = np.random.default_rng(len(pattern))
     shape = (300, 300)
     live = {
@@ -566,6 +571,9 @@ def test_top_n_selection_past_one_block_matches_stable_argsort(pattern, share):
         "unrounded": rng.random(shape),
         "ones": np.ones(shape),
         "signed-zeros": rng.choice([0.0, -0.0], shape),
+        "narrow": np.round(0.5 + 0.004 * rng.random(shape), 5),
+        "tiny": 1e-9 * rng.random(shape),
+        "below-the-finest-bin": 1e-16 * rng.random(shape),
     }[pattern]
     excluded = rng.random(shape) < 0.2
     scores = np.where(excluded, rng.choice([math.nan, 5.0], shape), live)
@@ -842,6 +850,16 @@ def test_quantity_cut_copies_no_live_score(large_maps):
     scores = load_scores(large_maps / "s.asc")
     quantity = load_binary(large_maps / "b.asc").n_ones
     assert traced_peak(functools.partial(threshold_scores, scores, quantity=quantity)) < 5 * CELLS
+
+
+@pytest.mark.parametrize("spread", ["in [0.5, 0.504)", "all 0.0"])
+def test_quantity_cut_copies_no_live_score_of_concentrated_scores(spread):
+    # Every live score falls in the cut's first bin, and most of them tie with the cut.
+    rng = np.random.default_rng(8)
+    excluded = rng.random((1000, 1000)) < 0.15
+    values = 0.5 + 0.004 * rng.random(excluded.shape) if spread == "in [0.5, 0.504)" else np.zeros(excluded.shape)
+    scores = ScoreGrid(np.where(excluded, 0.0, values), excluded)
+    assert traced_peak(functools.partial(threshold_scores, scores, quantity=300_000)) < 5 * CELLS
 
 
 def test_stride_check_refuses_a_body_from_its_first_row():

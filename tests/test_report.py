@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -984,17 +986,19 @@ class TestSharedObservedMaps:
 
     def test_each_shared_map_is_parsed_once_per_run(self, tmp_path, monkeypatch):
         inputs = write_shared_map_inputs(tmp_path, self.BOX_MAJOR)
-        parsed = []
+        log = tmp_path / "parsed.txt"  # appended to by every lane's process
         read_raster = raster._read_raster
 
         def counting_read_raster(path):
-            parsed.append(Path(path).name)
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(Path(path).name + "\n")
             return read_raster(path)
 
         # load_grid, load_binary and load_scores each read through it.
         monkeypatch.setattr(raster, "_read_raster", counting_read_raster)
         manifest = run_job(shared_map_job(inputs, tmp_path / "out"))
         assert manifest["failures"] == []
+        parsed = log.read_text(encoding="utf-8").splitlines()
         # 2 boxes x (observed + exclusion) + 6 predictions, not 6 x 3.
         assert len(parsed) == 2 * 2 + 6
         assert len(set(parsed)) == len(parsed)
@@ -1032,6 +1036,133 @@ class TestSharedObservedMaps:
             for inp, error in zip(inputs[3:], errors)
         ]
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_assessed"] == 3
+
+
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    """After each test, this process has no child left to reap: every lane's child was waited for."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_lanes(monkeypatch, k):
+    """Assess a job's runs in `k` lanes (at most one per run), whatever the CPUs of this machine."""
+    monkeypatch.setattr(report, "_lane_count", lambda n_runs: min(k, n_runs))
+
+
+def in_a_child(fn, log):
+    """`fn`, which first appends its process's pid and its first argument to the file `log` outside this process."""
+    parent = os.getpid()
+
+    def logged(*args):
+        if os.getpid() != parent:
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {args[0]}\n")
+        return fn(*args)
+
+    return logged
+
+
+class TestPairLanes:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lanes_write_the_tree_of_one_lane(self, tmp_path, monkeypatch, k):
+        # Fourteen runs, two of them failures: the first, in this process's lane, and the last, in a child's.
+        config_path, out_dir = build_job_tree(tmp_path)
+        data_dir = config_path.parent / "data"
+        write_grid(Grid(np.array([[1.0, 0.5], [0.0, 1.0]])), data_dir / "bad.asc")
+        header, *rows = (data_dir / "inputs.csv").read_text().splitlines(keepends=True)
+        bad = "binary,bad.asc,bad.asc,,9,B,1\n"
+        (data_dir / "inputs.csv").write_text("".join([header, bad, *rows, bad]))
+        log = tmp_path / "children.txt"
+        monkeypatch.setattr(report, "assess_pair", in_a_child(report.assess_pair, log))
+        set_lanes(monkeypatch, k)
+        manifest = run_job(load_job(config_path))
+        assert len(manifest["failures"]) == 2
+        assert len({line.split()[0] for line in log.read_text().splitlines()}) == k - 1
+        set_lanes(monkeypatch, 1)
+        run_job(load_job(config_path, flags={"out": str(tmp_path / "one")}))
+        assert tree_bytes(out_dir) == tree_bytes(tmp_path / "one")
+
+    def test_a_broken_observed_map_fails_alike_in_a_child_lane(self, tmp_path, monkeypatch):
+        inputs = write_shared_map_inputs(tmp_path, TestSharedObservedMaps.BOX_MAJOR)
+        broken = tmp_path / "obs_b1.asc"  # box 1's run is the second: lane 1 of 2
+        lines = broken.read_text().split("\n")
+        lines[8] = "x" + lines[8]
+        broken.write_text("\n".join(lines))
+        log = tmp_path / "children.txt"
+        monkeypatch.setattr(report, "load_observed", in_a_child(report.load_observed, log))
+        set_lanes(monkeypatch, 2)
+        in_lanes = run_job(shared_map_job(inputs, tmp_path / "lanes"))["failures"]
+        assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [str(broken)]
+        set_lanes(monkeypatch, 1)
+        in_one = run_job(shared_map_job(inputs, tmp_path / "one"))["failures"]
+        assert len(in_lanes) == 3 and {f["error_type"] for f in in_lanes} == {"GridFormatError"}
+        assert in_lanes == in_one
+
+    def test_a_child_that_dies_is_a_child_process_error_and_leaves_the_tree(self, job_tree, monkeypatch, capsys):
+        config_path, out_dir = job_tree
+        argv = ["report", "--config", str(config_path)]
+        set_lanes(monkeypatch, 1)
+        assert cli.main(argv) == 0
+        before, beside = tree_bytes(out_dir), sorted(out_dir.parent.iterdir())
+        capsys.readouterr()
+        parent, assess = os.getpid(), report.assess_pair
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return assess(*args)
+
+        monkeypatch.setattr(report, "assess_pair", exiting)
+        set_lanes(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="^the child assessing pair lane 1 of 2 ended with exit status 3$"):
+            run_job(load_job(config_path))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: the child assessing pair lane 1 of 2 ended with exit status 3\n")
+        assert tree_bytes(out_dir) == before and sorted(out_dir.parent.iterdir()) == beside
+
+    def test_a_short_payload_is_a_child_process_error(self, job_tree, monkeypatch):
+        config_path, out_dir = job_tree
+        monkeypatch.setattr(report.pickle, "dumps", lambda obj: b"\x80\x05")  # the child's only call of it
+        set_lanes(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="^the child assessing pair lane 1 of 2 sent 2 bytes, which"):
+            run_job(load_job(config_path))
+        assert not out_dir.exists()
+
+    def test_an_interrupt_in_this_process_lane_stops_the_child(self, job_tree, monkeypatch):
+        config_path, out_dir = job_tree
+        pid_file = config_path.parent / "child.pid"
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() != parent:
+                (pid_file.parent / "child.tmp").write_text(str(os.getpid()))
+                (pid_file.parent / "child.tmp").replace(pid_file)
+                time.sleep(60)  # until killed
+                (pid_file.parent / "survived").touch()
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(report, "assess_pair", interrupted)
+        set_lanes(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_job(load_job(config_path))
+        with pytest.raises(ProcessLookupError):  # killed and reaped, so no such process is left
+            os.kill(int(pid_file.read_text()), 0)
+        assert not (pid_file.parent / "survived").exists()
+        assert not out_dir.exists()
+
+    def test_one_run_forks_no_child(self, tmp_path, monkeypatch):
+        inputs = write_shared_map_inputs(tmp_path, [(0, 1), (0, 2), (0, 3)])
+        monkeypatch.setattr(report.os, "fork", lambda: pytest.fail("a child was forked"))
+        assert run_job(shared_map_job(inputs, tmp_path / "out"))["failures"] == []
+        assert report._lane_count(1) == 1
+        assert report._lane_count(10_000) == len(os.sched_getaffinity(0))
 
 
 class TestAnalyzeScopes:
